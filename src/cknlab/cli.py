@@ -79,7 +79,7 @@ def _params(cfg: dict):
 
 
 def _manifest(cfg: dict, name: str) -> str:
-    echo = " ".join(f"{k}={cfg[k]}" for k in sorted(cfg))
+    echo = " ".join(f"{k}={cfg[k]}" for k in sorted(cfg) if k != "experiment")
     return f"# experiment={name} {echo}"
 
 

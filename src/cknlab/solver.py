@@ -11,6 +11,10 @@ Two stiffness variants are used:
   explicit Dirichlet boundary nodes, the standard consistent second-order
   scheme.  Boundary rows are identity and the couplings are folded
   symmetrically into the right-hand side, so the matrix stays SPD.
+
+Every SPD system goes through `_spd_solve`: a banded Cholesky when the
+matrix is tridiagonal (all radial systems), Jacobi-preconditioned CG
+otherwise (box grids).  A solve that fails raises `SolverError`.
 """
 from __future__ import annotations
 
@@ -19,6 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.linalg import LinAlgError, solveh_banded
 from scipy.sparse.linalg import cg
 
 from .errors import GridError, ParameterError, SolverError
@@ -34,27 +39,29 @@ class LinearSystem:
     matrix: sp.csr_matrix
     rhs: np.ndarray
     boundary_mask: np.ndarray
-    boundary_values: np.ndarray
     grid: object
     params: WeightParams
-    node_positions: np.ndarray  # radial: augmented r positions; box: empty
 
 
 @dataclass
 class SolveReport:
-    iterations: int
+    iterations: int  # CG iterations; 0 for the direct banded solve
     relative_residual: float
-    energy: float
     converged: bool = True
 
 
 # ---------------------------------------------------------------------------
 # stiffness assembly helpers
 
-def _tridiag(T: np.ndarray, n: int) -> sp.csr_matrix:
+def _tridiag(T: np.ndarray, n: int, cap_lo: float = 0.0,
+             cap_hi: float = 0.0) -> sp.csr_matrix:
+    """Chain stiffness of face transmissibilities T, plus boundary caps
+    on the first and last diagonal entries."""
     diag = np.zeros(n)
     diag[:-1] += T
     diag[1:] += T
+    diag[-1] += cap_hi
+    diag[0] += cap_lo
     return sp.diags([-T, diag, -T], offsets=[-1, 0, 1], format="csr")
 
 
@@ -145,33 +152,24 @@ def assemble(params: WeightParams, grid, f: DiscreteField | None = None,
         w_faces = sphere_area(params.N) * _power_antiderivative(
             expo, np.maximum(c[:-1], 1e-300), c[1:])
         T = w_faces / np.diff(c) ** 2
-        ntot = n + (2 if inner is not None else 1)
-        A = sp.lil_matrix((ntot, ntot))
-        A[:n, :n] = _tridiag(T, n)
-        rhs = np.zeros(ntot)
-        rhs[:n] = load_w * fvals
-        bnodes, bvals = [n], [float(dirichlet)]
+        # unknowns: the n cells, then the outer (and inner) boundary node;
+        # the caps' couplings to those nodes are eliminated into the rhs,
+        # leaving block-diag(tridiagonal, identity)
+        bvals = [float(dirichlet)]
         t_out = _cap_transmissibility(params, c[-1], e[-1])
-        A[n - 1, n - 1] += t_out
-        A[n, n] += t_out
-        A[n - 1, n] -= t_out
-        A[n, n - 1] -= t_out
-        positions = [e[-1]]
+        t_in = 0.0
         if inner is not None:
             t_in = _cap_transmissibility(params, e[0], c[0])
-            A[0, 0] += t_in
-            A[n + 1, n + 1] += t_in
-            A[0, n + 1] -= t_in
-            A[n + 1, 0] -= t_in
-            bnodes.append(n + 1)
             bvals.append(float(inner))
-            positions.append(e[0])
-        A2, rhs, mask = _eliminate_dirichlet(A.tocsr(), rhs,
-                                             np.array(bnodes), np.array(bvals))
-        return LinearSystem(matrix=A2, rhs=rhs, boundary_mask=mask,
-                            boundary_values=np.array(bvals), grid=grid,
-                            params=params,
-                            node_positions=np.concatenate([c, positions]))
+        A = sp.block_diag((_tridiag(T, n, t_in, t_out), sp.identity(len(bvals))),
+                          format="csr")
+        rhs = np.concatenate([load_w * fvals, bvals])
+        rhs[n - 1] += t_out * bvals[0]
+        if inner is not None:
+            rhs[0] += t_in * bvals[1]
+        mask = np.arange(n + len(bvals)) >= n
+        return LinearSystem(matrix=A, rhs=rhs, boundary_mask=mask, grid=grid,
+                            params=params)
     # box grid: boundary = outer layer of cells
     nx, ny, nz = grid.shape
     A = raw_stiffness(params, grid)
@@ -185,9 +183,8 @@ def assemble(params: WeightParams, grid, f: DiscreteField | None = None,
     gvals = (np.asarray(dirichlet(pts), float) if callable(dirichlet)
              else np.full(len(bidx), float(dirichlet)))
     A2, rhs, mask = _eliminate_dirichlet(A, rhs, bidx, gvals)
-    return LinearSystem(matrix=A2, rhs=rhs, boundary_mask=mask,
-                        boundary_values=gvals, grid=grid, params=params,
-                        node_positions=np.zeros(0))
+    return LinearSystem(matrix=A2, rhs=rhs, boundary_mask=mask, grid=grid,
+                        params=params)
 
 
 # ---------------------------------------------------------------------------
@@ -200,22 +197,46 @@ def _jacobi(A: sp.csr_matrix) -> sp.dia_matrix:
     return sp.diags(1.0 / d)
 
 
-def solve(system: LinearSystem, tol: float = 1e-11,
-          max_iter: int = 100000) -> tuple[DiscreteField, SolveReport]:
-    """Diagonally preconditioned conjugate gradients; deterministic."""
-    A, b = system.matrix, system.rhs
-    count = {"n": 0}
+def _spd_solve(A: sp.csr_matrix, b: np.ndarray, x0: np.ndarray | None = None,
+               tol: float = 1e-11, max_iter: int = 100000):
+    """Solve the SPD system A x = b; returns (x, CG iterations).
+
+    Tridiagonal A (every radial system) gets a banded Cholesky, O(n) and
+    direct, so `x0`, `tol` and `max_iter` do not apply; anything wider
+    gets Jacobi-preconditioned CG to relative residual `tol`.  Raises
+    SolverError when A is not positive definite or CG does not converge.
+    """
+    coo = A.tocoo()
+    if coo.nnz == 0 or np.max(np.abs(coo.row - coo.col)) <= 1:
+        ab = np.zeros((2, A.shape[0]))
+        ab[0] = A.diagonal()
+        ab[1, :-1] = A.diagonal(-1)
+        try:
+            return solveh_banded(ab, b, lower=True), 0
+        except LinAlgError as exc:
+            raise SolverError("not_spd", f"banded Cholesky failed: {exc}") from exc
+    count = 0
 
     def cb(_):
-        count["n"] += 1
+        nonlocal count
+        count += 1
 
-    x, info = cg(A, b, rtol=tol, atol=0.0, maxiter=max_iter, M=_jacobi(A),
-                 callback=cb)
+    x, info = cg(A, b, x0=x0, rtol=tol, atol=0.0, maxiter=max_iter,
+                 M=_jacobi(A), callback=cb)
+    if info != 0:
+        raise SolverError("no_convergence",
+                          f"CG stopped after {count} iterations (info={info})")
+    return x, count
+
+
+def solve(system: LinearSystem, tol: float = 1e-11,
+          max_iter: int = 100000) -> tuple[DiscreteField, SolveReport]:
+    """Solve the assembled system through `_spd_solve`; deterministic."""
+    A, b = system.matrix, system.rhs
+    x, iterations = _spd_solve(A, b, tol=tol, max_iter=max_iter)
     bnorm = float(np.linalg.norm(b))
     rel = float(np.linalg.norm(b - A @ x)) / (bnorm if bnorm > 0 else 1.0)
-    energy = float(0.5 * x @ (A @ x) - b @ x)
-    report = SolveReport(iterations=count["n"], relative_residual=rel,
-                         energy=energy, converged=(info == 0))
+    report = SolveReport(iterations=iterations, relative_residual=rel)
     field = DiscreteField(grid=system.grid, values=x[:system.grid.n_nodes].copy(),
                           name="solution")
     return field, report
@@ -317,8 +338,7 @@ def residual(params: WeightParams, u: DiscreteField, f: DiscreteField,
         r[grid.n_cells - 1] = 0.0
         if inner is not None:
             r[0] = 0.0
-    z, _ = cg(system.matrix, r, rtol=tol, atol=0.0, maxiter=100000,
-              M=_jacobi(system.matrix))
+    z, _ = _spd_solve(system.matrix, r, tol=tol)
     dual = math.sqrt(max(float(r @ z), 0.0))
     nodal = DiscreteField(grid=grid, values=r[:grid.n_nodes].copy(),
                           name="residual")
@@ -344,15 +364,14 @@ def harmonic_replacement(params: WeightParams, u: DiscreteField, ball: BallSpec,
     else:
         inside = np.linalg.norm(coords - np.array(ball.center), axis=1) <= ball.radius
     A = raw_stiffness(params, grid)
-    adj = A.copy().tolil()
-    adj.setdiag(0.0)
-    adj = adj.tocsr()
-    adj.eliminate_zeros()
-    adj.data = np.ones_like(adj.data)
-    touches_outside = np.asarray(adj @ (~inside).astype(float)).ravel() > 0.5
-    degree = np.asarray(adj @ np.ones(grid.n_nodes)).ravel()
-    full_degree = 2.0 if isinstance(grid, RadialGrid) else 6.0
-    on_edge = degree < full_degree - 0.5
+    coo = A.tocoo()
+    off = (coo.row != coo.col) & (coo.data != 0)
+    nbr, other = coo.row[off], coo.col[off]
+    touches_outside = np.zeros(grid.n_nodes, dtype=bool)
+    touches_outside[nbr[~inside[other]]] = True
+    degree = np.bincount(nbr, minlength=grid.n_nodes)
+    full_degree = 2 if isinstance(grid, RadialGrid) else 6
+    on_edge = degree < full_degree
     interior = inside & ~touches_outside & ~on_edge
     if interior.sum() < 2:
         raise GridError("ball_too_small",
@@ -360,11 +379,7 @@ def harmonic_replacement(params: WeightParams, u: DiscreteField, ball: BallSpec,
     I = np.nonzero(interior)[0]
     A_II = A[np.ix_(I, I)].tocsr()
     b = -np.asarray(A[I][:, ~interior] @ u.values[~interior]).ravel()
-    x, info = cg(A_II, b, x0=u.values[I], rtol=tol, atol=0.0, maxiter=max_iter,
-                 M=_jacobi(A_II))
-    if info != 0:
-        raise SolverError("no_convergence",
-                          f"harmonic replacement CG stopped at info={info}")
+    x, _ = _spd_solve(A_II, b, x0=u.values[I], tol=tol, max_iter=max_iter)
     w = u.values.copy()
     w[I] = x
     return u.with_values(w, name="harmonic_replacement")

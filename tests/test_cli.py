@@ -46,7 +46,9 @@ def test_measure_identities_smoke(tmp_path):
     cfg = write_cfg(tmp_path, "measure_identities", "seed=3\nn_combos=10\n")
     assert main(["run", cfg]) == 0
     report = (tmp_path / "measure_report.csv").read_text()
-    assert report.startswith("# experiment=measure_identities")
+    manifest = report.splitlines()[0]
+    assert manifest.startswith("# experiment=measure_identities n_combos=10 ")
+    assert manifest.count("experiment=") == 1
     assert "closed_form,quadrature" in report.splitlines()[1]
 
 

@@ -2,12 +2,14 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from scipy.sparse.linalg import spsolve
 
-from cknlab.errors import GridError, ParameterError
+from cknlab.errors import GridError, ParameterError, SolverError
 from cknlab.fields import BoxGrid, DiscreteField, RadialGrid
 from cknlab.measure import BallSpec
 from cknlab.params import INF, validate
-from cknlab.solver import (assemble, ckn_bubble, dilate_radial,
+from cknlab.solver import (_spd_solve, assemble, ckn_bubble, dilate_radial,
                            exact_radial_mms, harmonic_replacement, residual,
                            solve, stiffness_quadratic_form)
 
@@ -26,6 +28,41 @@ def test_assembled_matrix_structure():
     # rows away from the boundary coupling have zero sum (constants are flat)
     rowsums = np.asarray(A.sum(axis=1)).ravel()
     assert np.allclose(rowsums[: grid.n_cells - 1], 0.0, atol=1e-10)
+
+
+def test_radial_assemble_is_linear_in_n():
+    n = 2 ** 16
+    grid = RadialGrid(0.1, 1.0, n)
+    f = DiscreteField.from_function(grid, lambda r: np.ones_like(r))
+    sys_ = assemble(P335, grid, f, dirichlet=0.0, inner=1.0)
+    assert sys_.matrix.shape == (n + 2, n + 2)
+    assert sys_.matrix.nnz <= 3 * (n + 2)
+    uh, rep = solve(sys_)
+    assert rep.converged and np.all(np.isfinite(uh.values))
+
+
+def test_radial_solve_matches_sparse_direct():
+    # Both are direct solves; on the full ball the origin weight makes the
+    # system ill-conditioned, and they differ by ~1e-11 max|x| in float64.
+    u_exact, f_exact = exact_radial_mms(P335, 0.0, 1.0)
+    grid = RadialGrid(0.0, 1.0, 4096)
+    sys_ = assemble(P335, grid, DiscreteField.from_function(grid, f_exact))
+    uh, _ = solve(sys_)
+    ref = spsolve(sys_.matrix.tocsc(), sys_.rhs)
+    assert np.max(np.abs(uh.values - ref[:4096])) <= 5e-11 * np.max(np.abs(ref))
+
+
+def test_spd_solve_failures_raise():
+    grid = BoxGrid((-1, -1, -1), (1, 1, 1), (16, 16, 16))
+    sys_ = assemble(P335, grid, DiscreteField.from_function(
+        grid, lambda p: np.ones(len(p))), dirichlet=0.0)
+    with pytest.raises(SolverError) as exc:
+        _spd_solve(sys_.matrix, sys_.rhs, max_iter=3)
+    assert exc.value.code == "no_convergence"
+    indefinite = sp.diags([[-1.0], [2.0, -1.0], [-1.0]], [-1, 0, 1], format="csr")
+    with pytest.raises(SolverError) as exc:
+        _spd_solve(indefinite, np.ones(2))
+    assert exc.value.code == "not_spd"
 
 
 def test_classical_mms_closed_form():
@@ -115,19 +152,21 @@ def test_harmonic_replacement_radial_energy_split():
     rng = np.random.default_rng(21)
     grid = RadialGrid(0.0, 1.0, 300)
     u = DiscreteField(grid=grid, values=rng.standard_normal(300).cumsum() * 0.05)
-    ball = BallSpec((0.0,), 0.55)
-    w = harmonic_replacement(P335, u, ball)
-    # unchanged outside the ball
-    outside = grid.centers > 0.56
-    assert np.array_equal(w.values[outside], u.values[outside])
-    qu = stiffness_quadratic_form(P335, grid, u.values)
-    qw = stiffness_quadratic_form(P335, grid, w.values)
-    qv = stiffness_quadratic_form(P335, grid, u.values - w.values)
-    assert qw <= qu + 1e-12 * qu
-    assert qu == pytest.approx(qw + qv, rel=1e-9)
-    # idempotence
-    w2 = harmonic_replacement(P335, w, ball)
-    assert np.max(np.abs(w2.values - w.values)) < 1e-9 * max(1.0, np.max(np.abs(w.values)))
+    # a ball at the origin and one off it; both relax a contiguous block
+    for ball in (BallSpec((0.0,), 0.55), BallSpec((0.6,), 0.3)):
+        w = harmonic_replacement(P335, u, ball)
+        # unchanged outside the ball
+        outside = np.abs(grid.centers - ball.center_norm) > ball.radius + 0.01
+        assert np.array_equal(w.values[outside], u.values[outside])
+        qu = stiffness_quadratic_form(P335, grid, u.values)
+        qw = stiffness_quadratic_form(P335, grid, w.values)
+        qv = stiffness_quadratic_form(P335, grid, u.values - w.values)
+        assert qw <= qu + 1e-12 * qu
+        assert qu == pytest.approx(qw + qv, rel=1e-9)
+        # idempotence
+        w2 = harmonic_replacement(P335, w, ball)
+        assert (np.max(np.abs(w2.values - w.values))
+                < 1e-9 * max(1.0, np.max(np.abs(w.values))))
 
 
 def test_harmonic_replacement_box_energy_split():
