@@ -9,20 +9,21 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
 from .errors import LabError
-from .fields import BoxGrid, DiscreteField, RadialGrid
+from .fields import DiscreteField, RadialGrid
 from .inequalities import (build_test_suite, ckn_ratio, estimate_alpha_h,
                            poincare_ratio)
-from .measure import (BallSpec, ball_measure, centered_weight_integral,
-                      doubling_ratio, lemma_a1_ratio)
+from .measure import (BallSpec, centered_weight_integral, doubling_ratio,
+                      lemma_a1_ratio)
 from .moser import lemma_a2_property_check, run_ladder
 from .params import INF, epsilon_choice, validate
-from .regularity import (campanato_profile, default_radii, fit_growth,
-                         regularity_report)
+from .regularity import campanato_profile, default_radii, regularity_report
 from .solver import (assemble, ckn_bubble, dilate_radial, exact_radial_mms,
                      harmonic_replacement, residual, solve,
                      stiffness_quadratic_form)
@@ -369,37 +370,58 @@ def exp_lemma_a2_property(cfg, out_dir, dump):
     return total_viol == 0
 
 
-EXPERIMENTS = {
-    "measure_identities": (exp_measure_identities,
-                           "closed-form vs quadrature ball measures, doubling"),
-    "mms_convergence": (exp_mms_convergence,
-                        "manufactured-solution convergence order study"),
-    "harmonic_replacement": (exp_harmonic_replacement,
-                             "energy minimality / idempotence suite"),
-    "inequality_suite": (exp_inequality_suite,
-                         "CKN and Poincare ratios over the 50-field suite"),
-    "alpha_h_estimation": (exp_alpha_h_estimation,
-                           "oscillation-decay exponent of harmonic fields"),
-    "regularity_report": (exp_regularity_report,
-                          "measured vs predicted Holder exponent"),
-    "dilation_symmetry": (exp_dilation_symmetry,
-                          "invariant dilation residual refinement study"),
-    "moser_ladder": (exp_moser_ladder,
-                     "weighted L^q integrability ladder on a solution"),
-    "lemma_a1_envelope": (exp_lemma_a1_envelope,
-                          "measure-ratio bound over random balls"),
-    "lemma_a2_property": (exp_lemma_a2_property,
-                          "iteration-lemma conclusion on random profiles"),
-}
+@dataclass(frozen=True)
+class Experiment:
+    run: Callable
+    description: str
+    keys: tuple[str, ...]  # the config keys it reads beyond COMMON_KEYS
+    randomized: bool = False  # needs `seed`
 
-_RANDOMIZED = {"measure_identities", "harmonic_replacement",
-               "inequality_suite", "lemma_a1_envelope", "lemma_a2_property",
-               "regularity_report"}
+
+COMMON_KEYS = ("experiment", "output_dir", "seed", "params.N", "params.a",
+               "params.b", "params.s")
+_RADIAL = ("grid.r_min", "grid.r_max", "grid.n")
+_GRID = _RADIAL + ("grid.spacing",)
+
+EXPERIMENTS = {
+    "measure_identities": Experiment(
+        exp_measure_identities,
+        "closed-form vs quadrature ball measures, doubling",
+        ("n_combos", "tol"), randomized=True),
+    "mms_convergence": Experiment(
+        exp_mms_convergence, "manufactured-solution convergence order study",
+        ("mms.gamma", "levels") + _RADIAL),
+    "harmonic_replacement": Experiment(
+        exp_harmonic_replacement, "energy minimality / idempotence suite",
+        ("n_cases",) + _GRID, randomized=True),
+    "inequality_suite": Experiment(
+        exp_inequality_suite, "CKN and Poincare ratios over the 50-field suite",
+        ("frozen.ckn_constant", "frozen.poincare_constant") + _GRID,
+        randomized=True),
+    "alpha_h_estimation": Experiment(
+        exp_alpha_h_estimation, "oscillation-decay exponent of harmonic fields",
+        ("center",) + _RADIAL),
+    "regularity_report": Experiment(
+        exp_regularity_report, "measured vs predicted Holder exponent",
+        ("alpha_h",) + _GRID, randomized=True),
+    "dilation_symmetry": Experiment(
+        exp_dilation_symmetry, "invariant dilation residual refinement study",
+        ("lambda",) + _RADIAL),
+    "moser_ladder": Experiment(
+        exp_moser_ladder, "weighted L^q integrability ladder on a solution",
+        ("margin0", "grid.r_max", "grid.n")),
+    "lemma_a1_envelope": Experiment(
+        exp_lemma_a1_envelope, "measure-ratio bound over random balls",
+        ("n_balls", "eps_s"), randomized=True),
+    "lemma_a2_property": Experiment(
+        exp_lemma_a2_property, "iteration-lemma conclusion on random profiles",
+        ("n_envelopes", "n_trials"), randomized=True),
+}
 
 
 def list_experiments() -> str:
-    return "\n".join(f"{name}: {desc}"
-                     for name, (_, desc) in sorted(EXPERIMENTS.items()))
+    return "\n".join(f"{name}: {exp.description}"
+                     for name, exp in sorted(EXPERIMENTS.items()))
 
 
 def run(config_path: str, dump_trials: bool = False) -> int:
@@ -408,12 +430,16 @@ def run(config_path: str, dump_trials: bool = False) -> int:
         name = _get(cfg, "experiment")
         if name not in EXPERIMENTS:
             raise UsageError(f"unknown_experiment: {name}")
-        if name in _RANDOMIZED and "seed" not in cfg:
+        exp = EXPERIMENTS[name]
+        unknown = sorted(set(cfg) - set(COMMON_KEYS) - set(exp.keys))
+        if unknown:
+            raise UsageError("invalid_config: unknown key "
+                             + ", ".join(f"`{k}`" for k in unknown))
+        if exp.randomized and "seed" not in cfg:
             raise UsageError("invalid_config: missing key `seed` "
                              f"(required for randomized experiment {name})")
         out_dir = Path(_get(cfg, "output_dir", str, "."))
-        fn = EXPERIMENTS[name][0]
-        passed = fn(cfg, out_dir, dump_trials)
+        passed = exp.run(cfg, out_dir, dump_trials)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -9,8 +9,8 @@ near the coordinate origin, where the weight may be singular.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field
-from functools import lru_cache
+from dataclasses import dataclass
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -48,9 +48,14 @@ class RadialGrid:
     def kind(self) -> str:
         return "radial"
 
-    @property
+    @cached_property
     def edges(self) -> np.ndarray:
-        return _radial_edges(self)
+        if self.spacing == "uniform":
+            e = np.linspace(self.r_min, self.r_max, self.n_cells + 1)
+        else:
+            e = np.geomspace(self.r_min, self.r_max, self.n_cells + 1)
+        e.setflags(write=False)
+        return e
 
     @property
     def centers(self) -> np.ndarray:
@@ -64,15 +69,15 @@ class RadialGrid:
     def node_coords(self) -> np.ndarray:
         return self.centers.reshape(-1, 1)
 
+    def distance_to(self, center) -> np.ndarray:
+        """Distance of each node's sphere |x| = r to the point `center`,
+        measured along the ray through it: |r - |center||."""
+        return np.abs(self.centers - math.sqrt(sum(c * c for c in center)))
 
-@lru_cache(maxsize=None)
-def _radial_edges(grid: RadialGrid) -> np.ndarray:
-    if grid.spacing == "uniform":
-        e = np.linspace(grid.r_min, grid.r_max, grid.n_cells + 1)
-    else:
-        e = np.geomspace(grid.r_min, grid.r_max, grid.n_cells + 1)
-    e.setflags(write=False)
-    return e
+    def interior_mask(self, margin: float) -> np.ndarray:
+        """Nodes at least `margin` inside both ends of [r_min, r_max]."""
+        r = self.centers
+        return (r >= self.r_min + margin) & (r <= self.r_max - margin)
 
 
 @dataclass(frozen=True)
@@ -116,17 +121,34 @@ class BoxGrid:
         h = self.h[axis]
         return self.lower[axis] + (np.arange(n) + 0.5) * h
 
+    @cached_property
+    def _node_coords(self) -> np.ndarray:
+        xs, ys, zs = (self.axis_centers(i) for i in range(3))
+        X, Y, Z = np.meshgrid(xs, ys, zs, indexing="ij")
+        pts = np.stack([X, Y, Z], axis=-1).reshape(-1, 3)
+        pts.setflags(write=False)
+        return pts
+
     def node_coords(self) -> np.ndarray:
-        return _box_centers(self)
+        return self._node_coords
 
+    def distance_to(self, center) -> np.ndarray:
+        """Euclidean distance of each node to the point `center`."""
+        return np.linalg.norm(self.node_coords() - np.asarray(center, float),
+                              axis=1)
 
-@lru_cache(maxsize=None)
-def _box_centers(grid: BoxGrid) -> np.ndarray:
-    xs, ys, zs = (grid.axis_centers(i) for i in range(3))
-    X, Y, Z = np.meshgrid(xs, ys, zs, indexing="ij")
-    pts = np.stack([X, Y, Z], axis=-1).reshape(-1, 3)
-    pts.setflags(write=False)
-    return pts
+    def interior_mask(self, margin: float) -> np.ndarray:
+        """Nodes at least `margin` inside every face of the box."""
+        lo = np.array(self.lower) + margin
+        hi = np.array(self.upper) - margin
+        coords = self.node_coords()
+        return np.all((coords >= lo) & (coords <= hi), axis=1)
+
+    def boundary_layer(self) -> np.ndarray:
+        """The outer layer of cells (the box's Dirichlet nodes), flattened."""
+        layer = np.ones(self.shape, dtype=bool)
+        layer[1:-1, 1:-1, 1:-1] = False
+        return layer.ravel()
 
 
 # ---------------------------------------------------------------------------
@@ -138,7 +160,6 @@ class DiscreteField:
     grid: RadialGrid | BoxGrid
     values: np.ndarray
     name: str = ""
-    meta: dict = dc_field(default_factory=dict)
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=float).reshape(-1)
@@ -182,17 +203,43 @@ def _power_antiderivative(expo: float, lo: np.ndarray, hi: np.ndarray):
     return (np.asarray(hi) ** expo - np.asarray(lo) ** expo) / expo
 
 
+def _radial_shell_weights(N: int, w_exp: float, lo: np.ndarray, hi: np.ndarray,
+                          ball: BallSpec | None = None,
+                          floor: float = 0.0) -> np.ndarray:
+    """sigma_{N-1} * integral of t^{N-1+w} over each interval [lo, hi].
+
+    With `ball` (which must be centered at 0) the intervals are clipped to
+    [0, ball.radius]; `floor` bounds the lower ends away from t = 0.
+    """
+    if ball is not None:
+        if ball.center_norm > 1e-12 * ball.radius:
+            raise GridError("ball_outside_domain",
+                            "radial grids only support balls centered at 0")
+        lo = np.minimum(lo, ball.radius)
+        hi = np.minimum(hi, ball.radius)
+    out = sphere_area(N) * _power_antiderivative(N + w_exp, np.maximum(lo, floor),
+                                                 hi)
+    return np.where(hi > lo, out, 0.0)
+
+
+def _radial_duals(grid: RadialGrid) -> tuple[np.ndarray, np.ndarray]:
+    """Dual interval of each interior face: [c_f, c_{f+1}], with the two end
+    duals extended to the domain edges so that the duals tile [r_min, r_max]."""
+    c = grid.centers
+    e = grid.edges
+    return (np.concatenate([[e[0]], c[1:-1]]),
+            np.concatenate([c[1:-1], [e[-1]]]))
+
+
 def radial_cell_weights(grid: RadialGrid, N: int, w_exp: float) -> np.ndarray:
     """sigma_{N-1} * integral of t^{N-1+w} over each cell."""
-    e = grid.edges
-    expo = N + w_exp
-    if expo <= 0 and grid.r_min == 0.0:
+    if N + w_exp <= 0 and grid.r_min == 0.0:
         raise GridError("nonintegrable_weight",
                         f"t^{N - 1 + w_exp} not integrable at r = 0")
-    return sphere_area(N) * _power_antiderivative(expo, e[:-1], e[1:])
+    return _radial_shell_weights(N, w_exp, grid.edges[:-1], grid.edges[1:])
 
 
-def _ball_equiv_weight(center: np.ndarray, vol: float, w_exp: float) -> float:
+def _ball_equiv_weight(vol: float, w_exp: float) -> float:
     """Closed-form weight integral over the equal-volume ball at the origin."""
     sigma = sphere_area(3)
     rho = (vol * 3.0 / sigma) ** (1.0 / 3.0)
@@ -210,7 +257,7 @@ def _box_weight_integral(lo: np.ndarray, hi: np.ndarray, w_exp: float,
         return dist ** w_exp * vol
     if depth >= _MAX_REFINE_DEPTH:
         if np.all(lo <= 0.0) and np.all(hi >= 0.0):
-            return _ball_equiv_weight(center, vol, w_exp)
+            return _ball_equiv_weight(vol, w_exp)
         return max(dist, 0.25 * diag) ** w_exp * vol
     total = 0.0
     mid = center
@@ -227,21 +274,25 @@ def _box_weight_integral(lo: np.ndarray, hi: np.ndarray, w_exp: float,
     return total
 
 
-@lru_cache(maxsize=None)
-def box_cell_weights(grid: BoxGrid, w_exp: float) -> np.ndarray:
-    centers = grid.node_coords()
+def _box_volume_weights(grid: BoxGrid, w_exp: float,
+                        centers: np.ndarray) -> np.ndarray:
+    """Integral of |x|^{w} over the cell-sized box around each of `centers`
+    (shape (..., 3)): centroid rule, octree-refined near the origin."""
     h = np.array(grid.h)
-    vol = grid.cell_volume
-    dist = np.linalg.norm(centers, axis=1)
-    w = np.where(dist > 0, dist, 1.0) ** w_exp * vol
-    diag = float(np.linalg.norm(h))
-    near = np.nonzero(dist <= _ORIGIN_REFINE_FACTOR * diag)[0]
+    dist = np.linalg.norm(centers, axis=-1)
+    w = np.where(dist > 0, dist, 1.0) ** w_exp * grid.cell_volume
     if w_exp != 0.0:
-        for i in near:
-            lo = centers[i] - 0.5 * h
-            w[i] = _box_weight_integral(lo, lo + h, w_exp)
+        diag = float(np.linalg.norm(h))
+        for idx in np.argwhere(dist <= _ORIGIN_REFINE_FACTOR * diag):
+            lo = centers[tuple(idx)] - 0.5 * h
+            w[tuple(idx)] = _box_weight_integral(lo, lo + h, w_exp)
     w.setflags(write=False)
     return w
+
+
+@lru_cache(maxsize=None)
+def box_cell_weights(grid: BoxGrid, w_exp: float) -> np.ndarray:
+    return _box_volume_weights(grid, w_exp, grid.node_coords())
 
 
 def cell_weights(grid, N: int, w_exp: float) -> np.ndarray:
@@ -260,7 +311,7 @@ def _ball_coverage_fractions(grid: BoxGrid, ball: BallSpec) -> np.ndarray:
     centers = grid.node_coords()
     h = np.array(grid.h)
     half_diag = 0.5 * float(np.linalg.norm(h))
-    d = np.linalg.norm(centers - np.array(ball.center), axis=1)
+    d = grid.distance_to(ball.center)
     frac = np.zeros(len(centers))
     frac[d <= ball.radius - half_diag] = 1.0
     rim = np.nonzero((d > ball.radius - half_diag) & (d < ball.radius + half_diag))[0]
@@ -278,15 +329,8 @@ def _ball_coverage_fractions(grid: BoxGrid, ball: BallSpec) -> np.ndarray:
 def ball_cell_weights(grid, N: int, w_exp: float, ball: BallSpec) -> np.ndarray:
     """Cell weight integrals clipped to the ball."""
     if isinstance(grid, RadialGrid):
-        if ball.center_norm > 1e-12 * ball.radius:
-            raise GridError("ball_outside_domain",
-                            "radial grids only support balls centered at 0")
-        e = grid.edges
-        lo = np.minimum(e[:-1], ball.radius)
-        hi = np.minimum(e[1:], ball.radius)
-        expo = N + w_exp
-        out = sphere_area(N) * _power_antiderivative(expo, np.maximum(lo, 0.0), hi)
-        return np.where(hi > lo, out, 0.0)
+        return _radial_shell_weights(N, w_exp, grid.edges[:-1], grid.edges[1:],
+                                     ball)
     frac = _ball_coverage_fractions(grid, ball)
     return cell_weights(grid, N, w_exp) * frac
 
@@ -311,13 +355,7 @@ def lq_norm(params: WeightParams, field: DiscreteField, q: float,
 
 def oscillation(field: DiscreteField, ball: BallSpec) -> float:
     """max - min of nodal values over nodes inside the ball."""
-    coords = field.grid.node_coords()
-    center = np.zeros(coords.shape[1])
-    center[:len(ball.center)] = ball.center
-    if isinstance(field.grid, RadialGrid):
-        inside = np.abs(coords[:, 0] - ball.center_norm) <= ball.radius
-    else:
-        inside = np.linalg.norm(coords - center, axis=1) <= ball.radius
+    inside = field.grid.distance_to(ball.center) <= ball.radius
     if not np.any(inside):
         raise GridError("empty_ball", "no grid nodes inside the ball")
     vals = field.values[inside]
@@ -331,17 +369,11 @@ def oscillation(field: DiscreteField, ball: BallSpec) -> float:
 def radial_face_dual_weights(grid: RadialGrid, N: int, w_exp: float) -> np.ndarray:
     """Weight integral over the dual interval of each interior face.
 
-    Face f sits between centers c_f and c_{f+1}; its dual interval is
-    [c_f, c_{f+1}] extended to the domain edges at the two ends so the
-    duals tile [r_min, r_max] exactly (a piecewise-constant-gradient field
-    then has exactly reproduced energy).
+    The duals tile [r_min, r_max] exactly (see `_radial_duals`), so a
+    piecewise-constant-gradient field has exactly reproduced energy.
     """
-    c = grid.centers
-    e = grid.edges
-    lo = np.concatenate([[e[0]], c[1:-1]])
-    hi = np.concatenate([c[1:-1], [e[-1]]])
-    expo = N + w_exp
-    return sphere_area(N) * _power_antiderivative(expo, np.maximum(lo, 1e-300), hi)
+    lo, hi = _radial_duals(grid)
+    return _radial_shell_weights(N, w_exp, lo, hi, floor=1e-300)
 
 
 def _disk_weight(z0: float, area: float, w_exp: float) -> float:
@@ -372,43 +404,25 @@ def _face_weight_integral(c2d: np.ndarray, half: np.ndarray, z0: float,
     return total
 
 
+def _face_centers(grid: BoxGrid, axis: int) -> np.ndarray:
+    """Centers of the interior faces orthogonal to `axis`, shape (..., 3):
+    like the cell array but with shape[axis]-1 along `axis`."""
+    coords = [grid.axis_centers(i) for i in range(3)]
+    coords[axis] = 0.5 * (coords[axis][:-1] + coords[axis][1:])
+    return np.stack(np.meshgrid(*coords, indexing="ij"), axis=-1)
+
+
 @lru_cache(maxsize=None)
 def box_face_dual_weights(grid: BoxGrid, w_exp: float, axis: int) -> np.ndarray:
-    """Weight integral over the h^3 dual box of each interior face along axis.
-
-    Shape: like the cell array but with shape[axis]-1 along `axis`.
-    """
-    h = np.array(grid.h)
-    axes = [grid.axis_centers(i) for i in range(3)]
-    face_pos = 0.5 * (axes[axis][:-1] + axes[axis][1:])
-    coords = [axes[0], axes[1], axes[2]]
-    coords[axis] = face_pos
-    X, Y, Z = np.meshgrid(*coords, indexing="ij")
-    centers = np.stack([X, Y, Z], axis=-1)
-    dist = np.linalg.norm(centers, axis=-1)
-    vol = grid.cell_volume
-    w = np.where(dist > 0, dist, 1.0) ** w_exp * vol
-    if w_exp != 0.0:
-        diag = float(np.linalg.norm(h))
-        near = np.argwhere(dist <= _ORIGIN_REFINE_FACTOR * diag)
-        for idx in near:
-            c = centers[tuple(idx)]
-            lo = c - 0.5 * h
-            w[tuple(idx)] = _box_weight_integral(lo, lo + h, w_exp)
-    w.setflags(write=False)
-    return w
+    """Weight integral over the h^3 dual box of each interior face along axis."""
+    return _box_volume_weights(grid, w_exp, _face_centers(grid, axis))
 
 
 @lru_cache(maxsize=None)
 def box_face_area_weights(grid: BoxGrid, w_exp: float, axis: int) -> np.ndarray:
     """2D weight integral over each interior face orthogonal to `axis`."""
     h = np.array(grid.h)
-    axes = [grid.axis_centers(i) for i in range(3)]
-    face_pos = 0.5 * (axes[axis][:-1] + axes[axis][1:])
-    coords = [axes[0], axes[1], axes[2]]
-    coords[axis] = face_pos
-    X, Y, Z = np.meshgrid(*coords, indexing="ij")
-    centers = np.stack([X, Y, Z], axis=-1)
+    centers = _face_centers(grid, axis)
     dist = np.linalg.norm(centers, axis=-1)
     tang = [i for i in range(3) if i != axis]
     area = h[tang[0]] * h[tang[1]]
@@ -433,28 +447,15 @@ def dirichlet_energy(params: WeightParams, field: DiscreteField,
     counted (radial grids clip exactly; box grids use coverage fractions).
     """
     w_exp = -2.0 * params.a
-    if isinstance(field.grid, RadialGrid):
-        grid = field.grid
-        c = grid.centers
-        v = field.values
-        grads = np.diff(v) / np.diff(c)
+    grid = field.grid
+    if isinstance(grid, RadialGrid):
+        grads = np.diff(field.values) / np.diff(grid.centers)
         if ball is None:
             w = radial_face_dual_weights(grid, params.N, w_exp)
-            return float(grads ** 2 @ w)
-        if ball.center_norm > 1e-12 * ball.radius:
-            raise GridError("ball_outside_domain",
-                            "radial grids only support balls centered at 0")
-        e = grid.edges
-        lo = np.concatenate([[e[0]], c[1:-1]])
-        hi = np.concatenate([c[1:-1], [e[-1]]])
-        lo_c = np.minimum(lo, ball.radius)
-        hi_c = np.minimum(hi, ball.radius)
-        expo = params.N + w_exp
-        w = sphere_area(params.N) * _power_antiderivative(
-            expo, np.maximum(lo_c, 1e-300), np.maximum(hi_c, lo_c))
-        w = np.where(hi_c > lo_c, w, 0.0)
+        else:
+            w = _radial_shell_weights(params.N, w_exp, *_radial_duals(grid),
+                                      ball, floor=1e-300)
         return float(grads ** 2 @ w)
-    grid = field.grid
     nx, ny, nz = grid.shape
     v = field.values.reshape(nx, ny, nz)
     h = grid.h

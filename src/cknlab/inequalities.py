@@ -13,8 +13,8 @@ import numpy as np
 from scipy.integrate import quad
 
 from .errors import GridError, ParameterError
-from .fields import (BoxGrid, DiscreteField, RadialGrid, dirichlet_energy,
-                     lq_norm, oscillation)
+from .fields import (DiscreteField, RadialGrid, dirichlet_energy, lq_norm,
+                     oscillation)
 from .measure import BallSpec, weighted_mean
 from .params import WeightParams
 from .solver import raw_stiffness
@@ -121,11 +121,7 @@ def weak_harnack_check(params: WeightParams, field: DiscreteField,
         raise ParameterError("negative_field",
                              f"min value {u.min()} < 0")
     grid = field.grid
-    coords = grid.node_coords()
-    if isinstance(grid, RadialGrid):
-        dist = np.abs(coords[:, 0] - ball.center_norm)
-    else:
-        dist = np.linalg.norm(coords - np.array(ball.center), axis=1)
+    dist = grid.distance_to(ball.center)
     A = raw_stiffness(params, grid)
     res = np.asarray(A @ u).ravel()
     scale = max(float(np.abs(u).max()), 1.0) * np.maximum(A.diagonal(), 1e-300)
@@ -135,12 +131,7 @@ def weak_harnack_check(params: WeightParams, field: DiscreteField,
     if isinstance(grid, RadialGrid):
         check[[0, 1, -2, -1]] = False
     else:
-        nx, ny, nz = grid.shape
-        onion = np.zeros((nx, ny, nz), dtype=bool)
-        onion[0, :, :] = onion[-1, :, :] = True
-        onion[:, 0, :] = onion[:, -1, :] = True
-        onion[:, :, 0] = onion[:, :, -1] = True
-        check &= ~onion.ravel()
+        check &= ~grid.boundary_layer()
     if np.any(res[check] < -superharmonic_tol * scale[check]):
         worst = float(np.min(res[check] / scale[check]))
         raise ParameterError("not_superharmonic",
@@ -164,13 +155,7 @@ def weak_harnack_check(params: WeightParams, field: DiscreteField,
 def sup_bound_ratio(params: WeightParams, field: DiscreteField,
                     ball: BallSpec, descriptor: str = "") -> RatioSample:
     """max_{B_{r/2}} |u| over the mu_a root-mean-square of u on B_r."""
-    grid = field.grid
-    coords = grid.node_coords()
-    if isinstance(grid, RadialGrid):
-        dist = np.abs(coords[:, 0] - ball.center_norm)
-    else:
-        dist = np.linalg.norm(coords - np.array(ball.center), axis=1)
-    in_half = dist <= 0.5 * ball.radius
+    in_half = field.grid.distance_to(ball.center) <= 0.5 * ball.radius
     if not np.any(in_half):
         raise GridError("empty_ball", "no nodes in the half ball")
     lhs = float(np.abs(field.values[in_half]).max())

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError, SolverError
-from .fields import DiscreteField, RadialGrid, cell_weights
+from .fields import DiscreteField, cell_weights
 from .measure import BallSpec, ball_weight_integral, centered_weight_integral
 from .params import WeightParams, moser_ladder
 from .solver import residual as solver_residual
@@ -62,11 +62,8 @@ def smallness_check(params: WeightParams, V: DiscreteField, ell: float,
     expo = p / (p - 2.0)
     w = np.asarray(cell_weights(V.grid, params.N, -params.bp))
     dens = np.abs(V.values) ** expo
-    coords = V.grid.node_coords()
-    radius = (np.abs(coords[:, 0]) if isinstance(V.grid, RadialGrid)
-              else np.linalg.norm(coords, axis=1))
     mask_big = np.abs(V.values) >= ell
-    mask_far = radius > ell
+    mask_far = V.grid.distance_to((0.0, 0.0, 0.0)) > ell
     tail = float(w[mask_big] @ dens[mask_big] + w[mask_far] @ dens[mask_far])
     bound = min(1.0 / (8.0 * ckn_constant),
                 2.0 / ((q + 4.0) * ckn_constant)) ** expo
@@ -92,16 +89,8 @@ def find_ell(params: WeightParams, V: DiscreteField, ckn_constant: float,
 def subdomain_lq_norm(params: WeightParams, field: DiscreteField, q: float,
                       margin: float) -> float:
     """Weighted L^q norm (weight |x|^{-bp}) over the margin-shrunk domain."""
-    grid = field.grid
-    coords = grid.node_coords()
-    if isinstance(grid, RadialGrid):
-        r = coords[:, 0]
-        keep = (r >= grid.r_min + margin) & (r <= grid.r_max - margin)
-    else:
-        lo = np.array(grid.lower) + margin
-        hi = np.array(grid.upper) - margin
-        keep = np.all((coords >= lo) & (coords <= hi), axis=1)
-    w = np.asarray(cell_weights(grid, params.N, -params.bp))
+    keep = field.grid.interior_mask(margin)
+    w = np.asarray(cell_weights(field.grid, params.N, -params.bp))
     return float((w[keep] @ np.abs(field.values[keep]) ** q) ** (1.0 / q))
 
 
@@ -172,7 +161,12 @@ def lemma_a2_constant(A1: float, A2: float, alpha: float, beta: float,
         raise ParameterError("exponent_order_violation", "A1, A2 must be > 0")
     tau = min(A1 ** (-1.0 / (gamma - alpha)), 0.5)
     cd = doubling_constant
-    constant = max(cd, cd ** 3 / (tau * (1.0 - tau ** (beta - gamma))))
+    try:
+        constant = max(cd, cd ** 3 / (tau * (1.0 - tau ** (beta - gamma))))
+    except OverflowError as exc:
+        raise ParameterError("constant_overflow",
+                             f"C_d^3 overflows for doubling constant "
+                             f"{cd!r}") from exc
     return IterationEnvelope(A1=A1, A2=A2, alpha=alpha, beta=beta, gamma=gamma,
                              tau=tau, constant=constant)
 

@@ -6,12 +6,12 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import GridError, ParameterError
-from .fields import BoxGrid, DiscreteField, RadialGrid, dirichlet_energy
+from .fields import DiscreteField, RadialGrid, dirichlet_energy
 from .measure import BallSpec, ball_measure, weighted_mean
 from .params import HolderBound, WeightParams, holder_bound
 
@@ -147,20 +147,11 @@ def holder_quotient(field: DiscreteField, subdomain_margin: float,
     """
     if not (0.0 < alpha <= 1.0):
         raise ParameterError("invalid_alpha", f"alpha={alpha} not in (0,1]")
-    grid = field.grid
-    coords = grid.node_coords()
-    if isinstance(grid, RadialGrid):
-        r = coords[:, 0]
-        keep = (r >= grid.r_min + subdomain_margin) & \
-               (r <= grid.r_max - subdomain_margin)
-    else:
-        lo = np.array(grid.lower) + subdomain_margin
-        hi = np.array(grid.upper) - subdomain_margin
-        keep = np.all((coords >= lo) & (coords <= hi), axis=1)
+    keep = field.grid.interior_mask(subdomain_margin)
     if keep.sum() < 2:
         raise GridError("empty_subdomain",
                         f"margin {subdomain_margin} leaves {int(keep.sum())} nodes")
-    pts = coords[keep]
+    pts = field.grid.node_coords()[keep]
     vals = field.values[keep]
     n = len(pts)
     if n <= max_exact:
@@ -173,10 +164,8 @@ def holder_quotient(field: DiscreteField, subdomain_margin: float,
         i, j = i[ok], j[ok]
     dist = np.linalg.norm(pts[i] - pts[j], axis=1)
     quot = np.abs(vals[i] - vals[j]) / dist ** alpha
-    k = int(np.argmax(quot))
-    return {"seminorm": float(quot[k]),
-            "sup_norm": float(np.abs(vals).max()),
-            "argmax_pair": (tuple(pts[i[k]]), tuple(pts[j[k]]))}
+    return {"seminorm": float(quot.max()),
+            "sup_norm": float(np.abs(vals).max())}
 
 
 # ---------------------------------------------------------------------------
@@ -233,13 +222,6 @@ def regularity_report(params: WeightParams, u: DiscreteField,
 def mean_value_deviation(params: WeightParams, field: DiscreteField, center,
                          radii):
     """|u_{x,r} - u(x)| per radius; fits the local continuity rate."""
-    grid = field.grid
-    coords = grid.node_coords()
-    c = np.asarray(center, float)
-    if isinstance(grid, RadialGrid):
-        k = int(np.argmin(np.abs(coords[:, 0] - c[0])))
-    else:
-        k = int(np.argmin(np.linalg.norm(coords - c, axis=1)))
-    u_at = field.values[k]
+    u_at = field.values[int(np.argmin(field.grid.distance_to(center)))]
     return [abs(weighted_mean(params, field, BallSpec(tuple(center), float(r)))
                 - u_at) for r in radii]

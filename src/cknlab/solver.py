@@ -27,7 +27,7 @@ from scipy.linalg import LinAlgError, solveh_banded
 from scipy.sparse.linalg import cg
 
 from .errors import GridError, ParameterError, SolverError
-from .fields import (BoxGrid, DiscreteField, RadialGrid, _power_antiderivative,
+from .fields import (DiscreteField, RadialGrid, _power_antiderivative,
                      box_face_dual_weights, cell_weights,
                      radial_face_dual_weights)
 from .measure import BallSpec, sphere_area
@@ -171,14 +171,9 @@ def assemble(params: WeightParams, grid, f: DiscreteField | None = None,
         return LinearSystem(matrix=A, rhs=rhs, boundary_mask=mask, grid=grid,
                             params=params)
     # box grid: boundary = outer layer of cells
-    nx, ny, nz = grid.shape
     A = raw_stiffness(params, grid)
     rhs = load_w * fvals
-    onion = np.zeros((nx, ny, nz), dtype=bool)
-    onion[0, :, :] = onion[-1, :, :] = True
-    onion[:, 0, :] = onion[:, -1, :] = True
-    onion[:, :, 0] = onion[:, :, -1] = True
-    bidx = np.nonzero(onion.ravel())[0]
+    bidx = np.nonzero(grid.boundary_layer())[0]
     pts = grid.node_coords()[bidx]
     gvals = (np.asarray(dirichlet(pts), float) if callable(dirichlet)
              else np.full(len(bidx), float(dirichlet)))
@@ -322,7 +317,9 @@ def residual(params: WeightParams, u: DiscreteField, f: DiscreteField,
         system = assemble(params, grid, f, dirichlet=outer_val, inner=inner)
         extra = [outer_val] if inner is None else [outer_val, float(inner)]
         x = np.concatenate([u.values, extra])
+        trace_rows = [grid.n_cells - 1] if inner is None else [grid.n_cells - 1, 0]
     else:
+        trace_rows = []
         system = assemble(params, grid, f, dirichlet=0.0)
         x = u.values.copy()
         if dirichlet is None:
@@ -334,10 +331,7 @@ def residual(params: WeightParams, u: DiscreteField, f: DiscreteField,
                 else float(dirichlet))
     r = system.matrix @ x - system.rhs
     r[system.boundary_mask] = 0.0
-    if isinstance(grid, RadialGrid):
-        r[grid.n_cells - 1] = 0.0
-        if inner is not None:
-            r[0] = 0.0
+    r[trace_rows] = 0.0
     z, _ = _spd_solve(system.matrix, r, tol=tol)
     dual = math.sqrt(max(float(r @ z), 0.0))
     nodal = DiscreteField(grid=grid, values=r[:grid.n_nodes].copy(),
@@ -358,11 +352,7 @@ def harmonic_replacement(params: WeightParams, u: DiscreteField, ball: BallSpec,
     nodes, so energy(u) = energy(w) + energy(u - w) for the raw form.
     """
     grid = u.grid
-    coords = grid.node_coords()
-    if isinstance(grid, RadialGrid):
-        inside = np.abs(coords[:, 0] - ball.center_norm) <= ball.radius
-    else:
-        inside = np.linalg.norm(coords - np.array(ball.center), axis=1) <= ball.radius
+    inside = grid.distance_to(ball.center) <= ball.radius
     A = raw_stiffness(params, grid)
     coo = A.tocoo()
     off = (coo.row != coo.col) & (coo.data != 0)
@@ -370,8 +360,7 @@ def harmonic_replacement(params: WeightParams, u: DiscreteField, ball: BallSpec,
     touches_outside = np.zeros(grid.n_nodes, dtype=bool)
     touches_outside[nbr[~inside[other]]] = True
     degree = np.bincount(nbr, minlength=grid.n_nodes)
-    full_degree = 2 if isinstance(grid, RadialGrid) else 6
-    on_edge = degree < full_degree
+    on_edge = degree < 2 * grid.node_coords().shape[1]
     interior = inside & ~touches_outside & ~on_edge
     if interior.sum() < 2:
         raise GridError("ball_too_small",

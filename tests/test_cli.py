@@ -2,6 +2,7 @@ from pathlib import Path
 
 import pytest
 
+from cknlab import cli
 from cknlab.cli import list_experiments, main, parse_config
 
 
@@ -100,3 +101,35 @@ def test_parse_config_sections_and_comments(tmp_path):
     p.write_text("# comment\nexperiment=x\nsolver.tol = 1e-10\n\nseed=4\n")
     cfg = parse_config(str(p))
     assert cfg == {"experiment": "x", "solver.tol": "1e-10", "seed": "4"}
+
+
+def test_misspelled_key_exit_1(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, "alpha_h_estimation",
+                    "params.N=3\nparams.a=0\nparams.b=0\ngrid.nn=100\n")
+    assert main(["run", cfg]) == 1
+    assert "invalid_config: unknown key `grid.nn`" in capsys.readouterr().err
+    assert not (tmp_path / "alpha_h_report.csv").exists()
+
+
+def test_common_keys_accepted_by_non_randomized_experiment(tmp_path):
+    cfg = write_cfg(tmp_path, "alpha_h_estimation",
+                    "params.N=3\nparams.a=0\nparams.b=0\nparams.s=inf\nseed=7\n")
+    assert main(["run", cfg]) == 0
+
+
+def test_declared_keys_are_the_keys_read(tmp_path, monkeypatch):
+    """Each experiment's key list holds exactly the keys its run reads."""
+    read = set()
+    get = cli._get
+
+    def recording_get(cfg, key, *args, **kwargs):
+        read.add(key)
+        return get(cfg, key, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "_get", recording_get)
+    for name, exp in cli.EXPERIMENTS.items():
+        read.clear()
+        cfg = write_cfg(tmp_path, name, "params.N=3\nparams.a=0.3\n"
+                                        "params.b=0.5\nseed=1\n")
+        cli.run(cfg)
+        assert read - set(cli.COMMON_KEYS) == set(exp.keys), name

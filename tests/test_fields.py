@@ -170,3 +170,45 @@ def test_csv_roundtrip_radial_and_box(tmp_path):
     gb, _ = load_field(pb)
     assert gb.grid == bg
     assert np.array_equal(gb.values, fb.values)
+
+
+GRIDS = [RadialGrid(0.1, 2.0, 40),
+         BoxGrid((-1.0, -0.5, 0.0), (1.0, 1.5, 1.0), (6, 7, 5))]
+
+
+@pytest.mark.parametrize("grid", GRIDS, ids=["radial", "box"])
+def test_distance_to_matches_brute_force(grid):
+    coords = grid.node_coords()
+    for center in ((0.0, 0.0, 0.0), (0.3, -0.4, 1.2)):
+        if isinstance(grid, RadialGrid):
+            # a node stands for its sphere |x| = r; the sphere's nearest point
+            # to `center` lies on the ray through it
+            c = np.asarray(center)
+            want = [np.linalg.norm(r * c / np.linalg.norm(c) - c) if c.any()
+                    else r for r in coords[:, 0]]
+        else:
+            want = [np.linalg.norm(x - np.asarray(center)) for x in coords]
+        assert np.allclose(grid.distance_to(center), want, rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("grid", GRIDS, ids=["radial", "box"])
+def test_interior_mask_keeps_nodes_margin_from_edge(grid):
+    coords = grid.node_coords()
+    if isinstance(grid, RadialGrid):
+        lo, hi = np.array([grid.r_min]), np.array([grid.r_max])
+    else:
+        lo, hi = np.array(grid.lower), np.array(grid.upper)
+    for margin in (0.0, 0.2, 0.45):
+        want = [bool(np.all(x - lo >= margin) and np.all(hi - x >= margin))
+                for x in coords]
+        assert grid.interior_mask(margin).tolist() == want
+
+
+@pytest.mark.parametrize("m", [2, 3, 5])
+def test_box_boundary_layer_is_the_outer_shell(m):
+    grid = BoxGrid((0.0,) * 3, (1.0,) * 3, (m,) * 3)
+    layer = grid.boundary_layer()
+    assert layer.shape == (m ** 3,)
+    assert layer.sum() == m ** 3 - (m - 2) ** 3
+    idx = np.argwhere(layer.reshape(m, m, m))
+    assert all((0 in i) or (m - 1 in i) for i in idx.tolist())

@@ -145,6 +145,12 @@ def test_lemma_a2_tau_examples():
     assert exc.value.code == "exponent_order_violation"
 
 
+def test_lemma_a2_constant_overflow_is_a_parameter_error():
+    with pytest.raises(ParameterError) as exc:
+        lemma_a2_constant(4.0, 1.0, 0.5, 3.0, 2.5, doubling_constant=1e200)
+    assert exc.value.code == "constant_overflow"
+
+
 def test_centered_doubling_constant_exact():
     assert centered_doubling_constant(P300, 0.5) == pytest.approx(8.0)
     p = validate(3, 0.4, 0.5, INF)
