@@ -3,11 +3,13 @@
 Two grid kinds: a 1D radial grid (any dimension N via the surface-area
 factor) and a 3D tensor box grid.  Values live at cell centers.  Radial
 cell and face weights use the exact antiderivative of t^{N-1+w}; box
-weights use the cell-centroid value with recursive subdivision of cells
-near the coordinate origin, where the weight may be singular.
+weights use the cell-centroid value, except on cells near the coordinate
+origin, where the weight may be singular: those are refined together, one
+level of 2^d-way splits at a time (see `_refined_weights`).
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -209,7 +211,8 @@ def _radial_shell_weights(N: int, w_exp: float, lo: np.ndarray, hi: np.ndarray,
     """sigma_{N-1} * integral of t^{N-1+w} over each interval [lo, hi].
 
     With `ball` (which must be centered at 0) the intervals are clipped to
-    [0, ball.radius]; `floor` bounds the lower ends away from t = 0.
+    [0, ball.radius]; `floor` bounds the lower ends away from t = 0.  An
+    interval that starts at t = 0 needs N + w > 0.
     """
     if ball is not None:
         if ball.center_norm > 1e-12 * ball.radius:
@@ -217,8 +220,11 @@ def _radial_shell_weights(N: int, w_exp: float, lo: np.ndarray, hi: np.ndarray,
                             "radial grids only support balls centered at 0")
         lo = np.minimum(lo, ball.radius)
         hi = np.minimum(hi, ball.radius)
-    out = sphere_area(N) * _power_antiderivative(N + w_exp, np.maximum(lo, floor),
-                                                 hi)
+    start = np.maximum(lo, floor)
+    if N + w_exp <= 0 and np.any(start == 0.0):
+        raise GridError("nonintegrable_weight",
+                        f"t^{N - 1 + w_exp} not integrable at r = 0")
+    out = sphere_area(N) * _power_antiderivative(N + w_exp, start, hi)
     return np.where(hi > lo, out, 0.0)
 
 
@@ -233,59 +239,79 @@ def _radial_duals(grid: RadialGrid) -> tuple[np.ndarray, np.ndarray]:
 
 def radial_cell_weights(grid: RadialGrid, N: int, w_exp: float) -> np.ndarray:
     """sigma_{N-1} * integral of t^{N-1+w} over each cell."""
-    if N + w_exp <= 0 and grid.r_min == 0.0:
-        raise GridError("nonintegrable_weight",
-                        f"t^{N - 1 + w_exp} not integrable at r = 0")
     return _radial_shell_weights(N, w_exp, grid.edges[:-1], grid.edges[1:])
 
 
-def _ball_equiv_weight(vol: float, w_exp: float) -> float:
+def _ball_equiv_weight(vol: np.ndarray, w_exp: float) -> np.ndarray:
     """Closed-form weight integral over the equal-volume ball at the origin."""
     sigma = sphere_area(3)
     rho = (vol * 3.0 / sigma) ** (1.0 / 3.0)
     return sigma * rho ** (3.0 + w_exp) / (3.0 + w_exp)
 
 
-def _box_weight_integral(lo: np.ndarray, hi: np.ndarray, w_exp: float,
-                         depth: int = 0) -> float:
-    """Integral of |x|^{w} over the axis box [lo, hi], refined near 0."""
-    center = 0.5 * (lo + hi)
-    vol = float(np.prod(hi - lo))
-    diag = float(np.linalg.norm(hi - lo))
-    dist = float(np.linalg.norm(center))
-    if dist > _ORIGIN_REFINE_FACTOR * diag or w_exp == 0.0:
-        return dist ** w_exp * vol
-    if depth >= _MAX_REFINE_DEPTH:
-        if np.all(lo <= 0.0) and np.all(hi >= 0.0):
-            return _ball_equiv_weight(vol, w_exp)
-        return max(dist, 0.25 * diag) ** w_exp * vol
-    total = 0.0
-    mid = center
-    for ix in range(2):
-        for iy in range(2):
-            for iz in range(2):
-                slo = np.array([lo[0] if ix == 0 else mid[0],
-                                lo[1] if iy == 0 else mid[1],
-                                lo[2] if iz == 0 else mid[2]])
-                shi = np.array([mid[0] if ix == 0 else hi[0],
-                                mid[1] if iy == 0 else hi[1],
-                                mid[2] if iz == 0 else hi[2]])
-                total += _box_weight_integral(slo, shi, w_exp, depth + 1)
-    return total
+def _disk_weight(z0: np.ndarray, area: np.ndarray, w_exp: float) -> np.ndarray:
+    """Closed-form |x|^{w} integral over the equal-area disk in a plane at
+    distance z0 from the origin, centered under the origin's projection."""
+    rho = np.sqrt(area / math.pi)
+    e2 = (w_exp + 2.0) / 2.0
+    return math.pi * ((z0 * z0 + rho * rho) ** e2 - (z0 * z0) ** e2) / e2
+
+
+def _refined_weights(lo: np.ndarray, hi: np.ndarray, w_exp: float,
+                     z0: np.ndarray | None = None) -> np.ndarray:
+    """Integral of |x|^{w} over each axis box [lo[i], hi[i]] (rows of shape
+    (n, d)); with `z0`, the boxes are d = 2 patches in planes at distances
+    z0[i] from the origin.
+
+    All boxes are refined together, one level at a time: a sub-box farther
+    from 0 than `_ORIGIN_REFINE_FACTOR` diagonals takes its centroid value,
+    the others split into 2^d children.  A sub-box still near 0 after
+    `_MAX_REFINE_DEPTH` levels takes the equal-volume ball (d = 3) or disk
+    (d = 2) integral if its closed box holds the origin's projection, and
+    max(dist, diag/4)^w * volume otherwise.
+    """
+    n, d = lo.shape
+    z = np.zeros(n) if z0 is None else z0
+    owner = np.arange(n)
+    out = np.zeros(n)
+    bits = np.array(list(itertools.product((False, True), repeat=d)))[:, None, :]
+    for depth in range(_MAX_REFINE_DEPTH + 1):
+        if depth:
+            lo, hi = (np.where(bits, mid, lo).reshape(-1, d),
+                      np.where(bits, hi, mid).reshape(-1, d))
+            owner, z = np.tile(owner, 2 ** d), np.tile(z, 2 ** d)
+        mid = 0.5 * (lo + hi)
+        vol = np.prod(hi - lo, axis=1)
+        diag = np.sqrt(np.sum((hi - lo) ** 2, axis=1))
+        dist = np.sqrt(z * z + np.sum(mid * mid, axis=1))
+        far = dist > _ORIGIN_REFINE_FACTOR * diag
+        out += np.bincount(owner[far], dist[far] ** w_exp * vol[far], n)
+        near = ~far
+        lo, hi, mid, owner, z = lo[near], hi[near], mid[near], owner[near], z[near]
+    vol, diag, dist = vol[near], diag[near], dist[near]
+    leaf = np.maximum(dist, 0.25 * diag) ** w_exp * vol
+    at_origin = np.all(lo <= 0.0, axis=1) & np.all(hi >= 0.0, axis=1)
+    if w_exp <= -d and np.any(z[at_origin] == 0.0):
+        raise GridError("nonintegrable_weight",
+                        f"|x|^{w_exp} not integrable at x = 0 in {d}D")
+    if np.any(at_origin):
+        leaf[at_origin] = (_ball_equiv_weight(vol[at_origin], w_exp) if z0 is None
+                           else _disk_weight(z[at_origin], vol[at_origin], w_exp))
+    return out + np.bincount(owner, leaf, n)
 
 
 def _box_volume_weights(grid: BoxGrid, w_exp: float,
                         centers: np.ndarray) -> np.ndarray:
     """Integral of |x|^{w} over the cell-sized box around each of `centers`
-    (shape (..., 3)): centroid rule, octree-refined near the origin."""
+    (shape (..., 3)): centroid rule, with the boxes near the origin refined
+    level by level in one `_refined_weights` call."""
     h = np.array(grid.h)
     dist = np.linalg.norm(centers, axis=-1)
     w = np.where(dist > 0, dist, 1.0) ** w_exp * grid.cell_volume
     if w_exp != 0.0:
-        diag = float(np.linalg.norm(h))
-        for idx in np.argwhere(dist <= _ORIGIN_REFINE_FACTOR * diag):
-            lo = centers[tuple(idx)] - 0.5 * h
-            w[tuple(idx)] = _box_weight_integral(lo, lo + h, w_exp)
+        near = dist <= _ORIGIN_REFINE_FACTOR * float(np.linalg.norm(h))
+        lo = centers[near] - 0.5 * h
+        w[near] = _refined_weights(lo, lo + h, w_exp)
     w.setflags(write=False)
     return w
 
@@ -376,34 +402,6 @@ def radial_face_dual_weights(grid: RadialGrid, N: int, w_exp: float) -> np.ndarr
     return _radial_shell_weights(N, w_exp, lo, hi, floor=1e-300)
 
 
-def _disk_weight(z0: float, area: float, w_exp: float) -> float:
-    """Closed-form |x|^{w} integral over the equal-area disk in a plane at
-    distance z0 from the origin, centered under the origin's projection."""
-    rho = math.sqrt(area / math.pi)
-    e2 = (w_exp + 2.0) / 2.0
-    return math.pi * ((z0 * z0 + rho * rho) ** e2 - (z0 * z0) ** e2) / e2
-
-
-def _face_weight_integral(c2d: np.ndarray, half: np.ndarray, z0: float,
-                          w_exp: float, depth: int = 0) -> float:
-    """Integral of |x|^{w} over a square patch in a plane at distance z0."""
-    area = 4.0 * half[0] * half[1]
-    dist = math.sqrt(z0 * z0 + float(c2d @ c2d))
-    diag = 2.0 * float(np.linalg.norm(half))
-    if dist > _ORIGIN_REFINE_FACTOR * diag or w_exp == 0.0:
-        return dist ** w_exp * area
-    if depth >= _MAX_REFINE_DEPTH:
-        if np.all(np.abs(c2d) <= half):
-            return _disk_weight(z0, area, w_exp)
-        return max(dist, 0.25 * diag) ** w_exp * area
-    total = 0.0
-    for sx in (-0.5, 0.5):
-        for sy in (-0.5, 0.5):
-            total += _face_weight_integral(c2d + np.array([sx, sy]) * half,
-                                           0.5 * half, z0, w_exp, depth + 1)
-    return total
-
-
 def _face_centers(grid: BoxGrid, axis: int) -> np.ndarray:
     """Centers of the interior faces orthogonal to `axis`, shape (..., 3):
     like the cell array but with shape[axis]-1 along `axis`."""
@@ -429,12 +427,11 @@ def box_face_area_weights(grid: BoxGrid, w_exp: float, axis: int) -> np.ndarray:
     w = np.where(dist > 0, dist, 1.0) ** w_exp * area
     if w_exp != 0.0:
         diag = float(np.linalg.norm(h[tang])) * 2.0
-        near = np.argwhere(dist <= _ORIGIN_REFINE_FACTOR * diag)
+        near = dist <= _ORIGIN_REFINE_FACTOR * diag
+        c = centers[near]
         half = 0.5 * h[tang]
-        for idx in near:
-            c = centers[tuple(idx)]
-            w[tuple(idx)] = _face_weight_integral(c[tang], half, abs(c[axis]),
-                                                  w_exp)
+        w[near] = _refined_weights(c[:, tang] - half, c[:, tang] + half, w_exp,
+                                   np.abs(c[:, axis]))
     w.setflags(write=False)
     return w
 

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -5,9 +6,10 @@ import pytest
 from scipy.integrate import quad
 
 from cknlab.errors import GridError
-from cknlab.fields import (BoxGrid, DiscreteField, RadialGrid, dirichlet_energy,
-                           load_field, lq_norm, oscillation, save_field,
-                           weighted_integral)
+from cknlab.fields import (BoxGrid, DiscreteField, RadialGrid, ball_cell_weights,
+                           box_cell_weights, box_face_area_weights,
+                           box_face_dual_weights, dirichlet_energy, load_field,
+                           lq_norm, oscillation, save_field, weighted_integral)
 from cknlab.measure import BallSpec, ball_measure, centered_weight_integral, weighted_mean
 from cknlab.params import INF, validate
 
@@ -212,3 +214,120 @@ def test_box_boundary_layer_is_the_outer_shell(m):
     assert layer.sum() == m ** 3 - (m - 2) ** 3
     idx = np.argwhere(layer.reshape(m, m, m))
     assert all((0 in i) or (m - 1 in i) for i in idx.tolist())
+
+
+# ---------------------------------------------------------------------------
+# singular box quadrature
+
+
+def cube(m):
+    return BoxGrid((-1.0,) * 3, (1.0,) * 3, (m,) * 3)
+
+
+def box_tables(grid, w_exp):
+    """Cell, face-dual and face-area tables, each as an (nx, ny, nz) array
+    (the cell table reshaped, the face tables one shorter along their axis)."""
+    out = {"cell": np.asarray(box_cell_weights(grid, w_exp)).reshape(grid.shape)}
+    for axis in range(3):
+        out[f"dual{axis}"] = np.asarray(box_face_dual_weights(grid, w_exp, axis))
+        out[f"area{axis}"] = np.asarray(box_face_area_weights(grid, w_exp, axis))
+    return out
+
+
+# values of the depth-first recursion the level-by-level refinement replaced,
+# on [-1, 1]^3: (m, w) -> (each origin cell, cell total, face-dual total per
+# axis, face-area total per axis or None where the face plane x_axis = 0
+# holds a non-integrable singularity)
+RECURSION_VALUES = {
+    (16, -0.6): (0.007388512808763148, 8.688671445291057, 8.248882244309925,
+                 66.01711551409448),
+    (16, -15 / 7): (0.36379955907779127, 17.32095945053186, 16.996539650555,
+                    None),
+    (17, -0.6): (0.009682456956908518, 8.688479229655218, 8.27488065301048,
+                 70.33618459669053),
+    (17, -15 / 7): (1.5253150988948339, 17.323992703814223, 17.019222892279412,
+                    136.71798861359537),
+}
+
+
+@pytest.mark.parametrize("m, w_exp", list(RECURSION_VALUES))
+def test_box_tables_match_the_recursion(m, w_exp):
+    origin, cell_total, dual_total, area_total = RECURSION_VALUES[(m, w_exp)]
+    grid = cube(m)
+    cells = np.asarray(box_cell_weights(grid, w_exp)).reshape(grid.shape)
+    at_origin = cells[7:9, 7:9, 7:9] if m == 16 else cells[8, 8, 8]
+    assert np.allclose(at_origin, origin, rtol=1e-12, atol=0)
+    assert cells.sum() == pytest.approx(cell_total, rel=1e-12)
+    for axis in range(3):
+        dual = box_face_dual_weights(grid, w_exp, axis)
+        assert dual.sum() == pytest.approx(dual_total, rel=1e-12)
+        if area_total is not None:
+            area = box_face_area_weights(grid, w_exp, axis)
+            assert area.sum() == pytest.approx(area_total, rel=1e-12)
+
+
+@pytest.mark.parametrize("m, w_exp", [(16, -0.6), (17, -0.6), (17, -15 / 7)])
+def test_box_tables_share_the_cube_symmetries(m, w_exp):
+    t = box_tables(cube(m), w_exp)
+    for key, table in t.items():
+        for axis in range(3):
+            assert np.allclose(np.flip(table, axis=axis), table, rtol=1e-14,
+                               atol=0), (key, axis)
+    cell = t["cell"]
+    for perm in itertools.permutations(range(3)):
+        assert np.allclose(cell.transpose(perm), cell, rtol=1e-14, atol=0)
+        # the face table of axis k, with its axes permuted so that axis k
+        # lands where axis perm[k] was, is the face table of axis perm[k]
+        for kind in ("dual", "area"):
+            for k in range(3):
+                moved = t[f"{kind}{k}"].transpose(np.argsort(perm))
+                assert np.allclose(moved, t[f"{kind}{perm[k]}"], rtol=1e-14,
+                                   atol=0), (kind, k, perm)
+
+
+@pytest.mark.parametrize("w_exp", [-0.6, -15 / 7])
+def test_box_tables_are_homogeneous(w_exp):
+    lam = 2.0
+    grid = BoxGrid((-0.7, -0.9, -0.55), (1.3, 1.1, 1.45), (9, 8, 10))
+    scaled = BoxGrid(tuple(lam * v for v in grid.lower),
+                     tuple(lam * v for v in grid.upper), grid.shape)
+    t, ts = box_tables(grid, w_exp), box_tables(scaled, w_exp)
+    for key in t:
+        deg = (2.0 if key.startswith("area") else 3.0) + w_exp
+        assert np.allclose(ts[key], lam ** deg * t[key], rtol=1e-13, atol=0), key
+
+
+def test_box_tables_at_zero_exponent_are_exact_measures():
+    grid = BoxGrid((-0.7, -0.9, -0.55), (1.3, 1.1, 1.45), (9, 8, 10))
+    t = box_tables(grid, 0.0)
+    h = grid.h
+    assert np.all(t["cell"] == grid.cell_volume)
+    for axis in range(3):
+        hs = [h[i] for i in range(3) if i != axis]
+        assert np.all(t[f"dual{axis}"] == grid.cell_volume)
+        assert np.all(t[f"area{axis}"] == hs[0] * hs[1])
+
+
+def test_box_tables_reject_nonintegrable_weights():
+    grid = cube(4)
+    for table in (lambda: box_cell_weights(grid, -3.5),
+                  lambda: box_face_dual_weights(grid, -3.0, 0),
+                  lambda: box_face_area_weights(grid, -2.5, 0)):
+        with pytest.raises(GridError) as exc:
+            table()
+        assert exc.value.code == "nonintegrable_weight"
+    # away from the origin the same exponents are integrable
+    far = BoxGrid((1.0, 1.0, 1.0), (2.0, 2.0, 2.0), (4, 4, 4))
+    assert np.all(np.isfinite(box_cell_weights(far, -3.5)))
+    # a face plane that misses the origin keeps |x|^{-2.5} integrable
+    assert np.all(np.isfinite(box_face_area_weights(cube(5), -2.5, 0)))
+
+
+def test_radial_ball_weights_reject_nonintegrable_weights():
+    grid = RadialGrid(0.0, 1.0, 8)
+    with pytest.raises(GridError) as exc:
+        ball_cell_weights(grid, 3, -3.5, BallSpec((0.0,), 0.5))
+    assert exc.value.code == "nonintegrable_weight"
+    annulus = RadialGrid(0.1, 1.0, 8)
+    assert np.all(np.isfinite(ball_cell_weights(annulus, 3, -3.5,
+                                                BallSpec((0.0,), 0.5))))
