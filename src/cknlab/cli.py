@@ -20,25 +20,28 @@ from .fields import DiscreteField, RadialGrid
 from .inequalities import (build_test_suite, ckn_ratio, estimate_alpha_h,
                            poincare_ratio)
 from .measure import (BallSpec, centered_weight_integral, doubling_ratio,
-                      lemma_a1_ratio)
+                      lemma_a1_ratio, sphere_area)
 from .moser import lemma_a2_property_check, run_ladder
-from .params import INF, epsilon_choice, validate
+from .params import INF, epsilon_choice, k0_threshold, validate
 from .regularity import campanato_profile, default_radii, regularity_report
 from .solver import (assemble, ckn_bubble, dilate_radial, exact_radial_mms,
                      harmonic_replacement, residual, solve,
                      stiffness_quadratic_form)
+
+# After the package modules on purpose: imported before them, scipy.integrate
+# raises the peak RSS of every run by about 0.6 MiB (import order alone).
+from scipy.integrate import quad
 
 
 class UsageError(Exception):
     pass
 
 
-FMT = "%.17g"
-
-
 def _fmt(x) -> str:
+    if isinstance(x, bool):
+        return str(x).lower()
     if isinstance(x, float):
-        return FMT % x
+        return "%.17g" % x
     return str(x)
 
 
@@ -79,11 +82,6 @@ def _params(cfg: dict):
                     _get(cfg, "params.s", float, INF))
 
 
-def _manifest(cfg: dict, name: str) -> str:
-    echo = " ".join(f"{k}={cfg[k]}" for k in sorted(cfg) if k != "experiment")
-    return f"# experiment={name} {echo}"
-
-
 def _grid(cfg: dict) -> RadialGrid:
     return RadialGrid(_get(cfg, "grid.r_min", float, 0.0),
                       _get(cfg, "grid.r_max", float, 1.0),
@@ -91,22 +89,16 @@ def _grid(cfg: dict) -> RadialGrid:
                       _get(cfg, "grid.spacing", str, "uniform"))
 
 
-def _write(out_dir: Path, name: str, lines: list[str]) -> None:
-    out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / name).write_text("\n".join(lines) + "\n")
-
-
 # ---------------------------------------------------------------------------
-# experiments; each returns True (pass) or False (scientific failure)
+# experiments; each returns (passed, {report file: rows}), a row being a
+# list of raw values that `run` formats and writes
 
-def exp_measure_identities(cfg, out_dir, dump):
+def exp_measure_identities(cfg):
     seed = _get(cfg, "seed", int)
     rng = np.random.default_rng(seed)
     tol = _get(cfg, "tol", float, 1e-8)
-    rows = ["N,a,r,closed_form,quadrature,rel_error,doubling,doubling_exact"]
+    rows = []
     ok = True
-    from scipy.integrate import quad
-    from .measure import sphere_area
     for _ in range(_get(cfg, "n_combos", int, 100)):
         N = int(rng.integers(3, 7))
         a = float(rng.uniform(-1.5, (N - 2) / 2 - 1e-3))
@@ -119,14 +111,11 @@ def exp_measure_identities(cfg, out_dir, dump):
         doub = doubling_ratio(params, (0.0,) * N, r, 0.5)
         dexact = 2.0 ** (N - 2 * a)
         ok &= rel <= tol and abs(doub - dexact) <= 1e-10 * dexact
-        rows.append(",".join(_fmt(v) for v in
-                             [N, a, r, closed, quadr, rel, doub, dexact]))
-    _write(out_dir, "measure_report.csv",
-           [_manifest(cfg, "measure_identities")] + rows)
-    return ok
+        rows.append([N, a, r, closed, quadr, rel, doub, dexact])
+    return ok, {"measure_report.csv": rows}
 
 
-def exp_mms_convergence(cfg, out_dir, dump):
+def exp_mms_convergence(cfg):
     params = _params(cfg)
     gamma = _get(cfg, "mms.gamma", float, 0.0)
     levels = _get(cfg, "levels", int, 4)
@@ -134,7 +123,7 @@ def exp_mms_convergence(cfg, out_dir, dump):
     r_min = _get(cfg, "grid.r_min", float, 0.0)
     r_max = _get(cfg, "grid.r_max", float, 1.0)
     u_exact, f_exact = exact_radial_mms(params, gamma, r_max)
-    rows = ["level,h,max_error,observed_order"]
+    rows = []
     errs = []
     ok = True
     for lev in range(levels + 1):
@@ -147,21 +136,19 @@ def exp_mms_convergence(cfg, out_dir, dump):
         err = float(np.max(np.abs(uh.values - u_exact(grid.centers))))
         order = math.log2(errs[-1] / err) if errs else float("nan")
         errs.append(err)
-        rows.append(",".join(_fmt(v) for v in
-                             [lev, (r_max - r_min) / n, err, order]))
+        rows.append([lev, (r_max - r_min) / n, err, order])
         if lev > 0:
             ok &= 1.8 <= order <= 2.5
-    _write(out_dir, "mms_report.csv", [_manifest(cfg, "mms_convergence")] + rows)
-    return ok
+    return ok, {"mms_report.csv": rows}
 
 
-def exp_harmonic_replacement(cfg, out_dir, dump):
+def exp_harmonic_replacement(cfg):
     params = _params(cfg)
     seed = _get(cfg, "seed", int)
     grid = _grid(cfg)
     rng = np.random.default_rng(seed)
     n_cases = _get(cfg, "n_cases", int, 50)
-    rows = ["case,energy_u,energy_w,energy_diff_split,idempotence_gap"]
+    rows = []
     ok = True
     for i in range(n_cases):
         vals = np.cumsum(rng.standard_normal(grid.n_cells)) * 0.02
@@ -177,18 +164,16 @@ def exp_harmonic_replacement(cfg, out_dir, dump):
         gap = float(np.max(np.abs(w2.values - w.values)))
         split = abs(qu - qw - qv) / max(qu, 1e-300)
         ok &= (qw <= qu * (1 + 1e-12)) and split < 1e-8 and gap < 1e-8
-        rows.append(",".join(_fmt(v) for v in [i, qu, qw, split, gap]))
-    _write(out_dir, "replacement_report.csv",
-           [_manifest(cfg, "harmonic_replacement")] + rows)
-    return ok
+        rows.append([i, qu, qw, split, gap])
+    return ok, {"replacement_report.csv": rows}
 
 
-def exp_inequality_suite(cfg, out_dir, dump):
+def exp_inequality_suite(cfg):
     params = _params(cfg)
     seed = _get(cfg, "seed", int)
     grid = _grid(cfg)
     suite = build_test_suite(grid, seed)
-    rows = ["descriptor,lhs,rhs_core,ratio"]
+    rows = []
     ckn_max = 0.0
     poin_max = 0.0
     ball = BallSpec((0.0,), 0.9 * (grid.r_max - grid.r_min))
@@ -199,24 +184,16 @@ def exp_inequality_suite(cfg, out_dir, dump):
         ckn_max = max(ckn_max, c.ratio)
         poin_max = max(poin_max, p.ratio)
         ok &= math.isfinite(c.ratio) and math.isfinite(p.ratio)
-        rows.append(",".join([f"ckn_{desc}", _fmt(c.lhs), _fmt(c.rhs_core),
-                              _fmt(c.ratio)]))
-        rows.append(",".join([f"poincare_{desc}", _fmt(p.lhs), _fmt(p.rhs_core),
-                              _fmt(p.ratio)]))
-    rows.append(",".join(["max_ckn_constant", _fmt(ckn_max), "", ""]))
-    rows.append(",".join(["max_poincare_constant", _fmt(poin_max), "", ""]))
-    _write(out_dir, "inequality_report.csv",
-           [_manifest(cfg, "inequality_suite")] + rows)
-    frozen_ckn = _get(cfg, "frozen.ckn_constant", float, None)
-    frozen_poin = _get(cfg, "frozen.poincare_constant", float, None)
-    if frozen_ckn is not None:
-        ok &= ckn_max <= frozen_ckn * 1.02
-    if frozen_poin is not None:
-        ok &= poin_max <= frozen_poin * 1.02
-    return ok
+        rows.append([f"ckn_{desc}", c.lhs, c.rhs_core, c.ratio])
+        rows.append([f"poincare_{desc}", p.lhs, p.rhs_core, p.ratio])
+    rows.append(["max_ckn_constant", ckn_max, "", ""])
+    rows.append(["max_poincare_constant", poin_max, "", ""])
+    ok &= ckn_max <= _get(cfg, "frozen.ckn_constant", float, INF) * 1.02
+    ok &= poin_max <= _get(cfg, "frozen.poincare_constant", float, INF) * 1.02
+    return ok, {"inequality_report.csv": rows}
 
 
-def exp_alpha_h_estimation(cfg, out_dir, dump):
+def exp_alpha_h_estimation(cfg):
     params = _params(cfg)
     grid = RadialGrid(_get(cfg, "grid.r_min", float, 0.25),
                       _get(cfg, "grid.r_max", float, 2.0),
@@ -229,48 +206,39 @@ def exp_alpha_h_estimation(cfg, out_dir, dump):
     ok = 0 < est.alpha_h <= 1 and est.fit_residual <= 0.05
     if params.a == 0.0:
         ok &= est.alpha_h >= 0.9
-    _write(out_dir, "alpha_h_report.csv",
-           [_manifest(cfg, "alpha_h_estimation"),
-            "alpha_h,fit_residual,n_samples",
-            ",".join([_fmt(est.alpha_h), _fmt(est.fit_residual),
-                      str(est.n_samples)])])
-    return ok
+    return ok, {"alpha_h_report.csv":
+                [[est.alpha_h, est.fit_residual, est.n_samples]]}
 
 
-def exp_regularity_report(cfg, out_dir, dump):
+def exp_regularity_report(cfg):
     params = _params(cfg)
-    s_used = _get(cfg, "params.s", float, INF)
     grid = _grid(cfg)
     f = DiscreteField.from_function(grid, lambda r: np.ones_like(r))
     uh, rep = solve(assemble(params, grid, f, dirichlet=0.0))
     radii = default_radii(grid, (0.0,))
-    report = regularity_report(params, uh, f, s_used, (0.0,), radii,
+    report = regularity_report(params, uh, f, params.s, (0.0,), radii,
                                alpha_h_est=_get(cfg, "alpha_h", float, 1.0),
                                seed=_get(cfg, "seed", int))
-    lines = [_manifest(cfg, "regularity_report"),
-             f"alpha_measured={_fmt(report.alpha_measured)}",
-             f"alpha_predicted_sup={_fmt(report.alpha_predicted_sup)}",
-             f"limiting_branch={report.limiting_branch}",
-             f"holder_seminorm={_fmt(report.holder_seminorm)}",
-             f"sup_norm={_fmt(report.sup_norm)}",
-             f"pass={str(report.passed).lower()}"]
-    _write(out_dir, "regularity_report.txt", lines)
     prof = campanato_profile(params, uh, (0.0,), radii)
-    _write(out_dir, "regularity_profile.csv",
-           [_manifest(cfg, "regularity_report"), "radius,value"]
-           + [",".join([_fmt(r), _fmt(v)])
-              for r, v in zip(prof.radii, prof.values)])
-    return rep.converged and report.passed
+    return rep.converged and report.passed, {
+        "regularity_report.txt": [
+            ["alpha_measured", report.alpha_measured],
+            ["alpha_predicted_sup", report.alpha_predicted_sup],
+            ["limiting_branch", report.limiting_branch],
+            ["holder_seminorm", report.holder_seminorm],
+            ["sup_norm", report.sup_norm],
+            ["pass", report.passed]],
+        "regularity_profile.csv": list(zip(prof.radii, prof.values))}
 
 
-def exp_dilation_symmetry(cfg, out_dir, dump):
+def exp_dilation_symmetry(cfg):
     params = _params(cfg)
     lam = _get(cfg, "lambda", float, 2.0)
     u_fn, K, _, _ = ckn_bubble(params)
     ul = dilate_radial(params, u_fn, lam)
     r_min = _get(cfg, "grid.r_min", float, 0.05)
     r_max = _get(cfg, "grid.r_max", float, 3.0)
-    rows = ["n,dual_residual,observed_order"]
+    rows = []
     prev = None
     ok = True
     for n in [_get(cfg, "grid.n", int, 250) * 2 ** k for k in range(3)]:
@@ -283,39 +251,33 @@ def exp_dilation_symmetry(cfg, out_dir, dump):
         if prev:
             ok &= order >= 1.8
         prev = rep.dual_norm
-        rows.append(",".join(_fmt(v) for v in [n, rep.dual_norm, order]))
-    _write(out_dir, "dilation_report.csv",
-           [_manifest(cfg, "dilation_symmetry")] + rows)
-    return ok
+        rows.append([n, rep.dual_norm, order])
+    return ok, {"dilation_report.csv": rows}
 
 
-def exp_moser_ladder(cfg, out_dir, dump):
+def exp_moser_ladder(cfg):
     params = _params(cfg)
     u_fn, K, _, _ = ckn_bubble(params)
     r_max = _get(cfg, "grid.r_max", float, 3.0)
     grid = RadialGrid(0.0, r_max, _get(cfg, "grid.n", int, 2000))
     u = DiscreteField.from_function(grid, u_fn)
-    from .params import k0_threshold
     k_stop = k0_threshold(params) + 2
     states = run_ladder(params, u, K, k_stop,
                         margin0=_get(cfg, "margin0", float, 0.3),
                         dirichlet=float(u_fn(r_max)))
-    rows = ["k,q_k,norm_q,subdomain_margin"]
-    for s in states:
-        rows.append(",".join(_fmt(v) for v in
-                             [s.k, s.q_k, s.norm_q, s.subdomain_margin]))
-    _write(out_dir, "ladder_report.csv", [_manifest(cfg, "moser_ladder")] + rows)
-    return all(math.isfinite(s.norm_q) for s in states)
+    return all(math.isfinite(s.norm_q) for s in states), {
+        "ladder_report.csv": [[s.k, s.q_k, s.norm_q, s.subdomain_margin]
+                              for s in states]}
 
 
-def exp_lemma_a1_envelope(cfg, out_dir, dump):
+def exp_lemma_a1_envelope(cfg):
     params = _params(cfg)
     seed = _get(cfg, "seed", int)
     rng = np.random.default_rng(seed)
     eps = epsilon_choice(validate(params.N, params.a, params.b,
                                   _get(cfg, "eps_s", float, 12.0)))
     n_balls = _get(cfg, "n_balls", int, 200)
-    rows = ["center_norm,radius,ratio,envelope"]
+    rows = []
     ok = True
     for _ in range(n_balls):
         center = rng.uniform(-1.5, 1.5, size=params.N)
@@ -323,22 +285,19 @@ def exp_lemma_a1_envelope(cfg, out_dir, dump):
         out = lemma_a1_ratio(params, BallSpec(tuple(center), rho), eps,
                              tol=1e-8)
         ok &= out["ratio"] <= out["envelope"] * (1 + 1e-6)
-        rows.append(",".join(_fmt(v) for v in
-                             [float(np.linalg.norm(center)), rho,
-                              out["ratio"], out["envelope"]]))
-    _write(out_dir, "lemma_a1_report.csv",
-           [_manifest(cfg, "lemma_a1_envelope")] + rows)
-    return ok
+        rows.append([float(np.linalg.norm(center)), rho, out["ratio"],
+                     out["envelope"]])
+    return ok, {"lemma_a1_report.csv": rows}
 
 
-def exp_lemma_a2_property(cfg, out_dir, dump):
+def exp_lemma_a2_property(cfg):
     params = _params(cfg)
     seed = _get(cfg, "seed", int)
     rng = np.random.default_rng(seed)
     n_envelopes = _get(cfg, "n_envelopes", int, 20)
     trials_per = _get(cfg, "n_trials", int, 50)
-    rows = ["envelope,alpha,beta,gamma,center_norm,violations,worst_margin"]
-    trial_rows = ["envelope,trial,A1,A2,tau,constant,violations,worst_margin"]
+    rows = []
+    trial_rows = []
     total_viol = 0
     for i in range(n_envelopes):
         alpha = float(rng.uniform(0.1, 1.5))
@@ -351,31 +310,23 @@ def exp_lemma_a2_property(cfg, out_dir, dump):
                                       0.02, 1.0, trials_per,
                                       seed + i)
         total_viol += out["violations"]
-        rows.append(",".join(_fmt(v) for v in
-                             [i, alpha, beta, gamma,
-                              float(np.linalg.norm(center)),
-                              out["violations"],
-                              out["worst_relative_margin"]]))
-        for t in out["trials"]:
-            trial_rows.append(",".join(_fmt(v) for v in
-                                       [i, t["trial"], t["A1"], t["A2"],
-                                        t["tau"], t["constant"],
-                                        t["violations"],
-                                        t["worst_relative_margin"]]))
-    _write(out_dir, "lemma_a2_report.csv",
-           [_manifest(cfg, "lemma_a2_property")] + rows)
-    if dump:
-        _write(out_dir, "lemma_a2_trials.csv",
-               [_manifest(cfg, "lemma_a2_property")] + trial_rows)
-    return total_viol == 0
+        rows.append([i, alpha, beta, gamma, float(np.linalg.norm(center)),
+                     out["violations"], out["worst_relative_margin"]])
+        trial_rows += [[i, t["trial"], t["A1"], t["A2"], t["tau"],
+                        t["constant"], t["violations"],
+                        t["worst_relative_margin"]] for t in out["trials"]]
+    return total_viol == 0, {"lemma_a2_report.csv": rows,
+                             "lemma_a2_trials.csv": trial_rows}
 
 
 @dataclass(frozen=True)
 class Experiment:
-    run: Callable
+    run: Callable  # cfg -> (passed, {report file: rows})
     description: str
+    reports: dict[str, str | None]  # file -> CSV header; None: key=value text
     keys: tuple[str, ...]  # the config keys it reads beyond COMMON_KEYS
     randomized: bool = False  # needs `seed`
+    trials: str | None = None  # the report only `--dump-trials` writes
 
 
 COMMON_KEYS = ("experiment", "output_dir", "seed", "params.N", "params.a",
@@ -387,36 +338,69 @@ EXPERIMENTS = {
     "measure_identities": Experiment(
         exp_measure_identities,
         "closed-form vs quadrature ball measures, doubling",
+        {"measure_report.csv":
+         "N,a,r,closed_form,quadrature,rel_error,doubling,doubling_exact"},
         ("n_combos", "tol"), randomized=True),
     "mms_convergence": Experiment(
         exp_mms_convergence, "manufactured-solution convergence order study",
+        {"mms_report.csv": "level,h,max_error,observed_order"},
         ("mms.gamma", "levels") + _RADIAL),
     "harmonic_replacement": Experiment(
         exp_harmonic_replacement, "energy minimality / idempotence suite",
+        {"replacement_report.csv":
+         "case,energy_u,energy_w,energy_diff_split,idempotence_gap"},
         ("n_cases",) + _GRID, randomized=True),
     "inequality_suite": Experiment(
         exp_inequality_suite, "CKN and Poincare ratios over the 50-field suite",
+        {"inequality_report.csv": "descriptor,lhs,rhs_core,ratio"},
         ("frozen.ckn_constant", "frozen.poincare_constant") + _GRID,
         randomized=True),
     "alpha_h_estimation": Experiment(
         exp_alpha_h_estimation, "oscillation-decay exponent of harmonic fields",
+        {"alpha_h_report.csv": "alpha_h,fit_residual,n_samples"},
         ("center",) + _RADIAL),
     "regularity_report": Experiment(
         exp_regularity_report, "measured vs predicted Holder exponent",
+        {"regularity_report.txt": None,
+         "regularity_profile.csv": "radius,value"},
         ("alpha_h",) + _GRID, randomized=True),
     "dilation_symmetry": Experiment(
         exp_dilation_symmetry, "invariant dilation residual refinement study",
+        {"dilation_report.csv": "n,dual_residual,observed_order"},
         ("lambda",) + _RADIAL),
     "moser_ladder": Experiment(
         exp_moser_ladder, "weighted L^q integrability ladder on a solution",
+        {"ladder_report.csv": "k,q_k,norm_q,subdomain_margin"},
         ("margin0", "grid.r_max", "grid.n")),
     "lemma_a1_envelope": Experiment(
         exp_lemma_a1_envelope, "measure-ratio bound over random balls",
+        {"lemma_a1_report.csv": "center_norm,radius,ratio,envelope"},
         ("n_balls", "eps_s"), randomized=True),
     "lemma_a2_property": Experiment(
         exp_lemma_a2_property, "iteration-lemma conclusion on random profiles",
-        ("n_envelopes", "n_trials"), randomized=True),
+        {"lemma_a2_report.csv":
+         "envelope,alpha,beta,gamma,center_norm,violations,worst_margin",
+         "lemma_a2_trials.csv":
+         "envelope,trial,A1,A2,tau,constant,violations,worst_margin"},
+        ("n_envelopes", "n_trials"), randomized=True,
+        trials="lemma_a2_trials.csv"),
 }
+
+
+def _write_reports(exp: Experiment, cfg: dict, rows: dict, dump_trials: bool):
+    """Write each report `exp` declares: the manifest line, the CSV header
+    (none for the key=value text report), then one line per row."""
+    echo = " ".join(f"{k}={cfg[k]}" for k in sorted(cfg) if k != "experiment")
+    manifest = f"# experiment={cfg['experiment']} {echo}"
+    out_dir = Path(_get(cfg, "output_dir", str, "."))
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for fname, header in exp.reports.items():
+        if fname == exp.trials and not dump_trials:
+            continue
+        sep = "=" if header is None else ","
+        lines = [manifest] + ([] if header is None else [header])
+        lines += [sep.join(_fmt(v) for v in row) for row in rows[fname]]
+        (out_dir / fname).write_text("\n".join(lines) + "\n")
 
 
 def list_experiments() -> str:
@@ -438,8 +422,8 @@ def run(config_path: str, dump_trials: bool = False) -> int:
         if exp.randomized and "seed" not in cfg:
             raise UsageError("invalid_config: missing key `seed` "
                              f"(required for randomized experiment {name})")
-        out_dir = Path(_get(cfg, "output_dir", str, "."))
-        passed = exp.run(cfg, out_dir, dump_trials)
+        passed, rows = exp.run(cfg)
+        _write_reports(exp, cfg, rows, dump_trials)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

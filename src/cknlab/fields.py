@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property, wraps
 
 import numpy as np
 
@@ -198,6 +198,19 @@ class DiscreteField:
 # ---------------------------------------------------------------------------
 # weight integrals over cells
 
+def _per_grid(table):
+    """Memoise a weight table in its grid's `__dict__` (as `cached_property`
+    does), so that the table lives exactly as long as the grid."""
+    @wraps(table)
+    def cached(grid, *args, **kwargs):
+        memo = grid.__dict__.setdefault("_weight_tables", {})
+        key = (table.__name__, args, tuple(sorted(kwargs.items())))
+        if key not in memo:
+            memo[key] = table(grid, *args, **kwargs)
+        return memo[key]
+    return cached
+
+
 def _power_antiderivative(expo: float, lo: np.ndarray, hi: np.ndarray):
     """Integral of t^{expo-1} over [lo, hi] (elementwise)."""
     if expo == 0.0:
@@ -316,7 +329,7 @@ def _box_volume_weights(grid: BoxGrid, w_exp: float,
     return w
 
 
-@lru_cache(maxsize=None)
+@_per_grid
 def box_cell_weights(grid: BoxGrid, w_exp: float) -> np.ndarray:
     return _box_volume_weights(grid, w_exp, grid.node_coords())
 
@@ -391,7 +404,7 @@ def oscillation(field: DiscreteField, ball: BallSpec) -> float:
 # ---------------------------------------------------------------------------
 # gradients / Dirichlet energy
 
-@lru_cache(maxsize=None)
+@_per_grid
 def radial_face_dual_weights(grid: RadialGrid, N: int, w_exp: float) -> np.ndarray:
     """Weight integral over the dual interval of each interior face.
 
@@ -410,13 +423,13 @@ def _face_centers(grid: BoxGrid, axis: int) -> np.ndarray:
     return np.stack(np.meshgrid(*coords, indexing="ij"), axis=-1)
 
 
-@lru_cache(maxsize=None)
+@_per_grid
 def box_face_dual_weights(grid: BoxGrid, w_exp: float, axis: int) -> np.ndarray:
     """Weight integral over the h^3 dual box of each interior face along axis."""
     return _box_volume_weights(grid, w_exp, _face_centers(grid, axis))
 
 
-@lru_cache(maxsize=None)
+@_per_grid
 def box_face_area_weights(grid: BoxGrid, w_exp: float, axis: int) -> np.ndarray:
     """2D weight integral over each interior face orthogonal to `axis`."""
     h = np.array(grid.h)

@@ -15,8 +15,9 @@ from scipy.integrate import quad
 from .errors import GridError, ParameterError
 from .fields import (DiscreteField, RadialGrid, dirichlet_energy, lq_norm,
                      oscillation)
-from .measure import BallSpec, weighted_mean
+from .measure import BallSpec, sphere_area, weighted_mean
 from .params import WeightParams
+from .regularity import GrowthProfile, ProfileKind
 from .solver import raw_stiffness
 
 
@@ -53,7 +54,6 @@ def ckn_ratio(params: WeightParams, field: DiscreteField,
 def ckn_ratio_radial_quad(params: WeightParams, u, du, r_max: float,
                           tol: float = 1e-11) -> float:
     """Exact-quadrature CKN ratio for a radial profile with derivative du."""
-    from .measure import sphere_area
     sigma = sphere_area(params.N)
     p, N, a, bp = params.p, params.N, params.a, params.bp
     num = quad(lambda t: sigma * t ** (N - 1 - bp) * abs(u(t)) ** p,
@@ -172,7 +172,6 @@ def sup_bound_ratio(params: WeightParams, field: DiscreteField,
 def energy_decay_profile(params: WeightParams, field: DiscreteField, center,
                          radii):
     """Gradient energies over the shrinking ball family (Lemma-style Phi)."""
-    from .regularity import GrowthProfile, ProfileKind
     values = [dirichlet_energy(params, field, BallSpec(tuple(center), rho))
               for rho in radii]
     return GrowthProfile(center=tuple(center), radii=tuple(float(r) for r in radii),

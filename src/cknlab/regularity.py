@@ -13,7 +13,7 @@ import numpy as np
 from .errors import GridError, ParameterError
 from .fields import DiscreteField, RadialGrid, dirichlet_energy
 from .measure import BallSpec, ball_measure, weighted_mean
-from .params import HolderBound, WeightParams, holder_bound
+from .params import HolderBound, WeightParams, holder_bound, validate
 
 
 class ProfileKind(enum.Enum):
@@ -201,7 +201,6 @@ def regularity_report(params: WeightParams, u: DiscreteField,
     prof = gradient_profile(params, u, center, radii)
     fit = fit_growth(prof, params, "measure_normalized")
     alpha_measured = fit.exponent
-    from .params import validate
     p_reg = validate(params.N, params.a, params.b, s_used, for_regularity=True)
     hb: HolderBound = holder_bound(p_reg, alpha_h_est)
     alpha_q = max(min(alpha_measured, hb.alpha_sup) * 0.95, 1e-6)

@@ -3,6 +3,7 @@ from pathlib import Path
 import pytest
 
 from cknlab import cli
+from cknlab.errors import GridError
 from cknlab.cli import list_experiments, main, parse_config
 
 
@@ -133,3 +134,62 @@ def test_declared_keys_are_the_keys_read(tmp_path, monkeypatch):
                                         "params.b=0.5\nseed=1\n")
         cli.run(cfg)
         assert read - set(cli.COMMON_KEYS) == set(exp.keys), name
+
+
+SCHEMA_DOC = (Path(__file__).resolve().parent.parent / "docs" / "schemas"
+              / "README.md")
+REGULARITY_KEYS = ["alpha_measured", "alpha_predicted_sup", "limiting_branch",
+                   "holder_seminorm", "sup_norm", "pass"]
+
+
+@pytest.mark.parametrize("name", sorted(cli.EXPERIMENTS))
+def test_reports_follow_the_declared_schema(tmp_path, capsys, name):
+    """Every written file has the manifest line and the declared header and
+    width; a run writes all its declared reports unless it ends in
+    `failure[...]`, which writes none."""
+    exp = cli.EXPERIMENTS[name]
+    out = tmp_path / "out"
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(f"experiment={name}\noutput_dir={out}\nparams.N=3\n"
+                   "params.a=0.3\nparams.b=0.5\nseed=1\n")
+    code = main(["run", str(cfg), "--dump-trials"])
+    err = capsys.readouterr().err
+    written = sorted(p.name for p in out.iterdir()) if out.exists() else []
+    if "failure[" in err:
+        assert code == 2 and written == []
+    else:
+        assert written == sorted(exp.reports)
+    for fname in written:
+        lines = (out / fname).read_text().splitlines()
+        assert lines[0].startswith(f"# experiment={name} ")
+        header = exp.reports[fname]
+        if header is None:
+            assert [ln.split("=")[0] for ln in lines[1:]] == REGULARITY_KEYS
+            continue
+        assert lines[1] == header
+        width = len(header.split(","))
+        assert all(len(ln.split(",")) == width for ln in lines[2:]), fname
+
+
+def test_failed_run_writes_no_report(tmp_path, monkeypatch):
+    """A `LabError` after the first report's data is ready still leaves no
+    file behind."""
+    def failing_profile(*args, **kwargs):
+        raise GridError("ball_too_small", "injected")
+
+    monkeypatch.setattr(cli, "campanato_profile", failing_profile)
+    out = tmp_path / "out"
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(f"experiment=regularity_report\noutput_dir={out}\n"
+                   "params.N=3\nparams.a=0.3\nparams.b=0.5\nseed=1\n")
+    assert main(["run", str(cfg)]) == 2
+    assert not out.exists()
+
+
+def test_schema_doc_names_every_declared_report():
+    doc = SCHEMA_DOC.read_text()
+    for exp in cli.EXPERIMENTS.values():
+        for fname, header in exp.reports.items():
+            assert f"`{fname}`" in doc
+            if header is not None:
+                assert f"`{header}`" in doc, header

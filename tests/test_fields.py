@@ -1,5 +1,7 @@
+import gc
 import itertools
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -9,7 +11,8 @@ from cknlab.errors import GridError
 from cknlab.fields import (BoxGrid, DiscreteField, RadialGrid, ball_cell_weights,
                            box_cell_weights, box_face_area_weights,
                            box_face_dual_weights, dirichlet_energy, load_field,
-                           lq_norm, oscillation, save_field, weighted_integral)
+                           lq_norm, oscillation, radial_face_dual_weights,
+                           save_field, weighted_integral)
 from cknlab.measure import BallSpec, ball_measure, centered_weight_integral, weighted_mean
 from cknlab.params import INF, validate
 
@@ -331,3 +334,29 @@ def test_radial_ball_weights_reject_nonintegrable_weights():
     annulus = RadialGrid(0.1, 1.0, 8)
     assert np.all(np.isfinite(ball_cell_weights(annulus, 3, -3.5,
                                                 BallSpec((0.0,), 0.5))))
+
+
+def _all_weight_tables(box: BoxGrid, radial: RadialGrid) -> list:
+    tables = [box_cell_weights(box, -0.6), radial_face_dual_weights(radial, 3, -0.6)]
+    for axis in range(3):
+        tables += [box_face_dual_weights(box, -0.6, axis),
+                   box_face_area_weights(box, -0.6, axis)]
+    return tables
+
+
+def test_weight_tables_die_with_their_grid():
+    box = BoxGrid((-1.0,) * 3, (1.0,) * 3, (8,) * 3)
+    radial = RadialGrid(0.0, 1.0, 64)
+    _all_weight_tables(box, radial)
+    refs = [weakref.ref(box), weakref.ref(radial)]
+    del box, radial
+    gc.collect()
+    assert [r() for r in refs] == [None, None]
+
+
+def test_weight_tables_are_built_once_per_grid():
+    box = BoxGrid((-1.0,) * 3, (1.0,) * 3, (8,) * 3)
+    radial = RadialGrid(0.0, 1.0, 64)
+    first = _all_weight_tables(box, radial)
+    again = _all_weight_tables(box, radial)
+    assert all(a is b for a, b in zip(first, again))

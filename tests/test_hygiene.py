@@ -39,3 +39,30 @@ def test_unused_imports_detected():
 @pytest.mark.parametrize("path", SRC, ids=[p.name for p in SRC])
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def local_relative_imports(source: str) -> list[str]:
+    """Relative (package) imports made inside a function body."""
+    found = set()
+    for fn in ast.walk(ast.parse(source)):
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            found |= {(node.lineno, "." * node.level + (node.module or ""))
+                      for node in ast.walk(fn)
+                      if isinstance(node, ast.ImportFrom) and node.level}
+    return [f"line {line}: from {mod}" for line, mod in sorted(found)]
+
+
+def test_local_relative_imports_detected():
+    src = ("from .a import x\n"
+           "def f():\n"
+           "    from .b import y\n"
+           "    from os import path\n"
+           "    def g():\n"
+           "        from ..c import z\n")
+    assert local_relative_imports(src) == ["line 3: from .b",
+                                           "line 6: from ..c"]
+
+
+@pytest.mark.parametrize("path", SRC, ids=[p.name for p in SRC])
+def test_no_function_level_package_imports(path):
+    assert local_relative_imports(path.read_text()) == []
