@@ -4,6 +4,12 @@ Centered balls use the closed form; off-center balls reduce to a 1D
 integral over spherical shells (the weight is radial, so the only
 geometric input is the area fraction of each shell inside the ball),
 refined by Richardson extrapolation of a composite Simpson rule.
+
+`ball_weight_integrals` integrates many balls at once: each refinement
+level is one Simpson pass over every shell segment not yet converged,
+split by rows once it would exceed `_LEVEL_POINTS` nodes. Each segment
+keeps its own stop rule, so a ball's value does not depend on the batch
+it is in; `ball_weight_integral` is the one-ball call into it.
 """
 from __future__ import annotations
 
@@ -59,42 +65,68 @@ def cap_fraction(N: int, cos_theta: np.ndarray) -> np.ndarray:
     return np.where(c >= 0.0, half, 1.0 - half)
 
 
-def _shell_integrand(N: int, w_exp: float, d: float, rho: float, t: np.ndarray) -> np.ndarray:
-    """sigma_{N-1} t^{N-1+w} times the shell fraction inside B_rho(|x0|=d)."""
-    t = np.asarray(t, dtype=float)
-    out = np.zeros_like(t)
+def _shell_integrand(N: int, w_exp: float, d, rho, t: np.ndarray) -> np.ndarray:
+    """sigma_{N-1} t^{N-1+w} times the shell fraction inside B_rho(|x0|=d).
+
+    `t` holds one row of nodes per ball; `d` and `rho` broadcast against it
+    (a column per ball).  The integrand is 0 at t = 0, a left end only when
+    d = rho.
+    """
     pos = t > 0.0
-    tp = t[pos]
+    tp = np.where(pos, t, 1.0)
     cos_theta = (tp * tp + d * d - rho * rho) / (2.0 * tp * d)
     frac = cap_fraction(N, cos_theta)
-    out[pos] = sphere_area(N) * tp ** (N - 1 + w_exp) * frac
+    return np.where(pos, sphere_area(N) * tp ** (N - 1 + w_exp) * frac, 0.0)
+
+
+# Simpson panels a segment may double up to before it counts as unconverged
+_MAX_PANELS = 1 << 18
+# Nodes (rows x (n+1)) evaluated at once in a Simpson pass; a larger level
+# is split by rows, so one slow ball never makes a (rows x 2^19) array.
+_LEVEL_POINTS = 1 << 15
+
+
+def _simpson(N: int, w_exp: float, d: np.ndarray, rho: np.ndarray,
+             lo: np.ndarray, hi: np.ndarray, n: int) -> np.ndarray:
+    """Composite Simpson with n panels on each segment [lo, hi]."""
+    out = np.empty(len(lo))
+    rows = max(1, _LEVEL_POINTS // (n + 1))
+    for s in range(0, len(lo), rows):
+        k = slice(s, s + rows)
+        # rows contiguous, so each row sums pairwise as a 1D array does
+        t = np.ascontiguousarray(np.linspace(lo[k], hi[k], n + 1, axis=1))
+        y = _shell_integrand(N, w_exp, d[k, None], rho[k, None], t)
+        h = (hi[k] - lo[k]) / n
+        out[k] = h / 3.0 * (y[:, 0] + y[:, -1] + 4.0 * np.sum(y[:, 1:-1:2], axis=1)
+                            + 2.0 * np.sum(y[:, 2:-1:2], axis=1))
     return out
 
 
-def _simpson(f, lo: float, hi: float, n: int) -> float:
-    t = np.linspace(lo, hi, n + 1)
-    y = f(t)
-    h = (hi - lo) / n
-    return h / 3.0 * (y[0] + y[-1] + 4.0 * np.sum(y[1:-1:2]) + 2.0 * np.sum(y[2:-1:2]))
-
-
-def _simpson_refine(f, lo: float, hi: float, tol: float, scale: float,
-                    max_panels: int = 1 << 18) -> tuple[float, float]:
-    """Composite Simpson with doubling; Richardson difference as error estimate."""
-    if hi <= lo:
-        return 0.0, 0.0
+def _simpson_refine(N: int, w_exp: float, d: np.ndarray, rho: np.ndarray,
+                    lo: np.ndarray, hi: np.ndarray, tol: float,
+                    scale: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Composite Simpson with doubling on every segment at once; each
+    segment stops on its own Richardson difference, which is also its
+    error estimate, and only unconverged segments go to the next level."""
+    value = np.empty(len(lo))
+    err = np.empty(len(lo))
+    todo = np.arange(len(lo))
     n = 16
-    prev = _simpson(f, lo, hi, n)
-    while n <= max_panels:
+    prev = _simpson(N, w_exp, d, rho, lo, hi, n)
+    while todo.size and n <= _MAX_PANELS:
         n *= 2
-        cur = _simpson(f, lo, hi, n)
-        err = abs(cur - prev) / 15.0
-        if err <= tol * max(scale, abs(cur)):
-            return cur + (cur - prev) / 15.0, err
-        prev = cur
-    raise QuadratureError("quadrature_nonconvergence",
-                          f"Simpson refinement exhausted {max_panels} panels on "
-                          f"[{lo}, {hi}]")
+        cur = _simpson(N, w_exp, d[todo], rho[todo], lo[todo], hi[todo], n)
+        e = np.abs(cur - prev) / 15.0
+        done = e <= tol * np.maximum(scale[todo], np.abs(cur))
+        value[todo[done]] = cur[done] + (cur[done] - prev[done]) / 15.0
+        err[todo[done]] = e[done]
+        todo, prev = todo[~done], cur[~done]
+    if todo.size:
+        k = todo[0]
+        raise QuadratureError("quadrature_nonconvergence",
+                              f"Simpson refinement exhausted {_MAX_PANELS} panels "
+                              f"on [{float(lo[k])}, {float(hi[k])}]")
+    return value, err
 
 
 def centered_weight_integral(N: int, w_exp: float, radius: float) -> float:
@@ -106,43 +138,63 @@ def centered_weight_integral(N: int, w_exp: float, radius: float) -> float:
     return sphere_area(N) * radius ** expo / expo
 
 
+def ball_weight_integrals(N: int, w_exp: float, d, rho,
+                          tol: float = 1e-10) -> tuple[np.ndarray, np.ndarray]:
+    """Integrals of |x|^{w_exp} over the balls B_rho(x0), |x0| = d, one per
+    entry of the arrays `d` and `rho`; returns (values, error estimates).
+
+    Shells wholly inside a ball (t < rho - d) have a closed form; the rest
+    of [|d - rho|, d + rho] is integrated by `_simpson_refine`, all balls'
+    segments in one pass per level.  A ball with d = 0 has no segment and
+    gets the closed form.
+    """
+    if not tol > 0:
+        raise QuadratureError("invalid_tolerance", f"tol must be > 0, got {tol}")
+    d = np.asarray(d, float).reshape(-1)
+    rho = np.asarray(rho, float).reshape(-1)
+    values = np.zeros(len(d))
+    segs = []  # (ball, lo, hi, scale)
+    for i, (di, ri) in enumerate(zip(d.tolist(), rho.tolist())):
+        scale_guess = centered_weight_integral(N, w_exp, di + ri)
+        if di < ri:
+            # Inner part of the ball covers whole shells: closed form, exact.
+            values[i] = centered_weight_integral(N, w_exp, ri - di)
+            lo = ri - di
+        else:
+            lo = di - ri
+        hi = di + ri
+        # The cap fraction loses smoothness where the shell meets the ball
+        # boundary at a right angle; split there to keep Simpson at full order.
+        breaks = [lo]
+        if di < ri:
+            t_orth = math.sqrt(ri * ri - di * di)
+            if lo < t_orth < hi:
+                breaks.append(t_orth)
+        breaks.append(hi)
+        segs += [(i, left, right, scale_guess)
+                 for left, right in zip(breaks[:-1], breaks[1:]) if right > left]
+    errors = np.zeros(len(d))
+    if segs:
+        ball, lo, hi, scale = (np.array(c) for c in zip(*segs))
+        v, e = _simpson_refine(N, w_exp, d[ball], rho[ball], lo, hi, tol, scale)
+        # unbuffered and in segment order: the inner shell, then each segment
+        np.add.at(values, ball, v)
+        np.add.at(errors, ball, e)
+    return values, errors
+
+
 def ball_weight_integral(N: int, w_exp: float, ball: BallSpec,
                          tol: float = 1e-10) -> MeasureResult:
     """Integral of |x|^{w_exp} over the ball, closed form when centered."""
     if not tol > 0:
         raise QuadratureError("invalid_tolerance", f"tol must be > 0, got {tol}")
     d = ball.center_norm
-    rho = ball.radius
     if d == 0.0:
-        return MeasureResult(value=centered_weight_integral(N, w_exp, rho),
+        return MeasureResult(value=centered_weight_integral(N, w_exp, ball.radius),
                              method=MeasureMethod.closed_form, est_error=0.0)
-
-    def f(t):
-        return _shell_integrand(N, w_exp, d, rho, t)
-
-    total = 0.0
-    err = 0.0
-    scale_guess = centered_weight_integral(N, w_exp, d + rho)
-    if d < rho:
-        # Inner part of the ball covers whole shells: closed form, exact.
-        total += centered_weight_integral(N, w_exp, rho - d)
-        lo = rho - d
-    else:
-        lo = d - rho
-    hi = d + rho
-    # The cap fraction loses smoothness where the shell meets the ball
-    # boundary at a right angle; split there to keep Simpson at full order.
-    breaks = [lo]
-    if d < rho:
-        t_orth = math.sqrt(rho * rho - d * d)
-        if lo < t_orth < hi:
-            breaks.append(t_orth)
-    breaks.append(hi)
-    for left, right in zip(breaks[:-1], breaks[1:]):
-        v, e = _simpson_refine(f, left, right, tol, scale_guess)
-        total += v
-        err += e
-    return MeasureResult(value=total, method=MeasureMethod.quadrature, est_error=err)
+    values, errors = ball_weight_integrals(N, w_exp, [d], [ball.radius], tol)
+    return MeasureResult(value=float(values[0]), method=MeasureMethod.quadrature,
+                         est_error=float(errors[0]))
 
 
 def ball_measure(params: WeightParams, ball: BallSpec, tol: float = 1e-10) -> MeasureResult:
@@ -183,16 +235,27 @@ def lemma_a1_ratio(params: WeightParams, ball: BallSpec, eps: float,
     The ratio lhs/rhs0 sampled over ball families estimates the comparison
     constant; `envelope` is an explicit analytic upper bound for it.
     """
+    return lemma_a1_ratios(params, [ball], eps, tol)[0]
+
+
+def lemma_a1_ratios(params: WeightParams, balls, eps: float,
+                    tol: float = 1e-9) -> list[dict]:
+    """`lemma_a1_ratio` for each ball, from one batched quadrature per weight."""
     if not eps > 0:
         raise QuadratureError("invalid_epsilon", f"eps must be > 0, got {eps}")
     N, bp = params.N, params.bp
-    rho = ball.radius
-    d = ball.center_norm
-    lhs = ball_weight_integral(N, -bp, ball, tol).value ** (2.0 / params.p + eps)
-    mu = ball_weight_integral(N, -2.0 * params.a, ball, tol).value
-    rhs0 = rho ** (-2.0 + eps * N) * max(rho, d) ** (-eps * bp) * mu
-    return {"lhs": lhs, "rhs_without_constant": rhs0, "ratio": lhs / rhs0,
-            "envelope": lemma_a1_envelope(params, eps, d / rho)}
+    d = [ball.center_norm for ball in balls]
+    rho = [ball.radius for ball in balls]
+    i_bp, _ = ball_weight_integrals(N, -bp, d, rho, tol)
+    i_2a, _ = ball_weight_integrals(N, -2.0 * params.a, d, rho, tol)
+    out = []
+    for di, ri, v_bp, mu in zip(d, rho, i_bp.tolist(), i_2a.tolist()):
+        lhs = v_bp ** (2.0 / params.p + eps)
+        rhs0 = ri ** (-2.0 + eps * N) * max(ri, di) ** (-eps * bp) * mu
+        out.append({"lhs": lhs, "rhs_without_constant": rhs0,
+                    "ratio": lhs / rhs0,
+                    "envelope": lemma_a1_envelope(params, eps, di / ri)})
+    return out
 
 
 def lemma_a1_envelope(params: WeightParams, eps: float, t: float) -> float:

@@ -2,9 +2,10 @@ from pathlib import Path
 
 import pytest
 
-from cknlab import cli
+from cknlab import cli, measure, moser
 from cknlab.errors import GridError
 from cknlab.cli import list_experiments, main, parse_config
+from cknlab.params import validate
 
 
 def write_cfg(tmp_path, name, extra="", fname="exp.cfg"):
@@ -193,3 +194,70 @@ def test_schema_doc_names_every_declared_report():
             assert f"`{fname}`" in doc
             if header is not None:
                 assert f"`{header}`" in doc, header
+
+
+A335 = "params.N=3\nparams.a=0.3\nparams.b=0.5\n"
+# worst_margin per envelope of lemma_a2_property at (3,0.3,0.5), seed 1,
+# frozen from the per-trial loop that the batched trials replaced; every
+# envelope had 0 violations
+A2_WORST_MARGINS_SEED1 = [
+    0.99837775243325722, 0.99977558214815287, 0.99928431820725161,
+    0.99969648591708393, 0.99955918632221408, 0.9999351889501038,
+    0.99981018982774039, 0.99987618781907894, 0.99879141601103405,
+    0.99977946225628012, 0.99943937211036205, 0.99983882517171196,
+    0.99978047934587055, 0.99967664483373853, 0.99842754017692403,
+    0.99981421950554961, 0.9993112180116942, 0.99984189689392688,
+    0.99869141948712736, 0.99992756100449021]
+
+
+def test_lemma_a2_property_seed1_frozen(tmp_path):
+    cfg = write_cfg(tmp_path, "lemma_a2_property", A335 + "seed=1\n")
+    assert main(["run", cfg]) == 0
+    lines = (tmp_path / "lemma_a2_report.csv").read_text().splitlines()[2:]
+    rows = [ln.split(",") for ln in lines]
+    assert [int(r[5]) for r in rows] == [0] * 20
+    assert [float(r[6]) for r in rows] == pytest.approx(A2_WORST_MARGINS_SEED1,
+                                                        rel=1e-12)
+
+
+def test_lemma_a2_property_seed202_overflows(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, "lemma_a2_property", A335 + "seed=202\n")
+    assert main(["run", cfg]) == 2
+    assert capsys.readouterr().err == (
+        "failure[constant_overflow]: C_d^3 overflows for doubling constant "
+        "2.6633671863696617e+110\n")
+
+
+@pytest.fixture
+def quadrature_calls(monkeypatch):
+    """Count batched and one-ball off-centre quadrature calls."""
+    calls = {"batched": 0, "one_ball": 0}
+    batched, one_ball = measure.ball_weight_integrals, measure.ball_weight_integral
+
+    def counting_batched(*args, **kwargs):
+        calls["batched"] += 1
+        return batched(*args, **kwargs)
+
+    def counting_one_ball(*args, **kwargs):
+        calls["one_ball"] += 1
+        return one_ball(*args, **kwargs)
+
+    for mod in (measure, moser):
+        monkeypatch.setattr(mod, "ball_weight_integrals", counting_batched)
+    monkeypatch.setattr(measure, "ball_weight_integral", counting_one_ball)
+    return calls
+
+
+def test_lemma_experiments_batch_their_quadrature(tmp_path, quadrature_calls):
+    cfg = write_cfg(tmp_path, "lemma_a1_envelope", A335 + "seed=1\n", "a1.cfg")
+    assert main(["run", cfg]) == 0
+    assert quadrature_calls == {"batched": 2, "one_ball": 0}
+    # envelopes 1 and 3 are off-centre, 0 and 2 centred
+    cfg = write_cfg(tmp_path, "lemma_a2_property",
+                    A335 + "seed=1\nn_envelopes=4\n", "a2.cfg")
+    assert main(["run", cfg]) == 0
+    assert quadrature_calls == {"batched": 4, "one_ball": 0}
+    params = validate(3, 0.3, 0.5)
+    moser.MeasureTable(params, (0.5, 0.0, 0.0), 0.01, 1.0)
+    moser.MeasureTable(params, (0.0, 0.0, 0.0), 0.01, 1.0)
+    assert quadrature_calls == {"batched": 5, "one_ball": 0}

@@ -3,10 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from cknlab.errors import GridError
+from cknlab import measure
+from cknlab.errors import GridError, QuadratureError
 from cknlab.measure import (BallSpec, MeasureMethod, ball_measure,
-                            ball_weight_integral, centered_weight_integral,
-                            doubling_ratio, lemma_a1_ratio, sphere_area)
+                            ball_weight_integral, ball_weight_integrals,
+                            centered_weight_integral, doubling_ratio,
+                            lemma_a1_ratio, lemma_a1_ratios, sphere_area)
 from cknlab.params import INF, epsilon_choice, validate
 
 
@@ -140,3 +142,92 @@ def test_lemma_a1_random_family_under_envelope():
         rho = rng.uniform(0.05, 1.0)
         out = lemma_a1_ratio(params, BallSpec(center, rho), eps, tol=1e-8)
         assert out["ratio"] <= out["envelope"] * (1 + 1e-6)
+
+
+# (|x0|, rho, w, value) in R^3 at tol 1e-10, from the one-ball Simpson
+# refinement that the batched quadrature replaced
+FROZEN_BALLS = [
+    (0.3, 1.0, -0.6, 5.123428321906905),  # d < rho, split at t_orth
+    (0.3, 1.0, -15 / 7, 14.247864864333557),
+    (1.0, 3.0, -0.6, 71.19038828243185),
+    (1e-20, 0.5, -0.6, 0.9920341729736275),  # d < rho, no segment left
+    (1e-20, 0.5, -15 / 7, 8.09339884514741),
+    (1e-6, 0.5, -0.6, 0.9920341729726752),  # d < rho, thin segments
+    (1e-6, 0.5, -15 / 7, 8.0933988451375),
+    (2.0, 0.5, -0.6, 0.34492328739590844),  # d > rho
+    (2.0, 0.5, -15 / 7, 0.12042838078159653),
+    (0.7, 0.7, -0.6, 1.7266209083076383),  # d = rho: the shells start at 0
+    (0.9, 1e-4, -0.6, 4.462139039110172e-12),  # tiny rho
+    (0.9, 1e-4, -15 / 7, 5.249771142336565e-12),
+]
+
+
+@pytest.mark.parametrize("d,rho,w,value", FROZEN_BALLS)
+def test_offcenter_quadrature_frozen_values(d, rho, w, value):
+    res = ball_weight_integral(3, w, BallSpec((d, 0.0, 0.0), rho))
+    assert res.method is MeasureMethod.quadrature
+    assert res.value == pytest.approx(value, rel=1e-13)
+
+
+def test_batch_matches_one_ball_at_a_time():
+    rng = np.random.default_rng(5)
+    d = np.concatenate([[d for d, _, _, _ in FROZEN_BALLS[:7]],
+                        rng.uniform(0.0, 2.5, 40)])
+    rho = np.concatenate([[r for _, r, _, _ in FROZEN_BALLS[:7]],
+                          rng.uniform(0.01, 1.5, 40)])
+    for w in (-0.6, -15 / 7):
+        values, errors = ball_weight_integrals(3, w, d, rho, tol=1e-9)
+        for di, ri, v, e in zip(d, rho, values, errors):
+            one = ball_weight_integral(3, w, BallSpec((di, 0.0, 0.0), ri),
+                                       tol=1e-9)
+            assert v == pytest.approx(one.value, rel=1e-14)
+            assert e == pytest.approx(one.est_error, rel=1e-14, abs=1e-300)
+
+
+def test_centered_ball_in_a_batch_gets_the_closed_form():
+    values, errors = ball_weight_integrals(3, -0.6, [0.0, 0.4], [0.8, 0.8])
+    assert values[0] == centered_weight_integral(3, -0.6, 0.8)
+    assert errors[0] == 0.0
+
+
+def test_one_unconverged_row_fails_the_batch(monkeypatch):
+    # d = rho at w = -15/7: the integrand ~ t^{-1/7} at the left end t = 0
+    # keeps Simpson from converging (it fails alone at the default cap too)
+    monkeypatch.setattr(measure, "_MAX_PANELS", 1 << 10)
+    with pytest.raises(QuadratureError) as exc:
+        ball_weight_integrals(3, -15 / 7, [0.3, 0.7, 2.0], [1.0, 0.7, 0.5])
+    assert exc.value.code == "quadrature_nonconvergence"
+    assert "1024 panels on [0.0, 1.4]" in str(exc.value)
+    good, _ = ball_weight_integrals(3, -15 / 7, [0.3, 2.0], [1.0, 0.5])
+    assert good.tolist() == pytest.approx([14.247864864333557,
+                                           0.12042838078159653], rel=1e-13)
+
+
+def test_level_chunks_stay_under_the_node_cap(monkeypatch):
+    d = np.linspace(0.1, 2.0, 30)
+    rho = np.linspace(0.05, 1.2, 30)
+    want, _ = ball_weight_integrals(3, -0.6, d, rho, tol=1e-12)
+    shapes = []
+    integrand = measure._shell_integrand
+
+    def recording(N, w_exp, d, rho, t):
+        shapes.append(t.shape)
+        return integrand(N, w_exp, d, rho, t)
+
+    cap = 300
+    monkeypatch.setattr(measure, "_shell_integrand", recording)
+    monkeypatch.setattr(measure, "_LEVEL_POINTS", cap)
+    got, _ = ball_weight_integrals(3, -0.6, d, rho, tol=1e-12)
+    assert max(cols for _, cols in shapes) > cap  # a level past the cap
+    assert all(rows * cols <= cap or rows == 1 for rows, cols in shapes)
+    assert np.array_equal(got, want)
+
+
+def test_lemma_a1_ratios_match_the_one_ball_form():
+    params = validate(3, 0.3, 0.6, INF)
+    eps = epsilon_choice(validate(3, 0.3, 0.6, 12.0))
+    rng = np.random.default_rng(3)
+    balls = [BallSpec(rng.uniform(-1.5, 1.5, size=3), rng.uniform(0.05, 1.0))
+             for _ in range(20)] + [BallSpec((0.0, 0.0, 0.0), 0.4)]
+    for ball, out in zip(balls, lemma_a1_ratios(params, balls, eps, tol=1e-8)):
+        assert out == lemma_a1_ratio(params, ball, eps, tol=1e-8)

@@ -7,6 +7,7 @@ import pytest
 from cknlab.errors import ParameterError, SolverError
 from cknlab.fields import DiscreteField, RadialGrid
 from cknlab.measure import centered_weight_integral, sphere_area
+from cknlab import moser
 from cknlab.moser import (MeasureTable, centered_doubling_constant, find_ell,
                           interpolation_gap, lemma_a2_constant,
                           lemma_a2_property_check, run_ladder, smallness_check,
@@ -177,3 +178,39 @@ def test_lemma_a2_property_small_runs():
                                    center=(0.6, 0.0, 0.0), r_lo=0.05,
                                    r_hi=1.0, n_trials=40, seed=7)
     assert out2["violations"] == 0
+
+
+def test_measure_table_doubling_constant_takes_an_array_of_tau():
+    t = MeasureTable(P335, (0.7, 0.0, 0.0), 0.05, 1.5, n=60)
+    taus = np.array([0.5, 0.1, 0.013])
+    assert t.doubling_constant(taus).tolist() == [t.doubling_constant(x)
+                                                  for x in taus.tolist()]
+    assert isinstance(t.doubling_constant(0.5), float)
+
+
+def _pair_needs(phi, w, radii, mu, alpha, beta):
+    """The O(n^2) form: every grid pair rho_i <= r_j spelled out."""
+    iu, ju = np.triu_indices(len(radii), k=0)
+    t1 = (mu[iu] / mu[ju]) * (radii[iu] / radii[ju]) ** -alpha * phi[ju]
+    t2 = mu[ju] * radii[ju] ** -beta
+    with np.errstate(divide="ignore", invalid="ignore"):
+        a1 = np.where(t1 > 0, w * phi[iu] / t1, 0.0)
+    return float(np.max(a1)), float(np.max((1.0 - w) * phi[iu] / t2))
+
+
+def test_running_maxima_match_the_pair_formula():
+    rng = np.random.default_rng(9)
+    radii = np.geomspace(0.02, 1.0, 80)
+    table = MeasureTable(P335, (0.6, 0.0, 0.0), 0.005, 1.0)
+    mu = table(radii)
+    phi = np.array([moser._random_phi(rng, radii) for _ in range(200)])
+    phi[::7, :25] = 0.0  # zero prefixes besides the staircase profiles'
+    phi[3::7, 30:60] = phi[3::7, 30:31]  # long plateaus
+    assert np.sum(phi[:, 0] == 0) > 30
+    w = rng.uniform(0.2, 0.8, size=len(phi))
+    a1, a2 = moser._hypothesis_needs(phi, w, mu * radii ** -0.7,
+                                     mu * radii ** -2.6)
+    for k in range(len(phi)):
+        want1, want2 = _pair_needs(phi[k], w[k], radii, mu, 0.7, 2.6)
+        assert a1[k] == pytest.approx(want1, rel=1e-13)
+        assert a2[k] == pytest.approx(want2, rel=1e-13)
