@@ -46,10 +46,6 @@ class RadialGrid:
         if self.spacing == "geometric" and self.r_min <= 0.0:
             raise GridError("invalid_spacing", "geometric spacing requires r_min > 0")
 
-    @property
-    def kind(self) -> str:
-        return "radial"
-
     @cached_property
     def edges(self) -> np.ndarray:
         if self.spacing == "uniform":
@@ -81,6 +77,12 @@ class RadialGrid:
         r = self.centers
         return (r >= self.r_min + margin) & (r <= self.r_max - margin)
 
+    def boundary_layer(self) -> np.ndarray:
+        """The first and last cell, the nodes with a single neighbour."""
+        layer = np.zeros(self.n_cells, dtype=bool)
+        layer[[0, -1]] = True
+        return layer
+
 
 @dataclass(frozen=True)
 class BoxGrid:
@@ -98,10 +100,6 @@ class BoxGrid:
             raise GridError("invalid_box", "need lower < upper componentwise")
         if not all(n >= 2 for n in self.shape):
             raise GridError("too_few_cells", "need at least 2 cells per axis")
-
-    @property
-    def kind(self) -> str:
-        return "box"
 
     @property
     def h(self) -> tuple[float, float, float]:
@@ -499,50 +497,3 @@ def dirichlet_energy(params: WeightParams, field: DiscreteField,
             total += float(np.sum(grads[tuple(sl_last)] ** 2 * cap_last))
     return total
 
-
-# ---------------------------------------------------------------------------
-# serialization
-
-def save_field(params: WeightParams, field: DiscreteField, path) -> None:
-    grid = field.grid
-    lines = [f"# grid={grid.kind} N={params.N} a={params.a!r} b={params.b!r}"]
-    if isinstance(grid, RadialGrid):
-        lines.append(f"# r_min={grid.r_min!r} r_max={grid.r_max!r} "
-                     f"n_cells={grid.n_cells} spacing={grid.spacing}")
-    else:
-        lo = " ".join(repr(v) for v in grid.lower)
-        hi = " ".join(repr(v) for v in grid.upper)
-        sh = " ".join(str(v) for v in grid.shape)
-        lines.append(f"# lower={lo} upper={hi} shape={sh}")
-    coords = grid.node_coords()
-    for row, val in zip(coords, field.values):
-        cols = [f"{c:.17g}" for c in row] + [f"{val:.17g}"]
-        lines.append(",".join(cols))
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def load_field(path) -> tuple[DiscreteField, dict]:
-    with open(path) as fh:
-        lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
-    head = dict(kv.split("=", 1) for kv in lines[0][1:].split())
-    meta_tokens = lines[1][1:].split()
-    meta: dict = {}
-    key = None
-    for tok in meta_tokens:
-        if "=" in tok:
-            key, val = tok.split("=", 1)
-            meta[key] = [val]
-        else:
-            meta[key].append(tok)
-    meta = {k: v if len(v) > 1 else v[0] for k, v in meta.items()}
-    values = np.array([float(ln.split(",")[-1]) for ln in lines[2:]])
-    if head["grid"] == "radial":
-        grid = RadialGrid(float(meta["r_min"]), float(meta["r_max"]),
-                          int(meta["n_cells"]), meta["spacing"])
-    else:
-        grid = BoxGrid(tuple(float(v) for v in meta["lower"]),
-                       tuple(float(v) for v in meta["upper"]),
-                       tuple(int(v) for v in meta["shape"]))
-    head.update({"a": float(head["a"]), "b": float(head["b"]), "N": int(head["N"])})
-    return DiscreteField(grid=grid, values=values), head

@@ -17,7 +17,6 @@ from .fields import (DiscreteField, RadialGrid, dirichlet_energy, lq_norm,
                      oscillation)
 from .measure import BallSpec, sphere_area, weighted_mean
 from .params import WeightParams
-from .regularity import GrowthProfile, ProfileKind
 from .solver import raw_stiffness
 
 
@@ -123,7 +122,7 @@ def weak_harnack_check(params: WeightParams, field: DiscreteField,
     grid = field.grid
     dist = grid.distance_to(ball.center)
     A = raw_stiffness(params, grid)
-    res = np.asarray(A @ u).ravel()
+    res = A @ u
     scale = max(float(np.abs(u).max()), 1.0) * np.maximum(A.diagonal(), 1e-300)
     check = dist <= 2.0 * ball.radius
     # rows touching the domain edge see a one-sided stencil, and the two
@@ -150,7 +149,7 @@ def weak_harnack_check(params: WeightParams, field: DiscreteField,
 
 
 # ---------------------------------------------------------------------------
-# sup bound and energy decay for harmonic fields
+# sup bound for harmonic fields
 
 def sup_bound_ratio(params: WeightParams, field: DiscreteField,
                     ball: BallSpec, descriptor: str = "") -> RatioSample:
@@ -167,15 +166,6 @@ def sup_bound_ratio(params: WeightParams, field: DiscreteField,
     return RatioSample(lhs=lhs, rhs_core=rhs,
                        ratio=lhs / rhs if rhs > 0 else math.inf,
                        descriptor=descriptor)
-
-
-def energy_decay_profile(params: WeightParams, field: DiscreteField, center,
-                         radii):
-    """Gradient energies over the shrinking ball family (Lemma-style Phi)."""
-    values = [dirichlet_energy(params, field, BallSpec(tuple(center), rho))
-              for rho in radii]
-    return GrowthProfile(center=tuple(center), radii=tuple(float(r) for r in radii),
-                         values=tuple(values), kind=ProfileKind.gradient_energy)
 
 
 # ---------------------------------------------------------------------------

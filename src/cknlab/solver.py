@@ -8,13 +8,16 @@ Two stiffness variants are used:
   quadratic form coincides with `fields.dirichlet_energy` exactly; this
   is what harmonic replacement minimizes.
 * `assemble` uses pure inter-center duals plus half-cell caps coupling to
-  explicit Dirichlet boundary nodes, the standard consistent second-order
-  scheme.  Boundary rows are identity and the couplings are folded
-  symmetrically into the right-hand side, so the matrix stays SPD.
+  the Dirichlet data, the standard consistent second-order scheme.
+  Radial grids have no boundary unknowns: the caps' couplings to the
+  boundary values are folded into the right-hand side.  Box grids impose
+  the data on the outer layer of cells, whose rows become identity rows,
+  with their couplings moved symmetrically to the right-hand side.
 
-Every SPD system goes through `_spd_solve`: a banded Cholesky when the
-matrix is tridiagonal (all radial systems), Jacobi-preconditioned CG
-otherwise (box grids).  A solve that fails raises `SolverError`.
+Every radial operator is a symmetric `Tridiagonal`; box operators are
+CSR.  Every SPD system goes through `_spd_solve`, which picks the method
+by that type: a banded Cholesky for `Tridiagonal`, Jacobi-preconditioned
+CG for CSR.  A solve that fails raises `SolverError`.
 """
 from __future__ import annotations
 
@@ -34,13 +37,38 @@ from .measure import BallSpec, sphere_area
 from .params import WeightParams
 
 
+@dataclass(eq=False)
+class Tridiagonal:
+    """Symmetric tridiagonal matrix: its diagonal and first off-diagonal.
+
+    `A @ x` sums each row in the column order of a CSR matvec
+    (sub-, main, then super-diagonal, starting from 0), so products are
+    bit-identical to those of the equivalent sparse matrix.
+    """
+    diag: np.ndarray
+    off: np.ndarray
+
+    def diagonal(self) -> np.ndarray:
+        return self.diag
+
+    def __matmul__(self, x) -> np.ndarray:
+        x = np.asarray(x, float)
+        y = np.zeros(len(self.diag))
+        y[1:] += self.off * x[:-1]
+        y += self.diag * x
+        y[:-1] += self.off * x[1:]
+        return y
+
+    def principal(self, lo: int, hi: int) -> "Tridiagonal":
+        """The principal submatrix on the rows and columns lo..hi-1."""
+        return Tridiagonal(self.diag[lo:hi], self.off[lo:hi - 1])
+
+
 @dataclass
 class LinearSystem:
-    matrix: sp.csr_matrix
+    matrix: Tridiagonal | sp.csr_matrix
     rhs: np.ndarray
-    boundary_mask: np.ndarray
     grid: object
-    params: WeightParams
 
 
 @dataclass
@@ -53,19 +81,19 @@ class SolveReport:
 # ---------------------------------------------------------------------------
 # stiffness assembly helpers
 
-def _tridiag(T: np.ndarray, n: int, cap_lo: float = 0.0,
-             cap_hi: float = 0.0) -> sp.csr_matrix:
+def _tridiag(T: np.ndarray, cap_lo: float = 0.0,
+             cap_hi: float = 0.0) -> Tridiagonal:
     """Chain stiffness of face transmissibilities T, plus boundary caps
     on the first and last diagonal entries."""
-    diag = np.zeros(n)
+    diag = np.zeros(len(T) + 1)
     diag[:-1] += T
     diag[1:] += T
     diag[-1] += cap_hi
     diag[0] += cap_lo
-    return sp.diags([-T, diag, -T], offsets=[-1, 0, 1], format="csr")
+    return Tridiagonal(diag, -T)
 
 
-def raw_stiffness(params: WeightParams, grid) -> sp.csr_matrix:
+def raw_stiffness(params: WeightParams, grid) -> Tridiagonal | sp.csr_matrix:
     """Symmetric stiffness over all cells, natural (no-flux) at the domain edge.
 
     Its quadratic form u^T A u equals `fields.dirichlet_energy` exactly.
@@ -73,7 +101,7 @@ def raw_stiffness(params: WeightParams, grid) -> sp.csr_matrix:
     if isinstance(grid, RadialGrid):
         w = np.asarray(radial_face_dual_weights(grid, params.N, -2.0 * params.a))
         T = w / np.diff(grid.centers) ** 2
-        return _tridiag(T, grid.n_cells)
+        return _tridiag(T)
     nx, ny, nz = grid.shape
     n = nx * ny * nz
     idx = np.arange(n).reshape(nx, ny, nz)
@@ -103,22 +131,15 @@ def stiffness_quadratic_form(params: WeightParams, grid, values) -> float:
     return float(v @ (A @ v))
 
 
-def _eliminate_dirichlet(A: sp.csr_matrix, rhs: np.ndarray, bidx: np.ndarray,
+def _eliminate_dirichlet(A: sp.csr_matrix, rhs: np.ndarray, mask: np.ndarray,
                          gvals: np.ndarray):
-    """Identity rows/columns at `bidx`; couplings moved to the RHS."""
-    n = A.shape[0]
-    mask = np.zeros(n, dtype=bool)
-    mask[bidx] = True
-    x_b = np.zeros(n)
-    x_b[bidx] = gvals
+    """Identity rows/columns on `mask`; couplings moved to the RHS."""
+    x_b = np.zeros(len(rhs))
+    x_b[mask] = gvals
     rhs = rhs - A @ x_b
-    coo = A.tocoo()
-    keep = ~(mask[coo.row] | mask[coo.col])
-    A2 = sp.coo_matrix((coo.data[keep], (coo.row[keep], coo.col[keep])),
-                       shape=(n, n)).tocsr()
-    A2 = A2 + sp.diags(mask.astype(float))
-    rhs[bidx] = gvals
-    return A2.tocsr(), rhs, mask
+    rhs[mask] = gvals
+    D = sp.diags((~mask).astype(float))
+    return (D @ A @ D + sp.diags(mask.astype(float))).tocsr(), rhs
 
 
 def _cap_transmissibility(params: WeightParams, lo: float, hi: float) -> float:
@@ -137,49 +158,36 @@ def assemble(params: WeightParams, grid, f: DiscreteField | None = None,
 
     Radial grids: `dirichlet` is the value at r_max; `inner` (optional)
     the value at r_min, which requires r_min > 0 (r_min = 0 is always
-    no-flux by symmetry).  Box grids: `dirichlet` is a constant or a
-    callable g(points) imposed on the outer layer of cells.
+    no-flux by symmetry).  The unknowns are the cells alone.  Box grids:
+    `dirichlet` is a constant or a callable g(points) imposed on the outer
+    layer of cells.
     """
     load_w = np.asarray(cell_weights(grid, params.N, -params.bp))
     fvals = np.zeros(grid.n_nodes) if f is None else f.values
+    rhs = load_w * fvals
     if isinstance(grid, RadialGrid):
         if inner is not None and grid.r_min <= 0.0:
             raise GridError("invalid_boundary", "inner Dirichlet needs r_min > 0")
-        n = grid.n_cells
         c = grid.centers
         e = grid.edges
         expo = params.N - 2.0 * params.a
         w_faces = sphere_area(params.N) * _power_antiderivative(
             expo, np.maximum(c[:-1], 1e-300), c[1:])
         T = w_faces / np.diff(c) ** 2
-        # unknowns: the n cells, then the outer (and inner) boundary node;
-        # the caps' couplings to those nodes are eliminated into the rhs,
-        # leaving block-diag(tridiagonal, identity)
-        bvals = [float(dirichlet)]
+        # the half-cell caps couple the end cells to the boundary values
         t_out = _cap_transmissibility(params, c[-1], e[-1])
+        rhs[-1] += t_out * float(dirichlet)
         t_in = 0.0
         if inner is not None:
             t_in = _cap_transmissibility(params, e[0], c[0])
-            bvals.append(float(inner))
-        A = sp.block_diag((_tridiag(T, n, t_in, t_out), sp.identity(len(bvals))),
-                          format="csr")
-        rhs = np.concatenate([load_w * fvals, bvals])
-        rhs[n - 1] += t_out * bvals[0]
-        if inner is not None:
-            rhs[0] += t_in * bvals[1]
-        mask = np.arange(n + len(bvals)) >= n
-        return LinearSystem(matrix=A, rhs=rhs, boundary_mask=mask, grid=grid,
-                            params=params)
-    # box grid: boundary = outer layer of cells
-    A = raw_stiffness(params, grid)
-    rhs = load_w * fvals
-    bidx = np.nonzero(grid.boundary_layer())[0]
-    pts = grid.node_coords()[bidx]
+            rhs[0] += t_in * float(inner)
+        return LinearSystem(matrix=_tridiag(T, t_in, t_out), rhs=rhs, grid=grid)
+    mask = grid.boundary_layer()
+    pts = grid.node_coords()[mask]
     gvals = (np.asarray(dirichlet(pts), float) if callable(dirichlet)
-             else np.full(len(bidx), float(dirichlet)))
-    A2, rhs, mask = _eliminate_dirichlet(A, rhs, bidx, gvals)
-    return LinearSystem(matrix=A2, rhs=rhs, boundary_mask=mask, grid=grid,
-                        params=params)
+             else np.full(len(pts), float(dirichlet)))
+    A, rhs = _eliminate_dirichlet(raw_stiffness(params, grid), rhs, mask, gvals)
+    return LinearSystem(matrix=A, rhs=rhs, grid=grid)
 
 
 # ---------------------------------------------------------------------------
@@ -192,20 +200,20 @@ def _jacobi(A: sp.csr_matrix) -> sp.dia_matrix:
     return sp.diags(1.0 / d)
 
 
-def _spd_solve(A: sp.csr_matrix, b: np.ndarray, x0: np.ndarray | None = None,
-               tol: float = 1e-11, max_iter: int = 100000):
+def _spd_solve(A: Tridiagonal | sp.csr_matrix, b: np.ndarray,
+               x0: np.ndarray | None = None, tol: float = 1e-11,
+               max_iter: int = 100000):
     """Solve the SPD system A x = b; returns (x, CG iterations).
 
-    Tridiagonal A (every radial system) gets a banded Cholesky, O(n) and
-    direct, so `x0`, `tol` and `max_iter` do not apply; anything wider
-    gets Jacobi-preconditioned CG to relative residual `tol`.  Raises
+    A `Tridiagonal` A (every radial system) gets a banded Cholesky, O(n)
+    and direct, so `x0`, `tol` and `max_iter` do not apply; a CSR A gets
+    Jacobi-preconditioned CG to relative residual `tol`.  Raises
     SolverError when A is not positive definite or CG does not converge.
     """
-    coo = A.tocoo()
-    if coo.nnz == 0 or np.max(np.abs(coo.row - coo.col)) <= 1:
-        ab = np.zeros((2, A.shape[0]))
-        ab[0] = A.diagonal()
-        ab[1, :-1] = A.diagonal(-1)
+    if isinstance(A, Tridiagonal):
+        ab = np.zeros((2, len(A.diag)))
+        ab[0] = A.diag
+        ab[1, :-1] = A.off
         try:
             return solveh_banded(ab, b, lower=True), 0
         except LinAlgError as exc:
@@ -232,8 +240,7 @@ def solve(system: LinearSystem, tol: float = 1e-11,
     bnorm = float(np.linalg.norm(b))
     rel = float(np.linalg.norm(b - A @ x)) / (bnorm if bnorm > 0 else 1.0)
     report = SolveReport(iterations=iterations, relative_residual=rel)
-    field = DiscreteField(grid=system.grid, values=x[:system.grid.n_nodes].copy(),
-                          name="solution")
+    field = DiscreteField(grid=system.grid, values=x, name="solution")
     return field, report
 
 
@@ -315,27 +322,22 @@ def residual(params: WeightParams, u: DiscreteField, f: DiscreteField,
     if isinstance(grid, RadialGrid):
         outer_val = float(u.values[-1]) if dirichlet is None else float(dirichlet)
         system = assemble(params, grid, f, dirichlet=outer_val, inner=inner)
-        extra = [outer_val] if inner is None else [outer_val, float(inner)]
-        x = np.concatenate([u.values, extra])
         trace_rows = [grid.n_cells - 1] if inner is None else [grid.n_cells - 1, 0]
     else:
-        trace_rows = []
         system = assemble(params, grid, f, dirichlet=0.0)
-        x = u.values.copy()
+        trace_rows = grid.boundary_layer()
         if dirichlet is None:
-            system.rhs[system.boundary_mask] = x[system.boundary_mask]
+            system.rhs[trace_rows] = u.values[trace_rows]
         else:
-            pts = grid.node_coords()[system.boundary_mask]
-            system.rhs[system.boundary_mask] = (
+            pts = grid.node_coords()[trace_rows]
+            system.rhs[trace_rows] = (
                 np.asarray(dirichlet(pts), float) if callable(dirichlet)
                 else float(dirichlet))
-    r = system.matrix @ x - system.rhs
-    r[system.boundary_mask] = 0.0
+    r = system.matrix @ u.values - system.rhs
     r[trace_rows] = 0.0
     z, _ = _spd_solve(system.matrix, r, tol=tol)
     dual = math.sqrt(max(float(r @ z), 0.0))
-    nodal = DiscreteField(grid=grid, values=r[:grid.n_nodes].copy(),
-                          name="residual")
+    nodal = DiscreteField(grid=grid, values=r, name="residual")
     return ResidualReport(nodal=nodal, dual_norm=dual)
 
 
@@ -354,20 +356,19 @@ def harmonic_replacement(params: WeightParams, u: DiscreteField, ball: BallSpec,
     grid = u.grid
     inside = grid.distance_to(ball.center) <= ball.radius
     A = raw_stiffness(params, grid)
-    coo = A.tocoo()
-    off = (coo.row != coo.col) & (coo.data != 0)
-    nbr, other = coo.row[off], coo.col[off]
-    touches_outside = np.zeros(grid.n_nodes, dtype=bool)
-    touches_outside[nbr[~inside[other]]] = True
-    degree = np.bincount(nbr, minlength=grid.n_nodes)
-    on_edge = degree < 2 * grid.node_coords().shape[1]
-    interior = inside & ~touches_outside & ~on_edge
+    # every off-diagonal entry is negative, so a row sums to nonzero over
+    # the outside nodes exactly when it has an outside neighbour
+    touches_outside = (A @ (~inside).astype(float)) != 0
+    interior = inside & ~touches_outside & ~grid.boundary_layer()
     if interior.sum() < 2:
         raise GridError("ball_too_small",
                         f"only {int(interior.sum())} relaxable nodes in the ball")
     I = np.nonzero(interior)[0]
-    A_II = A[np.ix_(I, I)].tocsr()
-    b = -np.asarray(A[I][:, ~interior] @ u.values[~interior]).ravel()
+    b = -(A @ np.where(interior, 0.0, u.values))[I]
+    if isinstance(A, Tridiagonal):
+        A_II = A.principal(I[0], I[-1] + 1)  # radial: I is one run of cells
+    else:
+        A_II = A[np.ix_(I, I)]
     x, _ = _spd_solve(A_II, b, x0=u.values[I], tol=tol, max_iter=max_iter)
     w = u.values.copy()
     w[I] = x

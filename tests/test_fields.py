@@ -10,9 +10,9 @@ from scipy.integrate import quad
 from cknlab.errors import GridError
 from cknlab.fields import (BoxGrid, DiscreteField, RadialGrid, ball_cell_weights,
                            box_cell_weights, box_face_area_weights,
-                           box_face_dual_weights, dirichlet_energy, load_field,
-                           lq_norm, oscillation, radial_face_dual_weights,
-                           save_field, weighted_integral)
+                           box_face_dual_weights, dirichlet_energy, lq_norm,
+                           oscillation, radial_face_dual_weights,
+                           weighted_integral)
 from cknlab.measure import BallSpec, ball_measure, centered_weight_integral, weighted_mean
 from cknlab.params import INF, validate
 
@@ -157,26 +157,6 @@ def test_weighted_mean_examples():
     assert abs(weighted_mean(P303, lin, BallSpec((0, 0, 0), 0.8))) <= 1e-10
 
 
-def test_csv_roundtrip_radial_and_box(tmp_path):
-    rng = np.random.default_rng(3)
-    grid = RadialGrid(0.1, 2.0, 37, "geometric")
-    f = DiscreteField(grid=grid, values=rng.standard_normal(37), name="probe")
-    p = tmp_path / "f.csv"
-    save_field(P304, f, p)
-    g, head = load_field(p)
-    assert head["a"] == 0.4 and head["N"] == 3
-    assert g.grid == grid
-    assert np.array_equal(g.values, f.values)  # bit-exact
-
-    bg = BoxGrid((-1, 0, 0.25), (1, 2, 0.75), (4, 5, 3))
-    fb = DiscreteField(grid=bg, values=rng.standard_normal(60))
-    pb = tmp_path / "fb.csv"
-    save_field(P300, fb, pb)
-    gb, _ = load_field(pb)
-    assert gb.grid == bg
-    assert np.array_equal(gb.values, fb.values)
-
-
 GRIDS = [RadialGrid(0.1, 2.0, 40),
          BoxGrid((-1.0, -0.5, 0.0), (1.0, 1.5, 1.0), (6, 7, 5))]
 
@@ -207,6 +187,15 @@ def test_interior_mask_keeps_nodes_margin_from_edge(grid):
         want = [bool(np.all(x - lo >= margin) and np.all(hi - x >= margin))
                 for x in coords]
         assert grid.interior_mask(margin).tolist() == want
+
+
+@pytest.mark.parametrize("grid", GRIDS, ids=["radial", "box"])
+def test_boundary_layer_is_the_nodes_missing_a_face_neighbour(grid):
+    shape = (grid.n_cells,) if isinstance(grid, RadialGrid) else grid.shape
+    idx = np.indices(shape).reshape(len(shape), -1)
+    last = np.array(shape)[:, None] - 1
+    neighbours = np.sum((idx > 0).astype(int) + (idx < last), axis=0)
+    assert np.array_equal(grid.boundary_layer(), neighbours < 2 * len(shape))
 
 
 @pytest.mark.parametrize("m", [2, 3, 5])

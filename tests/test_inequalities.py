@@ -7,11 +7,12 @@ from scipy.integrate import quad
 from cknlab.errors import GridError, ParameterError
 from cknlab.fields import BoxGrid, DiscreteField, RadialGrid
 from cknlab.inequalities import (build_test_suite, ckn_ratio,
-                                 ckn_ratio_radial_quad, energy_decay_profile,
+                                 ckn_ratio_radial_quad,
                                  estimate_alpha_h, poincare_ratio,
                                  sup_bound_ratio, weak_harnack_check)
 from cknlab.measure import BallSpec
 from cknlab.params import INF, validate
+from cknlab.regularity import gradient_profile
 from cknlab.solver import dilate_radial
 
 P300 = validate(3, 0.0, 0.0, INF)
@@ -174,7 +175,7 @@ def test_sup_bound_constant_and_linear():
 def test_energy_decay_linear_field_exponent():
     grid = BoxGrid((-1, -1, -1), (1, 1, 1), (32, 32, 32))
     u = DiscreteField.from_function(grid, lambda p: p[:, 0])
-    prof = energy_decay_profile(P300, u, (0, 0, 0), [0.8, 0.6, 0.45, 0.34, 0.25])
+    prof = gradient_profile(P300, u, (0, 0, 0), [0.8, 0.6, 0.45, 0.34, 0.25])
     vals = np.asarray(prof.values)
     assert np.all(np.diff(vals) < 0)  # decreasing radii -> decreasing energy
     slope = np.polyfit(np.log(prof.radii), np.log(vals), 1)[0]
