@@ -185,13 +185,6 @@ class DiscreteField:
         return DiscreteField(grid=self.grid, values=np.array(values, dtype=float),
                              name=self.name if name is None else name)
 
-    def ball_weighted_integral(self, params: WeightParams, ball: BallSpec,
-                               w_exp: float, values=None, of_ones: bool = False) -> float:
-        vals = np.ones(self.grid.n_nodes) if of_ones else (
-            self.values if values is None else np.asarray(values, float).reshape(-1))
-        w = ball_cell_weights(self.grid, params.N, w_exp, ball)
-        return float(vals @ w)
-
 
 # ---------------------------------------------------------------------------
 # weight integrals over cells
@@ -374,12 +367,6 @@ def ball_cell_weights(grid, N: int, w_exp: float, ball: BallSpec) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # whole-domain reductions
-
-def weighted_integral(params: WeightParams, field: DiscreteField, w_exp: float) -> float:
-    """Integral of field * |x|^{w_exp} over the grid domain."""
-    w = cell_weights(field.grid, params.N, w_exp)
-    return float(field.values @ w)
-
 
 def lq_norm(params: WeightParams, field: DiscreteField, q: float,
             w_exp: float | None = None) -> float:

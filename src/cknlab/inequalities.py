@@ -13,8 +13,8 @@ import numpy as np
 from scipy.integrate import quad
 
 from .errors import GridError, ParameterError
-from .fields import (DiscreteField, RadialGrid, dirichlet_energy, lq_norm,
-                     oscillation)
+from .fields import (DiscreteField, RadialGrid, ball_cell_weights,
+                     dirichlet_energy, lq_norm, oscillation)
 from .measure import BallSpec, sphere_area, weighted_mean
 from .params import WeightParams
 from .solver import raw_stiffness
@@ -68,10 +68,9 @@ def ckn_ratio_radial_quad(params: WeightParams, u, du, r_max: float,
 def poincare_ratio(params: WeightParams, field: DiscreteField,
                    ball: BallSpec, descriptor: str = "") -> RatioSample:
     """int_B |u - mean|^2 dmu_a over r^2 * int_B |grad u|^2 dmu_a."""
-    m = weighted_mean(params, field, ball)
-    dev2 = (field.values - m) ** 2
-    lhs = field.ball_weighted_integral(params, ball, -2.0 * params.a,
-                                       values=dev2)
+    w = ball_cell_weights(field.grid, params.N, -2.0 * params.a, ball)
+    m = weighted_mean(field.values, w)
+    lhs = float((field.values - m) ** 2 @ w)
     rhs = ball.radius ** 2 * dirichlet_energy(params, field, ball)
     return RatioSample(lhs=lhs, rhs_core=rhs,
                        ratio=(lhs / rhs if rhs > 0 else 0.0),
@@ -135,11 +134,8 @@ def weak_harnack_check(params: WeightParams, field: DiscreteField,
         worst = float(np.min(res[check] / scale[check]))
         raise ParameterError("not_superharmonic",
                              f"weak residual {worst} below -{superharmonic_tol}")
-    mass = field.ball_weighted_integral(params, ball, -2.0 * params.a,
-                                        of_ones=True)
-    mom = field.ball_weighted_integral(params, ball, -2.0 * params.a,
-                                       values=u ** s_exp)
-    lhs = (mom / mass) ** (1.0 / s_exp)
+    w = ball_cell_weights(grid, params.N, -2.0 * params.a, ball)
+    lhs = weighted_mean(u ** s_exp, w) ** (1.0 / s_exp)
     half = BallSpec(ball.center, 0.5 * ball.radius)
     in_half = dist <= half.radius
     rhs = float(u[in_half].min()) if np.any(in_half) else 0.0
@@ -158,11 +154,8 @@ def sup_bound_ratio(params: WeightParams, field: DiscreteField,
     if not np.any(in_half):
         raise GridError("empty_ball", "no nodes in the half ball")
     lhs = float(np.abs(field.values[in_half]).max())
-    mass = field.ball_weighted_integral(params, ball, -2.0 * params.a,
-                                        of_ones=True)
-    mom = field.ball_weighted_integral(params, ball, -2.0 * params.a,
-                                       values=field.values ** 2)
-    rhs = math.sqrt(mom / mass)
+    w = ball_cell_weights(field.grid, params.N, -2.0 * params.a, ball)
+    rhs = math.sqrt(weighted_mean(field.values ** 2, w))
     return RatioSample(lhs=lhs, rhs_core=rhs,
                        ratio=lhs / rhs if rhs > 0 else math.inf,
                        descriptor=descriptor)

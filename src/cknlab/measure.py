@@ -212,14 +212,15 @@ def doubling_ratio(params: WeightParams, center, r: float, tau: float,
     return big.value / small.value
 
 
-def weighted_mean(params: WeightParams, field, ball: BallSpec) -> float:
-    """Mean of a discrete field over the ball with respect to mu_a.
+def weighted_mean(values: np.ndarray, w: np.ndarray) -> float:
+    """Mean of nodal values over a ball against its cell weights `w`.
 
-    Both numerator and denominator use the field's own cell quadrature so
-    that constants average to themselves exactly.
+    `w` is the ball's `fields.ball_cell_weights` (with w_exp = -2a for
+    mu_a); numerator and denominator share that quadrature, so constants
+    average to themselves exactly.
     """
-    num = field.ball_weighted_integral(params, ball, -2.0 * params.a)
-    den = field.ball_weighted_integral(params, ball, -2.0 * params.a, of_ones=True)
+    num = float(values @ w)
+    den = float(np.ones(len(w)) @ w)
     if den == 0.0:
         raise GridError("ball_outside_domain",
                         "ball does not intersect the field's grid")

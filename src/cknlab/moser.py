@@ -15,6 +15,8 @@ from .measure import BallSpec, ball_weight_integrals, centered_weight_integral
 from .params import WeightParams, moser_ladder
 from .solver import residual as solver_residual
 
+_RESIDUAL_TOL = 1e-3  # dual-residual gate of `run_ladder`, times max(1, sup|u|)
+
 
 @dataclass
 class PotentialSplit:
@@ -94,26 +96,22 @@ def subdomain_lq_norm(params: WeightParams, field: DiscreteField, q: float,
     return float((w[keep] @ np.abs(field.values[keep]) ** q) ** (1.0 / q))
 
 
-def run_ladder(params: WeightParams, u: DiscreteField, K, k_stop: int,
-               margin0: float = 0.1, f: DiscreteField | None = None,
-               residual_tol: float = 1e-3, inner=None,
-               dirichlet=None) -> list[LadderState]:
+def run_ladder(params: WeightParams, u: DiscreteField, K: float, k_stop: int,
+               margin0: float = 0.1) -> list[LadderState]:
     """Track the weighted L^{q_k} norms of u over shrinking subdomains.
 
     First verifies that u solves the discrete equation with right side
-    K|u|^{p-2}u (+ f) up to `residual_tol` in the energy-dual norm, then
+    K|u|^{p-2}u, with u's own trace as Dirichlet data (`solver.residual`),
+    up to `_RESIDUAL_TOL * max(1, sup|u|)` in the energy-dual norm, then
     walks q_k = p^{k+1}/2^k with the linearly growing margin schedule.
     """
-    Kv = K.values if isinstance(K, DiscreteField) else float(K)
-    rhs_vals = Kv * np.abs(u.values) ** (params.p - 2.0) * u.values
-    if f is not None:
-        rhs_vals = rhs_vals + f.values
+    rhs_vals = float(K) * np.abs(u.values) ** (params.p - 2.0) * u.values
     rhs = u.with_values(rhs_vals, name="ladder_rhs")
-    rep = solver_residual(params, u, rhs, inner=inner, dirichlet=dirichlet)
+    rep = solver_residual(params, u, rhs)
     scale = max(1.0, float(np.abs(u.values).max()))
-    if rep.dual_norm > residual_tol * scale:
+    if rep.dual_norm > _RESIDUAL_TOL * scale:
         raise SolverError("residual_too_large",
-                          f"dual residual {rep.dual_norm} > {residual_tol * scale}")
+                          f"dual residual {rep.dual_norm} > {_RESIDUAL_TOL * scale}")
     qs = moser_ladder(params, k_stop)
     states = []
     for k, q in enumerate(qs):
@@ -169,11 +167,6 @@ def lemma_a2_constant(A1: float, A2: float, alpha: float, beta: float,
                              f"{cd!r}") from exc
     return IterationEnvelope(A1=A1, A2=A2, alpha=alpha, beta=beta, gamma=gamma,
                              tau=tau, constant=constant)
-
-
-def centered_doubling_constant(params: WeightParams, tau: float) -> float:
-    """mu_a(B_r(0)) / mu_a(B_{tau r}(0)) = tau^{-(N-2a)} exactly."""
-    return tau ** -(params.N - 2.0 * params.a)
 
 
 class MeasureTable:

@@ -11,7 +11,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GridError, ParameterError
-from .fields import DiscreteField, RadialGrid, dirichlet_energy
+from .fields import (DiscreteField, RadialGrid, ball_cell_weights,
+                     dirichlet_energy)
 from .measure import BallSpec, ball_measure, weighted_mean
 from .params import HolderBound, WeightParams, holder_bound, validate
 
@@ -67,10 +68,9 @@ def campanato_profile(params: WeightParams, field: DiscreteField, center,
     """values[i] = int_{B_ri} |u - mean_{B_ri} u|^2 dmu_a."""
     vals = []
     for ball in _ball_family(center, radii):
-        m = weighted_mean(params, field, ball)
-        dev2 = (field.values - m) ** 2
-        vals.append(field.ball_weighted_integral(params, ball,
-                                                 -2.0 * params.a, values=dev2))
+        w = ball_cell_weights(field.grid, params.N, -2.0 * params.a, ball)
+        m = weighted_mean(field.values, w)
+        vals.append(float((field.values - m) ** 2 @ w))
     return GrowthProfile(center=tuple(center),
                          radii=tuple(float(r) for r in radii),
                          values=tuple(vals), kind=ProfileKind.campanato)
@@ -222,5 +222,6 @@ def mean_value_deviation(params: WeightParams, field: DiscreteField, center,
                          radii):
     """|u_{x,r} - u(x)| per radius; fits the local continuity rate."""
     u_at = field.values[int(np.argmin(field.grid.distance_to(center)))]
-    return [abs(weighted_mean(params, field, BallSpec(tuple(center), float(r)))
-                - u_at) for r in radii]
+    return [abs(weighted_mean(field.values, ball_cell_weights(
+                field.grid, params.N, -2.0 * params.a, ball)) - u_at)
+            for ball in _ball_family(center, radii)]

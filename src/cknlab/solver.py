@@ -15,9 +15,11 @@ Two stiffness variants are used:
   with their couplings moved symmetrically to the right-hand side.
 
 Every radial operator is a symmetric `Tridiagonal`; box operators are
-CSR.  Every SPD system goes through `_spd_solve`, which picks the method
-by that type: a banded Cholesky for `Tridiagonal`, Jacobi-preconditioned
-CG for CSR.  A solve that fails raises `SolverError`.
+CSR.  Every SPD system (solve, residual, harmonic replacement) goes
+through `_spd_solve`, which picks the method by that type: a banded
+Cholesky for `Tridiagonal`, and for CSR Jacobi-preconditioned CG from
+zero under one policy, relative residual `_CG_RTOL` within
+`_CG_MAX_ITER` iterations.  A solve that fails raises `SolverError`.
 """
 from __future__ import annotations
 
@@ -35,6 +37,9 @@ from .fields import (DiscreteField, RadialGrid, _power_antiderivative,
                      radial_face_dual_weights)
 from .measure import BallSpec, sphere_area
 from .params import WeightParams
+
+_CG_RTOL = 1e-11
+_CG_MAX_ITER = 100000
 
 
 @dataclass(eq=False)
@@ -75,7 +80,7 @@ class LinearSystem:
 class SolveReport:
     iterations: int  # CG iterations; 0 for the direct banded solve
     relative_residual: float
-    converged: bool = True
+    converged: bool = True  # always: a failed solve raises SolverError
 
 
 # ---------------------------------------------------------------------------
@@ -200,15 +205,13 @@ def _jacobi(A: sp.csr_matrix) -> sp.dia_matrix:
     return sp.diags(1.0 / d)
 
 
-def _spd_solve(A: Tridiagonal | sp.csr_matrix, b: np.ndarray,
-               x0: np.ndarray | None = None, tol: float = 1e-11,
-               max_iter: int = 100000):
+def _spd_solve(A: Tridiagonal | sp.csr_matrix, b: np.ndarray):
     """Solve the SPD system A x = b; returns (x, CG iterations).
 
     A `Tridiagonal` A (every radial system) gets a banded Cholesky, O(n)
-    and direct, so `x0`, `tol` and `max_iter` do not apply; a CSR A gets
-    Jacobi-preconditioned CG to relative residual `tol`.  Raises
-    SolverError when A is not positive definite or CG does not converge.
+    and direct; a CSR A gets Jacobi-preconditioned CG from zero to
+    relative residual `_CG_RTOL`.  Raises SolverError when A is not
+    positive definite or CG does not converge in `_CG_MAX_ITER` steps.
     """
     if isinstance(A, Tridiagonal):
         ab = np.zeros((2, len(A.diag)))
@@ -224,7 +227,7 @@ def _spd_solve(A: Tridiagonal | sp.csr_matrix, b: np.ndarray,
         nonlocal count
         count += 1
 
-    x, info = cg(A, b, x0=x0, rtol=tol, atol=0.0, maxiter=max_iter,
+    x, info = cg(A, b, rtol=_CG_RTOL, atol=0.0, maxiter=_CG_MAX_ITER,
                  M=_jacobi(A), callback=cb)
     if info != 0:
         raise SolverError("no_convergence",
@@ -232,11 +235,10 @@ def _spd_solve(A: Tridiagonal | sp.csr_matrix, b: np.ndarray,
     return x, count
 
 
-def solve(system: LinearSystem, tol: float = 1e-11,
-          max_iter: int = 100000) -> tuple[DiscreteField, SolveReport]:
+def solve(system: LinearSystem) -> tuple[DiscreteField, SolveReport]:
     """Solve the assembled system through `_spd_solve`; deterministic."""
     A, b = system.matrix, system.rhs
-    x, iterations = _spd_solve(A, b, tol=tol, max_iter=max_iter)
+    x, iterations = _spd_solve(A, b)
     bnorm = float(np.linalg.norm(b))
     rel = float(np.linalg.norm(b - A @ x)) / (bnorm if bnorm > 0 else 1.0)
     report = SolveReport(iterations=iterations, relative_residual=rel)
@@ -308,34 +310,29 @@ class ResidualReport:
     dual_norm: float
 
 
-def residual(params: WeightParams, u: DiscreteField, f: DiscreteField,
-             dirichlet=None, inner=None, tol: float = 1e-9) -> ResidualReport:
+def residual(params: WeightParams, u: DiscreteField,
+             f: DiscreteField) -> ResidualReport:
     """Weak residual A u - rhs of the assembled system at the sampled u.
 
-    Boundary values default to the sampled field's own trace, so the
-    residual isolates the interior equation error; rows coupled to the
-    Dirichlet data (the trace cells on a radial grid) are excluded since
-    their balance mixes in the prescribed trace.  The scalar summary is
-    sqrt(r^T A^{-1} r), the energy-dual norm of the residual functional.
+    The Dirichlet data is u's own trace, so the residual isolates the
+    interior equation error.  The trace rows are excluded, since their
+    balance mixes in the prescribed trace: on a radial grid the last
+    cell, and the first cell when r_min > 0; on a box grid the outer
+    layer of cells.  The scalar summary is sqrt(r^T A^{-1} r), the
+    energy-dual norm of the residual functional.
     """
     grid = u.grid
     if isinstance(grid, RadialGrid):
-        outer_val = float(u.values[-1]) if dirichlet is None else float(dirichlet)
-        system = assemble(params, grid, f, dirichlet=outer_val, inner=inner)
+        inner = u.values[0] if grid.r_min > 0.0 else None
+        system = assemble(params, grid, f, dirichlet=u.values[-1], inner=inner)
         trace_rows = [grid.n_cells - 1] if inner is None else [grid.n_cells - 1, 0]
     else:
-        system = assemble(params, grid, f, dirichlet=0.0)
         trace_rows = grid.boundary_layer()
-        if dirichlet is None:
-            system.rhs[trace_rows] = u.values[trace_rows]
-        else:
-            pts = grid.node_coords()[trace_rows]
-            system.rhs[trace_rows] = (
-                np.asarray(dirichlet(pts), float) if callable(dirichlet)
-                else float(dirichlet))
+        system = assemble(params, grid, f,
+                          dirichlet=lambda pts: u.values[trace_rows])
     r = system.matrix @ u.values - system.rhs
     r[trace_rows] = 0.0
-    z, _ = _spd_solve(system.matrix, r, tol=tol)
+    z, _ = _spd_solve(system.matrix, r)
     dual = math.sqrt(max(float(r @ z), 0.0))
     nodal = DiscreteField(grid=grid, values=r, name="residual")
     return ResidualReport(nodal=nodal, dual_norm=dual)
@@ -344,8 +341,8 @@ def residual(params: WeightParams, u: DiscreteField, f: DiscreteField,
 # ---------------------------------------------------------------------------
 # harmonic replacement
 
-def harmonic_replacement(params: WeightParams, u: DiscreteField, ball: BallSpec,
-                         tol: float = 1e-13, max_iter: int = 100000) -> DiscreteField:
+def harmonic_replacement(params: WeightParams, u: DiscreteField,
+                         ball: BallSpec) -> DiscreteField:
     """Minimize the discrete energy over fields equal to u outside the ball.
 
     Nodes strictly inside the ball that touch neither an outside node nor
@@ -369,7 +366,7 @@ def harmonic_replacement(params: WeightParams, u: DiscreteField, ball: BallSpec,
         A_II = A.principal(I[0], I[-1] + 1)  # radial: I is one run of cells
     else:
         A_II = A[np.ix_(I, I)]
-    x, _ = _spd_solve(A_II, b, x0=u.values[I], tol=tol, max_iter=max_iter)
+    x, _ = _spd_solve(A_II, b)
     w = u.values.copy()
     w[I] = x
     return u.with_values(w, name="harmonic_replacement")

@@ -159,8 +159,7 @@ def test_criterion_05_fundamental_solution_residual():
             grid = RadialGrid(0.25, 2.0, n)
             u = DiscreteField.from_function(grid, lambda r: r ** expo)
             zero = u.with_values(np.zeros(n))
-            rep = residual(params, u, zero, inner=float(0.25 ** expo),
-                           dirichlet=float(2.0 ** expo))
+            rep = residual(params, u, zero)
             norms.append(rep.dual_norm)
         ratios = [n1 / n2 for n1, n2 in zip(norms, norms[1:])]
         ok &= all(r >= 3.3 for r in ratios)
@@ -178,8 +177,7 @@ def test_criterion_06_dilation_symmetry():
         grid = RadialGrid(0.05, 3.0, n)
         uf = DiscreteField.from_function(grid, ul)
         ff = uf.with_values(K * np.abs(uf.values) ** (params.p - 2) * uf.values)
-        rep = residual(params, uf, ff, inner=float(ul(0.05)),
-                       dirichlet=float(ul(3.0)))
+        rep = residual(params, uf, ff)
         norms.append(rep.dual_norm)
     orders = [math.log2(n1 / n2) for n1, n2 in zip(norms, norms[1:])]
     ok = all(o >= 1.8 for o in orders)
@@ -310,8 +308,7 @@ def test_criterion_10_moser_ladder():
     u_fn, K, _, _ = ckn_bubble(params)
     grid = RadialGrid(0.0, 3.0, 2000)
     u = DiscreteField.from_function(grid, u_fn)
-    states = run_ladder(params, u, K, k0_threshold(params) + 2, margin0=0.3,
-                        dirichlet=float(u_fn(3.0)))
+    states = run_ladder(params, u, K, k0_threshold(params) + 2, margin0=0.3)
     ok &= all(math.isfinite(s.norm_q) for s in states)
 
     # interpolation between ladder rungs is log-convex to 1%

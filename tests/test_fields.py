@@ -10,9 +10,8 @@ from scipy.integrate import quad
 from cknlab.errors import GridError
 from cknlab.fields import (BoxGrid, DiscreteField, RadialGrid, ball_cell_weights,
                            box_cell_weights, box_face_area_weights,
-                           box_face_dual_weights, dirichlet_energy, lq_norm,
-                           oscillation, radial_face_dual_weights,
-                           weighted_integral)
+                           box_face_dual_weights, cell_weights, dirichlet_energy,
+                           lq_norm, oscillation, radial_face_dual_weights)
 from cknlab.measure import BallSpec, ball_measure, centered_weight_integral, weighted_mean
 from cknlab.params import INF, validate
 
@@ -28,20 +27,20 @@ def radial_ones(n=256, r_max=1.0, r_min=0.0):
 
 def test_weighted_integral_ones_matches_measure():
     f = radial_ones(128)
-    got = weighted_integral(P303, f, -2 * 0.3)
+    got = f.values @ cell_weights(f.grid, 3, -2 * 0.3)
     want = ball_measure(P303, BallSpec((0.0, 0.0, 0.0), 1.0)).value
     assert got == pytest.approx(want, rel=1e-12)  # telescoping antiderivative
 
 
 def test_weighted_integral_zero_field():
     f = radial_ones(64).with_values(np.zeros(64))
-    assert weighted_integral(P303, f, -0.6) == 0.0
+    assert f.values @ cell_weights(f.grid, 3, -0.6) == 0.0
 
 
 def test_weighted_integral_cancelling_weights():
     grid = RadialGrid(0.0, 1.0, 2000)
     f = DiscreteField.from_function(grid, lambda r: r ** 0.6)
-    got = weighted_integral(P303, f, -0.6)
+    got = f.values @ cell_weights(f.grid, 3, -0.6)
     assert got == pytest.approx(4 * math.pi / 3, rel=1e-5)
 
 
@@ -49,10 +48,11 @@ def test_weighted_integral_linear_in_field():
     grid = RadialGrid(0.0, 1.0, 100)
     u = DiscreteField.from_function(grid, lambda r: np.sin(r))
     v = DiscreteField.from_function(grid, lambda r: np.cos(r))
-    iu = weighted_integral(P303, u, -0.6)
-    iv = weighted_integral(P303, v, -0.6)
+    iu = u.values @ cell_weights(u.grid, 3, -0.6)
+    iv = v.values @ cell_weights(v.grid, 3, -0.6)
     w = u.with_values(2.0 * u.values - 3.0 * v.values)
-    assert weighted_integral(P303, w, -0.6) == pytest.approx(2 * iu - 3 * iv, rel=1e-12)
+    iw = w.values @ cell_weights(w.grid, 3, -0.6)
+    assert iw == pytest.approx(2 * iu - 3 * iv, rel=1e-12)
 
 
 def test_refinement_convergence_second_order():
@@ -63,7 +63,7 @@ def test_refinement_convergence_second_order():
     for n in (64, 128, 256):
         grid = RadialGrid(0.0, 1.0, n)
         f = DiscreteField.from_function(grid, np.cos)
-        errs.append(abs(weighted_integral(P303, f, -0.6) - exact))
+        errs.append(abs(f.values @ cell_weights(f.grid, 3, -0.6) - exact))
     for e1, e2 in zip(errs, errs[1:]):
         assert 3.3 <= e1 / e2 <= 4.7
 
@@ -71,9 +71,10 @@ def test_refinement_convergence_second_order():
 def test_box_integral_volume_and_weighted():
     grid = BoxGrid((-0.5, -0.5, -0.5), (0.5, 0.5, 0.5), (24, 24, 24))
     ones = DiscreteField.from_function(grid, lambda p: np.ones(len(p)))
-    assert weighted_integral(P300, ones, 0.0) == pytest.approx(1.0, rel=1e-12)
+    volume = ones.values @ cell_weights(grid, 3, 0.0)
+    assert volume == pytest.approx(1.0, rel=1e-12)
     # integral of |x|^{-1} over the unit cube, Monte-Carlo oracle
-    got = weighted_integral(P300, ones, -1.0)
+    got = ones.values @ cell_weights(grid, 3, -1.0)
     rng = np.random.default_rng(0)
     pts = rng.uniform(-0.5, 0.5, size=(2_000_000, 3))
     mc = np.mean(1.0 / np.linalg.norm(pts, axis=1))
@@ -84,7 +85,7 @@ def test_box_ball_restricted_integral():
     grid = BoxGrid((-1, -1, -1), (1, 1, 1), (40, 40, 40))
     ones = DiscreteField.from_function(grid, lambda p: np.ones(len(p)))
     ball = BallSpec((0.2, -0.1, 0.3), 0.6)
-    got = ones.ball_weighted_integral(P300, ball, 0.0)
+    got = float(ones.values @ ball_cell_weights(grid, 3, 0.0, ball))
     assert got == pytest.approx(4 * math.pi / 3 * 0.6 ** 3, rel=2e-3)
 
 
@@ -148,13 +149,21 @@ def test_oscillation_empty_ball():
 def test_weighted_mean_examples():
     grid = RadialGrid(0.0, 1.0, 512)
     const = DiscreteField.from_function(grid, lambda r: np.full_like(r, 4.2))
-    assert weighted_mean(P303, const, BallSpec((0.0,), 0.7)) == pytest.approx(4.2, rel=1e-13)
+    w = ball_cell_weights(grid, 3, -0.6, BallSpec((0.0,), 0.7))
+    assert weighted_mean(const.values, w) == pytest.approx(4.2, rel=1e-13)
     sq = DiscreteField.from_function(grid, lambda r: r ** 2)
-    assert weighted_mean(P300, sq, BallSpec((0.0,), 1.0)) == pytest.approx(0.6, rel=1e-4)
+    w = ball_cell_weights(grid, 3, 0.0, BallSpec((0.0,), 1.0))
+    assert weighted_mean(sq.values, w) == pytest.approx(0.6, rel=1e-4)
     # odd function against the radial weight on a centered box ball
     bg = BoxGrid((-1, -1, -1), (1, 1, 1), (32, 32, 32))
     lin = DiscreteField.from_function(bg, lambda p: p[:, 0])
-    assert abs(weighted_mean(P303, lin, BallSpec((0, 0, 0), 0.8))) <= 1e-10
+    w = ball_cell_weights(bg, 3, -0.6, BallSpec((0, 0, 0), 0.8))
+    assert abs(weighted_mean(lin.values, w)) <= 1e-10
+    # a ball that misses the grid has no mean
+    w = ball_cell_weights(bg, 3, -0.6, BallSpec((5.0, 0.0, 0.0), 0.5))
+    with pytest.raises(GridError) as exc:
+        weighted_mean(lin.values, w)
+    assert exc.value.code == "ball_outside_domain"
 
 
 GRIDS = [RadialGrid(0.1, 2.0, 40),

@@ -1,8 +1,11 @@
-"""Source hygiene checks that need no linter: stdlib `ast` only."""
+"""Source hygiene checks that need no linter: stdlib `ast` and `inspect`."""
 import ast
+import inspect
 from pathlib import Path
 
 import pytest
+
+from cknlab import solver
 
 SRC = sorted((Path(__file__).resolve().parent.parent / "src" / "cknlab")
              .glob("*.py"))
@@ -66,3 +69,52 @@ def test_local_relative_imports_detected():
 @pytest.mark.parametrize("path", SRC, ids=[p.name for p in SRC])
 def test_no_function_level_package_imports(path):
     assert local_relative_imports(path.read_text()) == []
+
+
+def cg_call_sites(source: str) -> list[str]:
+    """Enclosing function of every call to scipy's `cg`, under any name a
+    `from scipy.sparse.linalg import cg [as x]` binds or as `<mod>.cg`."""
+    tree = ast.parse(source)
+    names = {alias.asname or alias.name for node in ast.walk(tree)
+             if isinstance(node, ast.ImportFrom)
+             and node.module == "scipy.sparse.linalg"
+             for alias in node.names if alias.name == "cg"}
+    sites = []
+
+    def visit(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = node.name
+        if isinstance(node, ast.Call) and (
+                (isinstance(node.func, ast.Name) and node.func.id in names)
+                or (isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "cg")):
+            sites.append(where)
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    visit(tree, "<module>")
+    return sites
+
+
+def test_cg_call_sites_detected():
+    src = ("from scipy.sparse.linalg import cg as krylov\n"
+           "import scipy.sparse.linalg as spla\n"
+           "def f():\n"
+           "    krylov(A, b)\n"
+           "def g():\n"
+           "    spla.cg(A, b)\n"
+           "spla.cg(A, b)\n")
+    assert cg_call_sites(src) == ["f", "g", "<module>"]
+
+
+def test_cg_is_called_only_in_spd_solve():
+    sites = {(path.name, where) for path in SRC
+             for where in cg_call_sites(path.read_text())}
+    assert sites == {("solver.py", "_spd_solve")}
+
+
+@pytest.mark.parametrize("name", ["_spd_solve", "solve", "residual",
+                                  "harmonic_replacement"])
+def test_solves_take_no_per_call_cg_options(name):
+    params = inspect.signature(getattr(solver, name)).parameters
+    assert not {"tol", "rtol", "max_iter", "maxiter", "x0"} & set(params)

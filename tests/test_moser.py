@@ -8,7 +8,7 @@ from cknlab.errors import ParameterError, SolverError
 from cknlab.fields import DiscreteField, RadialGrid
 from cknlab.measure import centered_weight_integral, sphere_area
 from cknlab import moser
-from cknlab.moser import (MeasureTable, centered_doubling_constant, find_ell,
+from cknlab.moser import (MeasureTable, find_ell,
                           interpolation_gap, lemma_a2_constant,
                           lemma_a2_property_check, run_ladder, smallness_check,
                           subdomain_lq_norm)
@@ -90,8 +90,7 @@ def test_run_ladder_harmonic_k_zero():
     expo = 2 + 2 * a - 3
     u = DiscreteField.from_function(grid, lambda r: r ** expo)
     k_stop = k0_threshold(params) + 2
-    states = run_ladder(params, u, 0.0, k_stop, margin0=0.2,
-                        inner=float(0.25 ** expo), dirichlet=float(2.0 ** expo))
+    states = run_ladder(params, u, 0.0, k_stop, margin0=0.2)
     assert len(states) == k_stop + 1
     assert [s.q_k for s in states] == moser_ladder(params, k_stop)
     assert all(math.isfinite(s.norm_q) for s in states)
@@ -105,8 +104,7 @@ def test_run_ladder_bubble_solution():
     grid = RadialGrid(0.0, 3.0, 2000)
     u = DiscreteField.from_function(grid, u_fn)
     k_stop = k0_threshold(params) + 2
-    states = run_ladder(params, u, K, k_stop, margin0=0.3,
-                        dirichlet=float(u_fn(3.0)))
+    states = run_ladder(params, u, K, k_stop, margin0=0.3)
     assert all(s.norm_q < 1e3 for s in states)
     # cross-check the first ladder norm by 1D quadrature (full-domain margin 0)
     got = subdomain_lq_norm(params, u, params.p, 0.0)
@@ -153,9 +151,14 @@ def test_lemma_a2_constant_overflow_is_a_parameter_error():
 
 
 def test_centered_doubling_constant_exact():
-    assert centered_doubling_constant(P300, 0.5) == pytest.approx(8.0)
+    # centred, mu_a(B_r) / mu_a(B_{tau r}) = tau^{-(N-2a)} at every r
+    t = MeasureTable(P300, (0.0, 0.0, 0.0), 0.01, 2.0)
+    assert t.doubling_constant(0.5) == pytest.approx(8.0, rel=1e-12)
     p = validate(3, 0.4, 0.5, INF)
-    assert centered_doubling_constant(p, 0.5) == pytest.approx(2 ** (3 - 0.8))
+    t = MeasureTable(p, (0.0, 0.0, 0.0), 0.01, 2.0)
+    assert t.doubling_constant(0.5) == pytest.approx(2 ** (3 - 0.8), rel=1e-12)
+    assert np.allclose(t.doubling_constant(np.array([0.25, 0.7])),
+                       np.array([0.25, 0.7]) ** -(3 - 0.8), rtol=1e-12, atol=0)
 
 
 def test_measure_table_centered_and_offcenter():

@@ -6,6 +6,7 @@ import pytest
 import scipy.sparse as sp
 from scipy.sparse.linalg import spsolve
 
+from cknlab import solver
 from cknlab.errors import GridError, ParameterError, SolverError
 from cknlab.fields import BoxGrid, DiscreteField, RadialGrid
 from cknlab.measure import BallSpec
@@ -72,12 +73,13 @@ def test_tridiagonal_matvec_is_bit_equal_to_csr(grid):
         assert np.array_equal(A @ v, csr @ v)
 
 
-def test_spd_solve_failures_raise():
+def test_spd_solve_failures_raise(monkeypatch):
     grid = BoxGrid((-1, -1, -1), (1, 1, 1), (16, 16, 16))
     sys_ = assemble(P335, grid, DiscreteField.from_function(
         grid, lambda p: np.ones(len(p))), dirichlet=0.0)
+    monkeypatch.setattr(solver, "_CG_MAX_ITER", 3)
     with pytest.raises(SolverError) as exc:
-        _spd_solve(sys_.matrix, sys_.rhs, max_iter=3)
+        _spd_solve(sys_.matrix, sys_.rhs)
     assert exc.value.code == "no_convergence"
     indefinite = Tridiagonal(np.array([2.0, -1.0]), np.array([-1.0]))
     with pytest.raises(SolverError) as exc:
@@ -152,7 +154,7 @@ def test_box_solve_exact_for_quadratic():
     grid = BoxGrid((-1, -1, -1), (1, 1, 1), (16, 16, 16))
     f = DiscreteField.from_function(grid, lambda p: np.full(len(p), -6.0))
     g = lambda p: np.sum(p ** 2, axis=1)
-    uh, rep = solve(assemble(P300, grid, f, dirichlet=g), tol=1e-12)
+    uh, rep = solve(assemble(P300, grid, f, dirichlet=g))
     exact = g(grid.node_coords())
     assert rep.converged
     assert np.max(np.abs(uh.values - exact)) < 1e-8
@@ -237,6 +239,24 @@ def test_harmonic_replacement_ball_too_small():
     assert exc.value.code == "ball_too_small"
 
 
+def test_box_residual_takes_boundary_data_from_the_field():
+    # a converged box solve with nonzero Dirichlet data leaves only the CG
+    # stopping error: the trace rows hold u's own values, so interior rows
+    # keep their coupling to the boundary cells
+    grid = BoxGrid((-1, -1, -1), (1, 1, 1), (12, 12, 12))
+    f = DiscreteField.from_function(grid, lambda p: np.ones(len(p)))
+    layer = grid.boundary_layer()
+    for g in (1.0, lambda p: 1.0 + p[:, 0] + 0.5 * p[:, 1]):
+        sys_ = assemble(P335, grid, f, dirichlet=g)
+        uh, _ = solve(sys_)
+        rep = residual(P335, uh, f)
+        assert np.all(rep.nodal.values[layer] == 0.0)
+        # the true residual may trail CG's recurrence residual slightly
+        assert (np.linalg.norm(rep.nodal.values)
+                <= 2 * solver._CG_RTOL * np.linalg.norm(sys_.rhs))
+        assert rep.dual_norm < 1e-8
+
+
 def test_fundamental_solution_residual_decays():
     # u = r^{2+2a-N} solves the homogeneous equation away from 0
     a = 0.3
@@ -247,8 +267,7 @@ def test_fundamental_solution_residual_decays():
         grid = RadialGrid(0.25, 2.0, n)
         u = DiscreteField.from_function(grid, lambda r: r ** expo)
         zero = u.with_values(np.zeros(n))
-        rep = residual(params, u, zero, inner=float(0.25 ** expo),
-                       dirichlet=float(2.0 ** expo))
+        rep = residual(params, u, zero)
         norms.append(rep.dual_norm)
     assert norms[0] / norms[1] > 3.0
     assert norms[1] / norms[2] > 3.0
@@ -286,10 +305,10 @@ def test_bubble_dilation_preserves_equation_residual():
     grid = RadialGrid(0.05, 3.0, n)
     uf = DiscreteField.from_function(grid, ul)
     ff = uf.with_values(K * np.abs(uf.values) ** (params.p - 2) * uf.values)
-    rep = residual(params, uf, ff, inner=float(ul(0.05)), dirichlet=float(ul(3.0)))
+    rep = residual(params, uf, ff)
     # compare against a coarse grid: residual must shrink at 2nd order-ish
     grid_c = RadialGrid(0.05, 3.0, n // 2)
     uc = DiscreteField.from_function(grid_c, ul)
     fc = uc.with_values(K * np.abs(uc.values) ** (params.p - 2) * uc.values)
-    rep_c = residual(params, uc, fc, inner=float(ul(0.05)), dirichlet=float(ul(3.0)))
+    rep_c = residual(params, uc, fc)
     assert rep_c.dual_norm / rep.dual_norm > 3.0
