@@ -10,7 +10,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import GridError, ParameterError
 from .fields import (DiscreteField, RadialGrid, ball_cell_weights,
@@ -53,6 +52,8 @@ def ckn_ratio(params: WeightParams, field: DiscreteField,
 def ckn_ratio_radial_quad(params: WeightParams, u, du, r_max: float,
                           tol: float = 1e-11) -> float:
     """Exact-quadrature CKN ratio for a radial profile with derivative du."""
+    # imported here so that importing the package never loads scipy.integrate
+    from scipy.integrate import quad
     sigma = sphere_area(params.N)
     p, N, a, bp = params.p, params.N, params.a, params.bp
     num = quad(lambda t: sigma * t ** (N - 1 - bp) * abs(u(t)) ** p,

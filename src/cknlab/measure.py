@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.special import betainc
 
 from .errors import GridError, QuadratureError
 from .params import WeightParams
@@ -58,11 +57,28 @@ class MeasureResult:
 
 
 def cap_fraction(N: int, cos_theta: np.ndarray) -> np.ndarray:
-    """Fraction of the unit sphere S^{N-1} within polar angle theta of a pole."""
+    """Fraction of the unit sphere S^{N-1} within polar angle theta of a pole.
+
+    With k = N - 2, s = sin theta, c = cos theta and W_k the integral of
+    sin^k over [0, pi], the fraction G_k = (int_0^theta sin^k) / W_k obeys
+    G_k = G_{k-2} - s^{k-1} c / (k W_k), from G_1 = (1 - c)/2 or
+    G_0 = arccos(c)/pi (S. Li, Asian J. Math. Stat. 4, 2011).  Every term
+    is >= 0 for c <= 0, so the sum runs there and c > 0 is reflected,
+    F(c) = 1 - F(-c): no cancellation near the poles or the equator.
+    """
     c = np.clip(cos_theta, -1.0, 1.0)
-    sin2 = 1.0 - c * c
-    half = 0.5 * betainc((N - 1) / 2.0, 0.5, sin2)
-    return np.where(c >= 0.0, half, 1.0 - half)
+    m = -np.abs(c)
+    s2 = (1.0 - m) * (1.0 + m)
+    k = N - 2
+    if k % 2:
+        g, w, pw = 0.5 * (1.0 - m), 2.0, s2
+    else:
+        g, w, pw = np.arccos(m) / math.pi, math.pi, np.sqrt(s2)
+    for j in range(k % 2 + 2, k + 1, 2):  # pw = s^{j-1}; w: W_{j-2} -> W_j
+        w *= (j - 1) / j
+        g = g - pw * m / (j * w)
+        pw = pw * s2
+    return np.where(c > 0.0, 1.0 - g, g)
 
 
 def _shell_integrand(N: int, w_exp: float, d, rho, t: np.ndarray) -> np.ndarray:
@@ -136,6 +152,25 @@ def centered_weight_integral(N: int, w_exp: float, radius: float) -> float:
         raise QuadratureError("nonintegrable_weight",
                               f"|x|^{w_exp} is not integrable near 0 in R^{N}")
     return sphere_area(N) * radius ** expo / expo
+
+
+def centered_weight_quadrature(N, w_exp, radius) -> np.ndarray:
+    """Integrals of |x|^{w_exp} over B_radius(0), one per entry of the
+    equal-length arrays, by a Gauss-Legendre rule in u = sqrt(t / radius):
+    an independent check of `centered_weight_integral`'s closed form.
+
+    After t = radius u^2 the shell integrand sigma_N t^e (e = N - 1 + w_exp)
+    becomes sigma_N radius^{e+1} 2 u^{2e+1} on [0, 1], smooth enough for
+    e >= 1 that 64 nodes reach round-off (Golub & Welsch, Math. Comp. 23,
+    1969, for the rule).
+    """
+    x, wts = np.polynomial.legendre.leggauss(64)
+    u = 0.5 * (x + 1.0)
+    N = np.asarray(N, int).reshape(-1)
+    e = N - 1 + np.asarray(w_exp, float).reshape(-1)
+    area = np.array([sphere_area(n) for n in N.tolist()])
+    return (area * np.asarray(radius, float).reshape(-1) ** (e + 1.0)
+            * (u ** (2.0 * e[:, None] + 1.0) @ wts))
 
 
 def ball_weight_integrals(N: int, w_exp: float, d, rho,

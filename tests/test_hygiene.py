@@ -1,6 +1,9 @@
 """Source hygiene checks that need no linter: stdlib `ast` and `inspect`."""
 import ast
 import inspect
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -118,3 +121,70 @@ def test_cg_is_called_only_in_spd_solve():
 def test_solves_take_no_per_call_cg_options(name):
     params = inspect.signature(getattr(solver, name)).parameters
     assert not {"tol", "rtol", "max_iter", "maxiter", "x0"} & set(params)
+
+
+def module_level_scipy_imports(source: str) -> list[str]:
+    """scipy modules an import statement outside every function body names
+    (`from scipy import x` counts as `scipy.x`): what importing runs."""
+    found = []
+
+    def visit(node):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            return
+        if isinstance(node, ast.Import):
+            found.extend((node.lineno, alias.name) for alias in node.names
+                         if alias.name.split(".")[0] == "scipy")
+        elif isinstance(node, ast.ImportFrom) and node.module == "scipy":
+            found.extend((node.lineno, f"scipy.{alias.name}")
+                         for alias in node.names)
+        elif (isinstance(node, ast.ImportFrom) and node.module
+              and node.module.startswith("scipy.")):
+            found.append((node.lineno, node.module))
+        for child in ast.iter_child_nodes(node):
+            visit(child)
+
+    visit(ast.parse(source))
+    return [f"line {line}: {mod}" for line, mod in found]
+
+
+def test_module_level_scipy_imports_detected():
+    src = ("import scipy.sparse as sp\n"
+           "from scipy.integrate import quad\n"
+           "from scipy import special\n"
+           "try:\n"
+           "    import scipy\n"
+           "except ImportError:\n"
+           "    pass\n"
+           "import numpy\n"
+           "def f():\n"
+           "    from scipy.optimize import brentq\n")
+    assert module_level_scipy_imports(src) == [
+        "line 1: scipy.sparse", "line 2: scipy.integrate",
+        "line 3: scipy.special", "line 5: scipy"]
+
+
+# the scipy that runs: banded Cholesky, CSR matrices and CG
+SCIPY_AT_IMPORT = {"scipy.linalg", "scipy.sparse", "scipy.sparse.linalg"}
+
+
+@pytest.mark.parametrize("path", SRC, ids=[p.name for p in SRC])
+def test_module_level_scipy_imports_are_solver_modules(path):
+    assert [found for found in module_level_scipy_imports(path.read_text())
+            if found.split(": ")[1] not in SCIPY_AT_IMPORT] == []
+
+
+def test_package_import_skips_integrate_special_optimize():
+    """A fresh interpreter importing the modules a benchmark worker imports
+    loads none of the scipy subpackages that only tests need."""
+    src = str(Path(solver.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys\n"
+         "from cknlab import (cli, fields, inequalities, measure, moser,\n"
+         "                    regularity, solver)\n"
+         "print(*sorted(sys.modules))"],
+        env=env, capture_output=True, text=True, check=True).stdout.split()
+    test_only = {"scipy.integrate", "scipy.special", "scipy.optimize"}
+    assert test_only & set(out) == set()

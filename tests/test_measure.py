@@ -7,7 +7,8 @@ from cknlab import measure
 from cknlab.errors import GridError, QuadratureError
 from cknlab.measure import (BallSpec, MeasureMethod, ball_measure,
                             ball_weight_integral, ball_weight_integrals,
-                            centered_weight_integral, doubling_ratio,
+                            cap_fraction, centered_weight_integral,
+                            centered_weight_quadrature, doubling_ratio,
                             lemma_a1_ratio, lemma_a1_ratios, sphere_area)
 from cknlab.params import INF, epsilon_choice, validate
 
@@ -35,6 +36,44 @@ def test_centered_weighted_ball_against_radial_quadrature():
     oracle = np.trapezoid(4 * math.pi * rho, rho)
     assert res.value == pytest.approx(2 * math.pi, rel=1e-12)
     assert res.value == pytest.approx(oracle, rel=1e-8)
+
+
+def _cap_samples():
+    rng = np.random.default_rng(7)
+    near_pole = rng.uniform(0.0, 1e-4, 40)
+    return np.concatenate([rng.uniform(-1.0, 1.0, 100),
+                           rng.uniform(-1e-4, 1e-4, 40),  # near the equator
+                           [0.0, 1e-9, -1e-12, 1e-300],
+                           1.0 - near_pole, near_pole - 1.0,  # near the poles
+                           [1.0, -1.0, 1.5, -1.5]])  # clipped
+
+
+@pytest.mark.parametrize("N", [3, 4, 5, 6, 7])
+def test_cap_fraction_exact_to_round_off(N):
+    """Against 0.5 I_{1-c^2}((N-1)/2, 1/2) (c >= 0) in 40-digit arithmetic,
+    where 1 - c^2 is exact, and symmetric about the equator."""
+    mp = pytest.importorskip("mpmath")
+    c = _cap_samples()
+    got = cap_fraction(N, c)
+    with mp.workdps(40):
+        for ci, fi in zip(np.clip(c, -1.0, 1.0).tolist(), got.tolist()):
+            x = mp.mpf(ci)
+            half = mp.betainc(mp.mpf(N - 1) / 2, mp.mpf(1) / 2, 0, 1 - x * x,
+                              regularized=True) / 2
+            exact = half if ci >= 0 else 1 - half
+            assert abs(fi - exact) <= 1e-15, ci
+    assert np.max(np.abs(got + cap_fraction(N, -c) - 1.0)) <= 2.0 ** -52
+
+
+def test_shell_quadrature_matches_the_closed_form():
+    for N in range(3, 7):
+        a = np.linspace(-1.5, (N - 2) / 2 - 1e-3, 200)
+        for r in (0.1, 1.0, 2.0):
+            closed = np.array([centered_weight_integral(N, w, r)
+                               for w in (-2 * a).tolist()])
+            quadr = centered_weight_quadrature(np.full(len(a), N), -2 * a,
+                                               np.full(len(a), r))
+            assert np.max(np.abs(quadr - closed) / closed) <= 1e-13
 
 
 def test_offcenter_ball_interval_bounds():
