@@ -147,11 +147,18 @@ def _simpson_refine(N: int, w_exp: float, d: np.ndarray, rho: np.ndarray,
 
 def centered_weight_integral(N: int, w_exp: float, radius: float) -> float:
     """Closed form of the integral of |x|^{w_exp} over B_radius(0)."""
+    return centered_weight_integrals(N, w_exp, [radius])[0]
+
+
+def centered_weight_integrals(N: int, w_exp: float, radii) -> list[float]:
+    """`centered_weight_integral` at each of the Python floats `radii`,
+    sigma_N computed once; each entry is the one-radius value, bit for bit."""
     expo = N + w_exp
     if expo <= 0:
         raise QuadratureError("nonintegrable_weight",
                               f"|x|^{w_exp} is not integrable near 0 in R^{N}")
-    return sphere_area(N) * radius ** expo / expo
+    area = sphere_area(N)
+    return [area * r ** expo / expo for r in radii]
 
 
 def centered_weight_quadrature(N, w_exp, radius) -> np.ndarray:
@@ -188,12 +195,13 @@ def ball_weight_integrals(N: int, w_exp: float, d, rho,
     d = np.asarray(d, float).reshape(-1)
     rho = np.asarray(rho, float).reshape(-1)
     values = np.zeros(len(d))
+    scales = centered_weight_integrals(N, w_exp, (d + rho).tolist())
+    # Inner part of a ball with d < rho covers whole shells: closed form, exact.
+    inner = centered_weight_integrals(N, w_exp, np.maximum(rho - d, 0.0).tolist())
     segs = []  # (ball, lo, hi, scale)
     for i, (di, ri) in enumerate(zip(d.tolist(), rho.tolist())):
-        scale_guess = centered_weight_integral(N, w_exp, di + ri)
         if di < ri:
-            # Inner part of the ball covers whole shells: closed form, exact.
-            values[i] = centered_weight_integral(N, w_exp, ri - di)
+            values[i] = inner[i]
             lo = ri - di
         else:
             lo = di - ri
@@ -206,7 +214,7 @@ def ball_weight_integrals(N: int, w_exp: float, d, rho,
             if lo < t_orth < hi:
                 breaks.append(t_orth)
         breaks.append(hi)
-        segs += [(i, left, right, scale_guess)
+        segs += [(i, left, right, scales[i])
                  for left, right in zip(breaks[:-1], breaks[1:]) if right > left]
     errors = np.zeros(len(d))
     if segs:

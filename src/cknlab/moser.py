@@ -11,7 +11,7 @@ import numpy as np
 
 from .errors import ParameterError, SolverError
 from .fields import DiscreteField, cell_weights
-from .measure import BallSpec, ball_weight_integrals, centered_weight_integral
+from .measure import BallSpec, ball_weight_integrals, centered_weight_integrals
 from .params import WeightParams, moser_ladder
 from .solver import residual as solver_residual
 
@@ -157,16 +157,25 @@ def lemma_a2_constant(A1: float, A2: float, alpha: float, beta: float,
                              f"({alpha}, {gamma}, {beta})")
     if A1 <= 0 or A2 <= 0:
         raise ParameterError("exponent_order_violation", "A1, A2 must be > 0")
-    tau = min(A1 ** (-1.0 / (gamma - alpha)), 0.5)
-    cd = doubling_constant
+    tau = _tau(A1, alpha, gamma)
+    return IterationEnvelope(A1=A1, A2=A2, alpha=alpha, beta=beta, gamma=gamma,
+                             tau=tau, constant=_chain_constant(
+                                 doubling_constant, tau, beta, gamma))
+
+
+def _tau(A1: float, alpha: float, gamma: float) -> float:
+    return min(A1 ** (-1.0 / (gamma - alpha)), 0.5)
+
+
+def _chain_constant(cd: float, tau: float, beta: float, gamma: float) -> float:
+    """max(C_d, C_d^3 / (tau (1 - tau^{beta-gamma}))) on Python floats; an
+    overflowing C_d^3 is a `constant_overflow` error."""
     try:
-        constant = max(cd, cd ** 3 / (tau * (1.0 - tau ** (beta - gamma))))
+        return max(cd, cd ** 3 / (tau * (1.0 - tau ** (beta - gamma))))
     except OverflowError as exc:
         raise ParameterError("constant_overflow",
                              f"C_d^3 overflows for doubling constant "
                              f"{cd!r}") from exc
-    return IterationEnvelope(A1=A1, A2=A2, alpha=alpha, beta=beta, gamma=gamma,
-                             tau=tau, constant=constant)
 
 
 class MeasureTable:
@@ -182,8 +191,8 @@ class MeasureTable:
         self.radii = np.geomspace(r_lo, r_hi, n)
         d = BallSpec(self.center, r_hi).center_norm
         if d == 0.0:
-            self.values = np.array([centered_weight_integral(
-                params.N, -2.0 * params.a, r) for r in self.radii])
+            self.values = np.array(centered_weight_integrals(
+                params.N, -2.0 * params.a, self.radii.tolist()))
         else:
             self.values, _ = ball_weight_integrals(
                 params.N, -2.0 * params.a, np.full(n, d), self.radii, tol=tol)
@@ -213,25 +222,76 @@ class MeasureTable:
         return float(cd) if cd.ndim == 0 else cd
 
 
-def _random_phi(rng: np.random.Generator, radii: np.ndarray) -> np.ndarray:
-    """Nonnegative nondecreasing profile on the radius grid."""
-    style = rng.integers(0, 3)
-    if style == 0:  # power law with noise
-        expo = rng.uniform(0.2, 3.5)
-        base = radii ** expo
-        jitter = np.exp(np.cumsum(rng.normal(0.0, 0.05, size=len(radii))))
-        phi = base * np.maximum.accumulate(jitter * rng.uniform(0.5, 2.0))
-    elif style == 1:  # random increments with plateaus
-        inc = rng.exponential(1.0, size=len(radii))
-        inc[rng.random(len(radii)) < 0.4] = 0.0
-        phi = np.cumsum(inc)
-    else:  # staircase
-        steps = np.maximum.accumulate(
-            rng.uniform(0.0, 1.0, size=len(radii)) *
-            (rng.random(len(radii)) < 0.15))
-        phi = steps * radii ** rng.uniform(0.5, 2.0)
-        phi = np.maximum.accumulate(phi)
-    return phi * rng.uniform(0.1, 10.0)
+def _draw_trials(rng: np.random.Generator, radii: np.ndarray, r_lo: float,
+                 r_hi: float, n_trials: int, n_pairs: int):
+    """Every trial's random numbers, drawn in trial order; returns the kept
+    trials and, one row per kept trial, the profile phi (nonnegative and
+    nondecreasing on `radii`), the split weight w and the check pairs
+    r (log-uniform on [r_lo, r_hi]) and rho (log-uniform on [r_lo, r]).
+
+    A trial draws its style with `integers(0, 3)`, then its profile's
+    numbers and scale; a profile whose shape is all zero (style 1 with no
+    increment left, style 2 with no step; for r_hi > 1e-90 exactly the
+    all-zero profiles) is skipped there, else w, r and rho follow.  The
+    draws, one value or one per radius, with uniforms that follow one
+    another merged into one `random(k)` call:
+    - style 0, power law with noise: exponent, normals (log-jitter, sd
+      0.05), then jitter multiplier, scale, w, r, rho;
+    - style 1, increments with plateaus: exponentials, the uniforms that
+      zero those below 0.4, then scale, w, r, rho;
+    - style 2, staircase: step heights and the uniforms that keep those
+      below 0.15, then exponent, scale, w, r, rho.
+    Uniforms on [lo, hi) are lo + (hi - lo) u.  The profiles are built
+    afterwards, one array pass per style.
+    """
+    n = len(radii)
+    styles = np.empty(n_trials, int)
+    expo0 = np.empty(n_trials)  # style 0's exponent
+    prof = np.empty((n_trials, 2 * n))  # the profile's two arrays
+    # style 0's multiplier or style 2's exponent, scale, w, r, rho
+    u = np.empty((n_trials, 3 + 2 * n_pairs))
+    kept = []
+    for trial in range(n_trials):
+        k = len(kept)
+        style = styles[k] = rng.integers(0, 3)
+        if style == 0:
+            expo0[k] = rng.random()
+            rng.standard_normal(out=prof[k, :n])
+            rng.random(out=u[k])
+        elif style == 1:
+            rng.standard_exponential(out=prof[k, :n])
+            rng.random(out=prof[k, n:])
+            if not prof[k, :n][prof[k, n:] >= 0.4].any():
+                rng.random()  # the scale
+                continue
+            rng.random(out=u[k, 1:])
+        else:
+            rng.random(out=prof[k])
+            if not prof[k, :n][prof[k, n:] < 0.15].any():
+                rng.random(2)  # exponent and scale
+                continue
+            rng.random(out=u[k])
+        kept.append(trial)
+    m = len(kept)
+    styles, expo0, prof, u = styles[:m], expo0[:m], prof[:m], u[:m]
+    phi = np.empty((m, n))
+    s = styles == 0
+    jitter = np.exp(np.cumsum(0.05 * prof[s, :n], axis=1))
+    phi[s] = (radii ** (0.2 + (3.5 - 0.2) * expo0[s, None]) *
+              np.maximum.accumulate(jitter * (0.5 + (2.0 - 0.5) * u[s, :1]),
+                                    axis=1))
+    s = styles == 1
+    phi[s] = np.cumsum(np.where(prof[s, n:] < 0.4, 0.0, prof[s, :n]), axis=1)
+    s = styles == 2
+    steps = np.maximum.accumulate(prof[s, :n] * (prof[s, n:] < 0.15), axis=1)
+    phi[s] = np.maximum.accumulate(
+        steps * radii ** (0.5 + (2.0 - 0.5) * u[s, :1]), axis=1)
+    phi *= 0.1 + (10.0 - 0.1) * u[:, 1:2]
+    w = 0.2 + (0.8 - 0.2) * u[:, 2]
+    lo = math.log(r_lo)
+    r = np.exp(lo + (math.log(r_hi) - lo) * u[:, 3:3 + n_pairs])
+    rho = np.exp(lo + (np.log(r) - lo) * u[:, 3 + n_pairs:])
+    return kept, phi, w, r, rho
 
 
 def _hypothesis_needs(phi: np.ndarray, w: np.ndarray, g: np.ndarray,
@@ -264,10 +324,9 @@ def lemma_a2_property_check(params: WeightParams, alpha: float, beta: float,
     is checked at `n_pairs` random (rho, r) pairs.  Returns counts of
     violations (must be zero) and the worst conclusion margin.
 
-    Every trial's random numbers are drawn first, in trial order (profile,
-    split weight, r, rho; nothing after an all-zero profile, which is
-    skipped).  The trials are then done together: A1 and A2 from running
-    maxima (`_hypothesis_needs`), every doubling constant from one table
+    The trials' random numbers are drawn first (`_draw_trials`).  The
+    trials are then done together: A1 and A2 from running maxima
+    (`_hypothesis_needs`), every doubling constant from one table
     evaluation, the proof constants in trial order (the first overflow
     raises), and the conclusion on (trials x n_pairs) arrays.
     """
@@ -277,51 +336,35 @@ def lemma_a2_property_check(params: WeightParams, alpha: float, beta: float,
     rng = np.random.default_rng(seed)
     table = MeasureTable(params, center, r_lo * 0.25, r_hi)
     radii = np.geomspace(r_lo, r_hi, 80)
-    kept, phi, w, r_chk, rho_chk = [], [], [], [], []
-    for trial in range(n_trials):
-        p = _random_phi(rng, radii)
-        if not (p > 0).any():
-            continue
-        kept.append(trial)
-        phi.append(p)
-        w.append(rng.uniform(0.2, 0.8))
-        r = np.exp(rng.uniform(math.log(r_lo), math.log(r_hi), n_pairs))
-        r_chk.append(r)
-        rho_chk.append(np.exp(rng.uniform(math.log(r_lo), np.log(r))))
-    phi = np.reshape(phi, (-1, len(radii)))
-    r_chk = np.reshape(r_chk, (-1, n_pairs))
-    rho_chk = np.reshape(rho_chk, (-1, n_pairs))
+    kept, phi, w, r_chk, rho_chk = _draw_trials(rng, radii, r_lo, r_hi,
+                                                n_trials, n_pairs)
 
     mu = table(radii)
-    a1_need, a2_need = _hypothesis_needs(phi, np.array(w), mu * radii ** -alpha,
+    a1_need, a2_need = _hypothesis_needs(phi, w, mu * radii ** -alpha,
                                          mu * radii ** -beta)
     A1 = (1.02 * a1_need + 1e-12).tolist()
     A2 = (1.02 * a2_need + 1e-12).tolist()
-    taus = [lemma_a2_constant(a1, a2, alpha, beta, gamma, 1.0).tau
-            for a1, a2 in zip(A1, A2)]
+    taus = [_tau(a1, alpha, gamma) for a1 in A1]
     cds = table.doubling_constant(np.array(taus)).tolist()
-    envs = [lemma_a2_constant(a1, a2, alpha, beta, gamma, cd)
-            for a1, a2, cd in zip(A1, A2, cds)]
+    constants = [_chain_constant(cd, tau, beta, gamma)
+                 for cd, tau in zip(cds, taus)]
 
     # conclusion at the random pairs rho <= r
     pairs = np.stack([rho_chk, r_chk], axis=1)
     lhs, phi_r = np.reshape([np.interp(x, radii, p) for x, p in zip(pairs, phi)],
                             pairs.shape).transpose(1, 0, 2)
     mu_rho = table(rho_chk)
-    constant = np.array([env.constant for env in envs])[:, None]
+    constant = np.array(constants)[:, None]
     rhs = constant * (mu_rho / table(r_chk) * (rho_chk / r_chk) ** -gamma * phi_r
                       + np.array(A2)[:, None] * mu_rho * rho_chk ** -beta)
     margin = rhs - lhs
     bad = np.sum(margin < -1e-9 * np.maximum(rhs, 1.0), axis=1).tolist()
     rel = np.min(margin / np.maximum(rhs, 1e-300), axis=1).tolist()
-    violations = 0
-    worst_margin = math.inf
-    trials = []
-    for k, trial in enumerate(kept):
-        violations += bad[k]
-        worst_margin = min(worst_margin, rel[k])
-        trials.append({"trial": trial, "A1": A1[k], "A2": A2[k],
-                       "tau": envs[k].tau, "constant": envs[k].constant,
-                       "violations": bad[k], "worst_relative_margin": rel[k]})
-    return {"n_trials": n_trials, "violations": violations,
-            "worst_relative_margin": worst_margin, "trials": trials}
+    trials = [{"trial": trial, "A1": A1[k], "A2": A2[k], "tau": taus[k],
+               "constant": constants[k], "violations": bad[k],
+               "worst_relative_margin": rel[k]}
+              for k, trial in enumerate(kept)]
+    # min from inf, in trial order: a nan margin is passed over
+    return {"n_trials": n_trials, "violations": sum(bad),
+            "worst_relative_margin": min([math.inf, *rel]),
+            "trials": trials}

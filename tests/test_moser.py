@@ -206,14 +206,100 @@ def test_running_maxima_match_the_pair_formula():
     radii = np.geomspace(0.02, 1.0, 80)
     table = MeasureTable(P335, (0.6, 0.0, 0.0), 0.005, 1.0)
     mu = table(radii)
-    phi = np.array([moser._random_phi(rng, radii) for _ in range(200)])
+    _, phi, w, _, _ = moser._draw_trials(rng, radii, 0.02, 1.0, 200, 64)
     phi[::7, :25] = 0.0  # zero prefixes besides the staircase profiles'
     phi[3::7, 30:60] = phi[3::7, 30:31]  # long plateaus
     assert np.sum(phi[:, 0] == 0) > 30
-    w = rng.uniform(0.2, 0.8, size=len(phi))
     a1, a2 = moser._hypothesis_needs(phi, w, mu * radii ** -0.7,
                                      mu * radii ** -2.6)
     for k in range(len(phi)):
         want1, want2 = _pair_needs(phi[k], w[k], radii, mu, 0.7, 2.6)
         assert a1[k] == pytest.approx(want1, rel=1e-13)
         assert a2[k] == pytest.approx(want2, rel=1e-13)
+
+
+def _reference_phi(rng, radii):
+    """One profile, drawn call by call as the per-trial loop did."""
+    style = rng.integers(0, 3)
+    if style == 0:  # power law with noise
+        expo = rng.uniform(0.2, 3.5)
+        base = radii ** expo
+        jitter = np.exp(np.cumsum(rng.normal(0.0, 0.05, size=len(radii))))
+        phi = base * np.maximum.accumulate(jitter * rng.uniform(0.5, 2.0))
+    elif style == 1:  # random increments with plateaus
+        inc = rng.exponential(1.0, size=len(radii))
+        inc[rng.random(len(radii)) < 0.4] = 0.0
+        phi = np.cumsum(inc)
+    else:  # staircase
+        steps = np.maximum.accumulate(
+            rng.uniform(0.0, 1.0, size=len(radii)) *
+            (rng.random(len(radii)) < 0.15))
+        phi = steps * radii ** rng.uniform(0.5, 2.0)
+        phi = np.maximum.accumulate(phi)
+    return phi * rng.uniform(0.1, 10.0)
+
+
+def _reference_trials(rng, radii, r_lo, r_hi, n_trials, n_pairs):
+    """The per-trial loop that `_draw_trials` replaced: profile, then (an
+    all-zero profile is skipped) split weight, r and rho."""
+    kept, phi, w, r_chk, rho_chk = [], [], [], [], []
+    for trial in range(n_trials):
+        p = _reference_phi(rng, radii)
+        if not (p > 0).any():
+            continue
+        kept.append(trial)
+        phi.append(p)
+        w.append(rng.uniform(0.2, 0.8))
+        r = np.exp(rng.uniform(math.log(r_lo), math.log(r_hi), n_pairs))
+        r_chk.append(r)
+        rho_chk.append(np.exp(rng.uniform(math.log(r_lo), np.log(r))))
+    return (kept, np.reshape(phi, (-1, len(radii))), np.array(w),
+            np.reshape(r_chk, (-1, n_pairs)), np.reshape(rho_chk, (-1, n_pairs)))
+
+
+def _same_trials(seed, radii, n_trials):
+    """Assert `_draw_trials` gives the reference's trials bit for bit and
+    leaves the stream where the reference does; return the kept trials."""
+    ref_rng, rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    want = _reference_trials(ref_rng, radii, 0.02, 1.0, n_trials, 64)
+    got = moser._draw_trials(rng, radii, 0.02, 1.0, n_trials, 64)
+    assert got[0] == want[0]
+    for g, x in zip(got[1:], want[1:]):
+        assert g.shape == x.shape and g.tobytes() == x.tobytes()
+    assert rng.random() == ref_rng.random()
+    return got[0]
+
+
+@pytest.mark.parametrize("n_radii", [80, 2])
+def test_trial_draws_keep_the_per_trial_stream(n_radii):
+    radii = np.geomspace(0.02, 1.0, n_radii)
+    skipped = sum(60 - len(_same_trials(seed, radii, 60)) for seed in range(24))
+    # with 80 radii an all-zero profile is practically impossible (0.85^80
+    # for a staircase); with 2 radii about 30% of the profiles are skipped
+    assert skipped == 0 if n_radii == 80 else skipped > 300
+
+
+def test_trial_draws_with_no_trial_kept():
+    assert _same_trials(1, np.geomspace(0.02, 1.0, 80), 0) == []
+    # seed 485: all five profiles on a 2-radius grid are all zero
+    assert _same_trials(485, np.geomspace(0.02, 1.0, 2), 5) == []
+    out = lemma_a2_property_check(P335, 0.5, 3.0, 1.5, (0.0, 0.0, 0.0),
+                                  0.02, 1.0, n_trials=0, seed=1)
+    assert out == {"n_trials": 0, "violations": 0,
+                   "worst_relative_margin": math.inf, "trials": []}
+
+
+def test_first_overflowing_trial_raises(monkeypatch):
+    def doubling_constant(self, tau):
+        cd = np.full(len(tau), 1e300)
+        cd[:2] = (10.0, 1e200)
+        return cd
+
+    monkeypatch.setattr(MeasureTable, "doubling_constant", doubling_constant)
+    with pytest.raises(ParameterError) as exc:
+        lemma_a2_property_check(P335, 0.5, 3.0, 1.5, (0.0, 0.0, 0.0),
+                                0.02, 1.0, n_trials=6, seed=3)
+    assert exc.value.code == "constant_overflow"
+    assert str(exc.value) == ("C_d^3 overflows for doubling constant "
+                              "1e+200")
+
