@@ -278,7 +278,7 @@ def exp_lemma_a1_envelope(cfg):
         balls.append(BallSpec(tuple(center), float(rng.uniform(0.05, 1.0))))
     rows = []
     ok = True
-    for ball, out in zip(balls, lemma_a1_ratios(params, balls, eps, tol=1e-8)):
+    for ball, out in zip(balls, lemma_a1_ratios(params, balls, eps)):
         ok &= out["ratio"] <= out["envelope"] * (1 + 1e-6)
         rows.append([float(np.linalg.norm(ball.center)), ball.radius,
                      out["ratio"], out["envelope"]])
@@ -326,6 +326,9 @@ class Experiment:
 
 COMMON_KEYS = ("experiment", "output_dir", "seed", "params.N", "params.a",
                "params.b", "params.s")
+# keys that count levels, cases or trials: 0 would leave a gate nothing to check
+_COUNT_KEYS = ("levels", "n_combos", "n_cases", "n_balls", "n_envelopes",
+               "n_trials")
 _RADIAL = ("grid.r_min", "grid.r_max", "grid.n")
 _GRID = _RADIAL + ("grid.spacing",)
 
@@ -414,6 +417,10 @@ def run(config_path: str, dump_trials: bool = False) -> int:
         if unknown:
             raise UsageError("invalid_config: unknown key "
                              + ", ".join(f"`{k}`" for k in unknown))
+        for key in sorted(set(_COUNT_KEYS) & set(cfg)):
+            if _get(cfg, key, int) < 1:
+                raise UsageError(f"invalid_config: `{key}` must be >= 1, "
+                                 f"got {cfg[key]!r}")
         if exp.randomized and "seed" not in cfg:
             raise UsageError("invalid_config: missing key `seed` "
                              f"(required for randomized experiment {name})")

@@ -18,6 +18,8 @@ from .measure import BallSpec, sphere_area, weighted_mean
 from .params import WeightParams
 from .solver import raw_stiffness
 
+_QUAD_TOL = 1e-11  # epsabs and epsrel of `ckn_ratio_radial_quad`
+
 
 @dataclass
 class RatioSample:
@@ -49,17 +51,16 @@ def ckn_ratio(params: WeightParams, field: DiscreteField,
                        descriptor=descriptor)
 
 
-def ckn_ratio_radial_quad(params: WeightParams, u, du, r_max: float,
-                          tol: float = 1e-11) -> float:
+def ckn_ratio_radial_quad(params: WeightParams, u, du, r_max: float) -> float:
     """Exact-quadrature CKN ratio for a radial profile with derivative du."""
     # imported here so that importing the package never loads scipy.integrate
     from scipy.integrate import quad
     sigma = sphere_area(params.N)
     p, N, a, bp = params.p, params.N, params.a, params.bp
     num = quad(lambda t: sigma * t ** (N - 1 - bp) * abs(u(t)) ** p,
-               0.0, r_max, epsabs=tol, epsrel=tol, limit=400)[0]
+               0.0, r_max, epsabs=_QUAD_TOL, epsrel=_QUAD_TOL, limit=400)[0]
     den = quad(lambda t: sigma * t ** (N - 1 - 2 * a) * du(t) ** 2,
-               0.0, r_max, epsabs=tol, epsrel=tol, limit=400)[0]
+               0.0, r_max, epsabs=_QUAD_TOL, epsrel=_QUAD_TOL, limit=400)[0]
     return num ** (1.0 / p) / math.sqrt(den)
 
 

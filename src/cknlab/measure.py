@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
@@ -42,18 +41,6 @@ class BallSpec:
     @property
     def center_norm(self) -> float:
         return math.sqrt(sum(c * c for c in self.center))
-
-
-class MeasureMethod(Enum):
-    closed_form = "closed_form"
-    quadrature = "quadrature"
-
-
-@dataclass(frozen=True)
-class MeasureResult:
-    value: float
-    method: MeasureMethod
-    est_error: float
 
 
 def cap_fraction(N: int, cos_theta: np.ndarray) -> np.ndarray:
@@ -95,6 +82,8 @@ def _shell_integrand(N: int, w_exp: float, d, rho, t: np.ndarray) -> np.ndarray:
     return np.where(pos, sphere_area(N) * tp ** (N - 1 + w_exp) * frac, 0.0)
 
 
+# Relative accuracy of every off-centre ball integral
+_QUAD_RTOL = 1e-8
 # Simpson panels a segment may double up to before it counts as unconverged
 _MAX_PANELS = 1 << 18
 # Nodes (rows x (n+1)) evaluated at once in a Simpson pass; a larger level
@@ -119,30 +108,28 @@ def _simpson(N: int, w_exp: float, d: np.ndarray, rho: np.ndarray,
 
 
 def _simpson_refine(N: int, w_exp: float, d: np.ndarray, rho: np.ndarray,
-                    lo: np.ndarray, hi: np.ndarray, tol: float,
-                    scale: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+                    lo: np.ndarray, hi: np.ndarray,
+                    scale: np.ndarray) -> np.ndarray:
     """Composite Simpson with doubling on every segment at once; each
-    segment stops on its own Richardson difference, which is also its
-    error estimate, and only unconverged segments go to the next level."""
+    segment stops once its Richardson difference is within `_QUAD_RTOL`,
+    and only unconverged segments go to the next level."""
     value = np.empty(len(lo))
-    err = np.empty(len(lo))
     todo = np.arange(len(lo))
     n = 16
     prev = _simpson(N, w_exp, d, rho, lo, hi, n)
     while todo.size and n <= _MAX_PANELS:
         n *= 2
         cur = _simpson(N, w_exp, d[todo], rho[todo], lo[todo], hi[todo], n)
-        e = np.abs(cur - prev) / 15.0
-        done = e <= tol * np.maximum(scale[todo], np.abs(cur))
+        done = (np.abs(cur - prev) / 15.0
+                <= _QUAD_RTOL * np.maximum(scale[todo], np.abs(cur)))
         value[todo[done]] = cur[done] + (cur[done] - prev[done]) / 15.0
-        err[todo[done]] = e[done]
         todo, prev = todo[~done], cur[~done]
     if todo.size:
         k = todo[0]
         raise QuadratureError("quadrature_nonconvergence",
                               f"Simpson refinement exhausted {_MAX_PANELS} panels "
                               f"on [{float(lo[k])}, {float(hi[k])}]")
-    return value, err
+    return value
 
 
 def centered_weight_integral(N: int, w_exp: float, radius: float) -> float:
@@ -180,18 +167,15 @@ def centered_weight_quadrature(N, w_exp, radius) -> np.ndarray:
             * (u ** (2.0 * e[:, None] + 1.0) @ wts))
 
 
-def ball_weight_integrals(N: int, w_exp: float, d, rho,
-                          tol: float = 1e-10) -> tuple[np.ndarray, np.ndarray]:
+def ball_weight_integrals(N: int, w_exp: float, d, rho) -> np.ndarray:
     """Integrals of |x|^{w_exp} over the balls B_rho(x0), |x0| = d, one per
-    entry of the arrays `d` and `rho`; returns (values, error estimates).
+    entry of the arrays `d` and `rho`.
 
     Shells wholly inside a ball (t < rho - d) have a closed form; the rest
     of [|d - rho|, d + rho] is integrated by `_simpson_refine`, all balls'
     segments in one pass per level.  A ball with d = 0 has no segment and
     gets the closed form.
     """
-    if not tol > 0:
-        raise QuadratureError("invalid_tolerance", f"tol must be > 0, got {tol}")
     d = np.asarray(d, float).reshape(-1)
     rho = np.asarray(rho, float).reshape(-1)
     values = np.zeros(len(d))
@@ -216,43 +200,33 @@ def ball_weight_integrals(N: int, w_exp: float, d, rho,
         breaks.append(hi)
         segs += [(i, left, right, scales[i])
                  for left, right in zip(breaks[:-1], breaks[1:]) if right > left]
-    errors = np.zeros(len(d))
     if segs:
         ball, lo, hi, scale = (np.array(c) for c in zip(*segs))
-        v, e = _simpson_refine(N, w_exp, d[ball], rho[ball], lo, hi, tol, scale)
         # unbuffered and in segment order: the inner shell, then each segment
-        np.add.at(values, ball, v)
-        np.add.at(errors, ball, e)
-    return values, errors
+        np.add.at(values, ball, _simpson_refine(N, w_exp, d[ball], rho[ball],
+                                                lo, hi, scale))
+    return values
 
 
-def ball_weight_integral(N: int, w_exp: float, ball: BallSpec,
-                         tol: float = 1e-10) -> MeasureResult:
+def ball_weight_integral(N: int, w_exp: float, ball: BallSpec) -> float:
     """Integral of |x|^{w_exp} over the ball, closed form when centered."""
-    if not tol > 0:
-        raise QuadratureError("invalid_tolerance", f"tol must be > 0, got {tol}")
     d = ball.center_norm
     if d == 0.0:
-        return MeasureResult(value=centered_weight_integral(N, w_exp, ball.radius),
-                             method=MeasureMethod.closed_form, est_error=0.0)
-    values, errors = ball_weight_integrals(N, w_exp, [d], [ball.radius], tol)
-    return MeasureResult(value=float(values[0]), method=MeasureMethod.quadrature,
-                         est_error=float(errors[0]))
+        return centered_weight_integral(N, w_exp, ball.radius)
+    return float(ball_weight_integrals(N, w_exp, [d], [ball.radius])[0])
 
 
-def ball_measure(params: WeightParams, ball: BallSpec, tol: float = 1e-10) -> MeasureResult:
+def ball_measure(params: WeightParams, ball: BallSpec) -> float:
     """mu_a(B) = integral of |x|^{-2a} over the ball."""
-    return ball_weight_integral(params.N, -2.0 * params.a, ball, tol)
+    return ball_weight_integral(params.N, -2.0 * params.a, ball)
 
 
-def doubling_ratio(params: WeightParams, center, r: float, tau: float,
-                   tol: float = 1e-10) -> float:
+def doubling_ratio(params: WeightParams, center, r: float, tau: float) -> float:
     """mu_a(B(x, r)) / mu_a(B(x, tau r)); one sample of the doubling constant."""
     if not 0.0 < tau < 1.0:
         raise GridError("invalid_tau", f"tau must lie in (0,1), got {tau}")
-    big = ball_measure(params, BallSpec(tuple(center), r), tol)
-    small = ball_measure(params, BallSpec(tuple(center), tau * r), tol)
-    return big.value / small.value
+    return (ball_measure(params, BallSpec(tuple(center), r))
+            / ball_measure(params, BallSpec(tuple(center), tau * r)))
 
 
 def weighted_mean(values: np.ndarray, w: np.ndarray) -> float:
@@ -270,8 +244,7 @@ def weighted_mean(values: np.ndarray, w: np.ndarray) -> float:
     return num / den
 
 
-def lemma_a1_ratio(params: WeightParams, ball: BallSpec, eps: float,
-                   tol: float = 1e-9) -> dict:
+def lemma_a1_ratio(params: WeightParams, ball: BallSpec, eps: float) -> dict:
     """Two-sided comparison of the weight integrals over one ball.
 
     lhs  = (int_B |x|^{-bp})^{2/p + eps}
@@ -279,19 +252,18 @@ def lemma_a1_ratio(params: WeightParams, ball: BallSpec, eps: float,
     The ratio lhs/rhs0 sampled over ball families estimates the comparison
     constant; `envelope` is an explicit analytic upper bound for it.
     """
-    return lemma_a1_ratios(params, [ball], eps, tol)[0]
+    return lemma_a1_ratios(params, [ball], eps)[0]
 
 
-def lemma_a1_ratios(params: WeightParams, balls, eps: float,
-                    tol: float = 1e-9) -> list[dict]:
+def lemma_a1_ratios(params: WeightParams, balls, eps: float) -> list[dict]:
     """`lemma_a1_ratio` for each ball, from one batched quadrature per weight."""
     if not eps > 0:
         raise QuadratureError("invalid_epsilon", f"eps must be > 0, got {eps}")
     N, bp = params.N, params.bp
     d = [ball.center_norm for ball in balls]
     rho = [ball.radius for ball in balls]
-    i_bp, _ = ball_weight_integrals(N, -bp, d, rho, tol)
-    i_2a, _ = ball_weight_integrals(N, -2.0 * params.a, d, rho, tol)
+    i_bp = ball_weight_integrals(N, -bp, d, rho)
+    i_2a = ball_weight_integrals(N, -2.0 * params.a, d, rho)
     out = []
     for di, ri, v_bp, mu in zip(d, rho, i_bp.tolist(), i_2a.tolist()):
         lhs = v_bp ** (2.0 / params.p + eps)

@@ -16,6 +16,7 @@ from .params import WeightParams, moser_ladder
 from .solver import residual as solver_residual
 
 _RESIDUAL_TOL = 1e-3  # dual-residual gate of `run_ladder`, times max(1, sup|u|)
+_TABLE_SIZE = 120  # geometric radii of a `MeasureTable`
 
 
 @dataclass
@@ -179,23 +180,22 @@ def _chain_constant(cd: float, tau: float, beta: float, gamma: float) -> float:
 
 
 class MeasureTable:
-    """mu_a(B_r(x0)) sampled on a geometric radius grid with log-log
+    """mu_a(B_r(x0)) sampled on `_TABLE_SIZE` geometric radii with log-log
     interpolation in between; closed form when centered, else one batched
     shell quadrature over all the radii.  The interpolant at the table
     radii, the numerator of every doubling ratio, is evaluated once."""
 
-    def __init__(self, params: WeightParams, center, r_lo: float, r_hi: float,
-                 n: int = 120, tol: float = 1e-8):
+    def __init__(self, params: WeightParams, center, r_lo: float, r_hi: float):
         self.params = params
         self.center = tuple(center)
-        self.radii = np.geomspace(r_lo, r_hi, n)
+        self.radii = np.geomspace(r_lo, r_hi, _TABLE_SIZE)
         d = BallSpec(self.center, r_hi).center_norm
         if d == 0.0:
             self.values = np.array(centered_weight_integrals(
                 params.N, -2.0 * params.a, self.radii.tolist()))
         else:
-            self.values, _ = ball_weight_integrals(
-                params.N, -2.0 * params.a, np.full(n, d), self.radii, tol=tol)
+            self.values = ball_weight_integrals(
+                params.N, -2.0 * params.a, np.full(_TABLE_SIZE, d), self.radii)
         self._lx = np.log(self.radii)
         self._ly = np.log(self.values)
         self._at_radii = self(self.radii)

@@ -107,7 +107,7 @@ def fit_growth(profile: GrowthProfile, params: WeightParams | None = None,
         if params is None:
             raise ParameterError("missing_params",
                                  "measure_normalized needs weight parameters")
-        mus = np.array([ball_measure(params, b).value
+        mus = np.array([ball_measure(params, b)
                         for b in _ball_family(profile.center, radii)])
         vals = vals / mus
     keep = vals > 0.0

@@ -349,8 +349,7 @@ def test_criterion_11_iteration_lemma_engine():
     for _ in range(1000):
         center = rng.uniform(-1.5, 1.5, size=3)
         rho = float(rng.uniform(0.05, 1.0))
-        out = lemma_a1_ratio(params, BallSpec(tuple(center), rho), eps,
-                             tol=1e-8)
+        out = lemma_a1_ratio(params, BallSpec(tuple(center), rho), eps)
         a1_bad += out["ratio"] > out["envelope"] * (1 + 1e-6)
     elapsed = time.perf_counter() - t0
     ok = violations == 0 and a1_bad == 0 and elapsed < 60.0

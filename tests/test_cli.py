@@ -113,6 +113,26 @@ def test_misspelled_key_exit_1(tmp_path, capsys):
     assert not (tmp_path / "alpha_h_report.csv").exists()
 
 
+COUNT_KEY_EXPERIMENTS = {"levels": "mms_convergence",
+                         "n_combos": "measure_identities",
+                         "n_cases": "harmonic_replacement",
+                         "n_balls": "lemma_a1_envelope",
+                         "n_envelopes": "lemma_a2_property",
+                         "n_trials": "lemma_a2_property"}
+
+
+@pytest.mark.parametrize("value", ["0", "-1"])
+@pytest.mark.parametrize("key", sorted(COUNT_KEY_EXPERIMENTS))
+def test_count_key_below_one_exit_1(tmp_path, capsys, key, value):
+    """A count of 0 would run the experiment's gate on nothing and pass."""
+    name = COUNT_KEY_EXPERIMENTS[key]
+    cfg = write_cfg(tmp_path, name, A335 + f"seed=1\n{key}={value}\n")
+    assert main(["run", cfg]) == 1
+    assert (f"invalid_config: `{key}` must be >= 1, got '{value}'"
+            in capsys.readouterr().err)
+    assert not any(tmp_path.glob("*.csv"))
+
+
 def test_common_keys_accepted_by_non_randomized_experiment(tmp_path):
     cfg = write_cfg(tmp_path, "alpha_h_estimation",
                     "params.N=3\nparams.a=0\nparams.b=0\nparams.s=inf\nseed=7\n")

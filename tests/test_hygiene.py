@@ -1,9 +1,11 @@
 """Source hygiene checks that need no linter: stdlib `ast` and `inspect`."""
 import ast
+import importlib
 import inspect
 import os
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
@@ -116,11 +118,58 @@ def test_cg_is_called_only_in_spd_solve():
     assert sites == {("solver.py", "_spd_solve")}
 
 
+ACCURACY_OPTIONS = {"tol", "rtol", "max_iter", "maxiter", "x0"}
+
+
 @pytest.mark.parametrize("name", ["_spd_solve", "solve", "residual",
                                   "harmonic_replacement"])
 def test_solves_take_no_per_call_cg_options(name):
     params = inspect.signature(getattr(solver, name)).parameters
-    assert not {"tol", "rtol", "max_iter", "maxiter", "x0"} & set(params)
+    assert not ACCURACY_OPTIONS & set(params)
+
+
+def accuracy_options(module) -> list[str]:
+    """`name(option)` for each per-call accuracy option taken by a public
+    function, class constructor or method that `module` defines."""
+    found = []
+
+    def check(name, fn):
+        try:
+            params = inspect.signature(fn).parameters
+        except ValueError:  # a class with a builtin constructor
+            return
+        found.extend(f"{name}({p})" for p in sorted(ACCURACY_OPTIONS & set(params)))
+
+    for name, obj in vars(module).items():
+        if (name.startswith("_")
+                or getattr(obj, "__module__", None) != module.__name__):
+            continue
+        if inspect.isfunction(obj):
+            check(name, obj)
+        elif inspect.isclass(obj):
+            check(name, obj)
+            for meth, fn in vars(obj).items():
+                if inspect.isfunction(fn) and not meth.startswith("_"):
+                    check(f"{name}.{meth}", fn)
+    return found
+
+
+def test_accuracy_options_detected():
+    mod = types.ModuleType("fake")
+    exec("def f(a, tol=1e-8): pass\n"
+         "def _g(x0): pass\n"
+         "class T:\n"
+         "    def __init__(self, n, rtol): pass\n"
+         "    def run(self, maxiter=3): pass\n"
+         "    def _step(self, max_iter): pass\n", mod.__dict__)
+    assert accuracy_options(mod) == ["f(tol)", "T(rtol)", "T.run(maxiter)"]
+
+
+@pytest.mark.parametrize("path", SRC, ids=[p.name for p in SRC])
+def test_public_api_takes_no_per_call_accuracy_options(path):
+    """Solver and quadrature accuracy are module constants, not arguments."""
+    module = importlib.import_module(f"cknlab.{path.stem}")
+    assert accuracy_options(module) == []
 
 
 def module_level_scipy_imports(source: str) -> list[str]:

@@ -166,7 +166,7 @@ def test_measure_table_centered_and_offcenter():
     for r in (0.05, 0.3, 1.1):
         want = centered_weight_integral(3, -0.6, r)
         assert t(r) == pytest.approx(want, rel=1e-3)
-    toff = MeasureTable(P335, (0.7, 0.0, 0.0), 0.05, 1.5, n=60)
+    toff = MeasureTable(P335, (0.7, 0.0, 0.0), 0.05, 1.5)
     assert toff.doubling_constant(0.5) < 100
     vals = toff(np.array([0.1, 0.8]))
     assert np.all(np.isfinite(vals)) and np.all(vals > 0)
@@ -184,7 +184,7 @@ def test_lemma_a2_property_small_runs():
 
 
 def test_measure_table_doubling_constant_takes_an_array_of_tau():
-    t = MeasureTable(P335, (0.7, 0.0, 0.0), 0.05, 1.5, n=60)
+    t = MeasureTable(P335, (0.7, 0.0, 0.0), 0.05, 1.5)
     taus = np.array([0.5, 0.1, 0.013])
     assert t.doubling_constant(taus).tolist() == [t.doubling_constant(x)
                                                   for x in taus.tolist()]
