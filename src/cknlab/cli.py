@@ -10,6 +10,7 @@ import argparse
 import math
 import sys
 from dataclasses import dataclass
+from functools import wraps
 from pathlib import Path
 from typing import Callable
 
@@ -71,6 +72,19 @@ def _get(cfg: dict, key: str, cast=str, default=...):
         raise UsageError(f"invalid_config: bad value for `{key}`: {raw!r}")
 
 
+def _config_values(build):
+    """A grid or weight parameter that the library rejects came from the
+    config, so it is a config error (exit 1), not a scientific failure."""
+    @wraps(build)
+    def checked(cfg: dict):
+        try:
+            return build(cfg)
+        except LabError as exc:
+            raise UsageError(f"invalid_config: {exc.code}: {exc}") from exc
+    return checked
+
+
+@_config_values
 def _params(cfg: dict):
     return validate(_get(cfg, "params.N", int),
                     _get(cfg, "params.a", float),
@@ -78,6 +92,7 @@ def _params(cfg: dict):
                     _get(cfg, "params.s", float, INF))
 
 
+@_config_values
 def _grid(cfg: dict) -> RadialGrid:
     return RadialGrid(_get(cfg, "grid.r_min", float, 0.0),
                       _get(cfg, "grid.r_max", float, 1.0),

@@ -5,7 +5,9 @@ factor) and a 3D tensor box grid.  Values live at cell centers.  Radial
 cell and face weights use the exact antiderivative of t^{N-1+w}; box
 weights use the cell-centroid value, except on cells near the coordinate
 origin, where the weight may be singular: those are refined together, one
-level of 2^d-way splits at a time (see `_refined_weights`).
+level of 2^d-way splits at a time, each level held as its sub-box centres
+and the one size they share (see `_refined_weights`).  Weight tables and
+the box stiffness are memoised on their grid (`_per_grid`).
 """
 from __future__ import annotations
 
@@ -190,8 +192,8 @@ class DiscreteField:
 # weight integrals over cells
 
 def _per_grid(table):
-    """Memoise a weight table in its grid's `__dict__` (as `cached_property`
-    does), so that the table lives exactly as long as the grid."""
+    """Memoise a weight table or operator in its grid's `__dict__` (as
+    `cached_property` does), so that it lives exactly as long as the grid."""
     @wraps(table)
     def cached(grid, *args, **kwargs):
         memo = grid.__dict__.setdefault("_weight_tables", {})
@@ -261,46 +263,52 @@ def _disk_weight(z0: np.ndarray, area: np.ndarray, w_exp: float) -> np.ndarray:
     return math.pi * ((z0 * z0 + rho * rho) ** e2 - (z0 * z0) ** e2) / e2
 
 
-def _refined_weights(lo: np.ndarray, hi: np.ndarray, w_exp: float,
+def _refined_weights(mid: np.ndarray, size: np.ndarray, w_exp: float,
                      z0: np.ndarray | None = None) -> np.ndarray:
-    """Integral of |x|^{w} over each axis box [lo[i], hi[i]] (rows of shape
-    (n, d)); with `z0`, the boxes are d = 2 patches in planes at distances
-    z0[i] from the origin.
+    """Integral of |x|^{w} over each axis box of extent `size` (shape (d,))
+    centred at the rows of `mid` (shape (n, d)); with `z0`, the boxes are
+    d = 2 patches in planes at distances z0[i] from the origin.
 
-    All boxes are refined together, one level at a time: a sub-box farther
-    from 0 than `_ORIGIN_REFINE_FACTOR` diagonals takes its centroid value,
-    the others split into 2^d children.  A sub-box still near 0 after
-    `_MAX_REFINE_DEPTH` levels takes the equal-volume ball (d = 3) or disk
-    (d = 2) integral if its closed box holds the origin's projection, and
+    All boxes are refined together, one level at a time.  Every sub-box of
+    a level has the same extent, which halves from one level to the next,
+    so a level is its sub-box centres plus one size, volume and diagonal.
+    A sub-box farther from 0 than `_ORIGIN_REFINE_FACTOR` diagonals takes
+    its centroid value; the others split into 2^d children at
+    `mid ± size/4`.  Refinement stops when no sub-box is near 0, or after
+    `_MAX_REFINE_DEPTH` levels; a sub-box still near 0 then takes the
+    equal-volume ball (d = 3) or disk (d = 2) integral if its closed box
+    `mid ± size/2` holds the origin's projection, and
     max(dist, diag/4)^w * volume otherwise.
     """
-    n, d = lo.shape
+    n, d = mid.shape
     z = np.zeros(n) if z0 is None else z0
     owner = np.arange(n)
     out = np.zeros(n)
-    bits = np.array(list(itertools.product((False, True), repeat=d)))[:, None, :]
+    offsets = np.array(list(itertools.product((-0.25, 0.25), repeat=d)))[:, None, :]
     for depth in range(_MAX_REFINE_DEPTH + 1):
         if depth:
-            lo, hi = (np.where(bits, mid, lo).reshape(-1, d),
-                      np.where(bits, hi, mid).reshape(-1, d))
+            mid = (mid + offsets * size).reshape(-1, d)
+            size = 0.5 * size
             owner, z = np.tile(owner, 2 ** d), np.tile(z, 2 ** d)
-        mid = 0.5 * (lo + hi)
-        vol = np.prod(hi - lo, axis=1)
-        diag = np.sqrt(np.sum((hi - lo) ** 2, axis=1))
+        vol = float(np.prod(size))
+        diag = math.sqrt(float(np.sum(size * size)))
         dist = np.sqrt(z * z + np.sum(mid * mid, axis=1))
         far = dist > _ORIGIN_REFINE_FACTOR * diag
-        out += np.bincount(owner[far], dist[far] ** w_exp * vol[far], n)
+        out += np.bincount(owner[far], dist[far] ** w_exp * vol, n)
         near = ~far
-        lo, hi, mid, owner, z = lo[near], hi[near], mid[near], owner[near], z[near]
-    vol, diag, dist = vol[near], diag[near], dist[near]
+        mid, owner, z, dist = mid[near], owner[near], z[near], dist[near]
+        if not len(owner):
+            return out
     leaf = np.maximum(dist, 0.25 * diag) ** w_exp * vol
-    at_origin = np.all(lo <= 0.0, axis=1) & np.all(hi >= 0.0, axis=1)
+    at_origin = (np.all(mid - 0.5 * size <= 0.0, axis=1)
+                 & np.all(mid + 0.5 * size >= 0.0, axis=1))
     if w_exp <= -d and np.any(z[at_origin] == 0.0):
         raise GridError("nonintegrable_weight",
                         f"|x|^{w_exp} not integrable at x = 0 in {d}D")
     if np.any(at_origin):
-        leaf[at_origin] = (_ball_equiv_weight(vol[at_origin], w_exp) if z0 is None
-                           else _disk_weight(z[at_origin], vol[at_origin], w_exp))
+        vols = np.full(int(at_origin.sum()), vol)
+        leaf[at_origin] = (_ball_equiv_weight(vols, w_exp) if z0 is None
+                           else _disk_weight(z[at_origin], vols, w_exp))
     return out + np.bincount(owner, leaf, n)
 
 
@@ -314,8 +322,7 @@ def _box_volume_weights(grid: BoxGrid, w_exp: float,
     w = np.where(dist > 0, dist, 1.0) ** w_exp * grid.cell_volume
     if w_exp != 0.0:
         near = dist <= _ORIGIN_REFINE_FACTOR * float(np.linalg.norm(h))
-        lo = centers[near] - 0.5 * h
-        w[near] = _refined_weights(lo, lo + h, w_exp)
+        w[near] = _refined_weights(centers[near], h, w_exp)
     w.setflags(write=False)
     return w
 
@@ -337,7 +344,12 @@ def cell_weights(grid, N: int, w_exp: float) -> np.ndarray:
 # ball-restricted cell weights
 
 def _ball_coverage_fractions(grid: BoxGrid, ball: BallSpec) -> np.ndarray:
-    """Per-cell fraction of the cell inside the ball (4^3 subsample on the rim)."""
+    """Per-cell fraction of the cell inside the ball (4^3 subsample on the rim).
+
+    The subsample is a tensor grid, so its offsets from the ball's centre
+    are formed per axis and only their squares are broadcast to the
+    (n_rim, 4, 4, 4) points, summed in x, y, z order.
+    """
     centers = grid.node_coords()
     h = np.array(grid.h)
     half_diag = 0.5 * float(np.linalg.norm(h))
@@ -348,11 +360,11 @@ def _ball_coverage_fractions(grid: BoxGrid, ball: BallSpec) -> np.ndarray:
     if len(rim):
         m = 4
         offs = (np.arange(m) + 0.5) / m - 0.5
-        ox, oy, oz = np.meshgrid(offs, offs, offs, indexing="ij")
-        sub = np.stack([ox, oy, oz], axis=-1).reshape(-1, 3) * h
-        pts = centers[rim][:, None, :] + sub[None, :, :]
-        inside = np.linalg.norm(pts - np.array(ball.center), axis=2) <= ball.radius
-        frac[rim] = inside.mean(axis=1)
+        sq = [((centers[rim, k, None] + offs * h[k]) - ball.center[k]) ** 2
+              for k in range(3)]
+        r2 = (sq[0][:, :, None, None] + sq[1][:, None, :, None]
+              + sq[2][:, None, None, :])
+        frac[rim] = (np.sqrt(r2) <= ball.radius).reshape(len(rim), -1).mean(axis=1)
     return frac
 
 
@@ -427,8 +439,7 @@ def box_face_area_weights(grid: BoxGrid, w_exp: float, axis: int) -> np.ndarray:
         diag = float(np.linalg.norm(h[tang])) * 2.0
         near = dist <= _ORIGIN_REFINE_FACTOR * diag
         c = centers[near]
-        half = 0.5 * h[tang]
-        w[near] = _refined_weights(c[:, tang] - half, c[:, tang] + half, w_exp,
+        w[near] = _refined_weights(c[:, tang], h[tang], w_exp,
                                    np.abs(c[:, axis]))
     w.setflags(write=False)
     return w

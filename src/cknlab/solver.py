@@ -15,7 +15,9 @@ Two stiffness variants are used:
   with their couplings moved symmetrically to the right-hand side.
 
 Every radial operator is a symmetric `Tridiagonal`; box operators are
-CSR.  Every SPD system (solve, residual, harmonic replacement) goes
+CSR, and the box `raw_stiffness` is built once per grid, straight into
+CSR, and memoised read-only on the grid beside its weight tables.
+Every SPD system (solve, residual, harmonic replacement) goes
 through `_spd_solve`, which picks the method by that type: a banded
 Cholesky for `Tridiagonal`, and for CSR Jacobi-preconditioned CG from
 zero under one policy, relative residual `_CG_RTOL` within
@@ -32,8 +34,8 @@ from scipy.linalg import LinAlgError, solveh_banded
 from scipy.sparse.linalg import cg
 
 from .errors import GridError, ParameterError, SolverError
-from .fields import (DiscreteField, RadialGrid, _power_antiderivative,
-                     box_face_dual_weights, cell_weights,
+from .fields import (BoxGrid, DiscreteField, RadialGrid, _per_grid,
+                     _power_antiderivative, box_face_dual_weights, cell_weights,
                      radial_face_dual_weights)
 from .measure import BallSpec, sphere_area
 from .params import WeightParams
@@ -107,26 +109,49 @@ def raw_stiffness(params: WeightParams, grid) -> Tridiagonal | sp.csr_matrix:
         w = np.asarray(radial_face_dual_weights(grid, params.N, -2.0 * params.a))
         T = w / np.diff(grid.centers) ** 2
         return _tridiag(T)
-    nx, ny, nz = grid.shape
-    n = nx * ny * nz
-    idx = np.arange(n).reshape(nx, ny, nz)
-    rows, cols, vals = [], [], []
-    h = grid.h
+    return _box_stiffness(grid, -2.0 * params.a)
+
+
+@_per_grid
+def _box_stiffness(grid: BoxGrid, w_exp: float) -> sp.csr_matrix:
+    """The box `raw_stiffness`, built once per grid straight into CSR.
+
+    Row r has 7 slots in column order: its neighbours at r - s_0, r - s_1,
+    r - s_2 (s_k the flat stride of axis k), itself, then r + s_2, r + s_1,
+    r + s_0; a slot is stored where its neighbour exists.  The diagonal
+    adds the face transmissibilities axis by axis, the face above the cell
+    before the face below, so it equals the COO assembly's duplicate sum
+    bit for bit.  The arrays are read-only, like the weight tables.
+    """
+    shape = grid.shape
+    n = grid.n_nodes
+    vals = np.zeros((7,) + shape)
+    stored = np.zeros((7,) + shape, dtype=bool)
+    stored[3] = True
     for axis in range(3):
-        w = np.asarray(box_face_dual_weights(grid, -2.0 * params.a, axis))
-        T = (w / h[axis] ** 2).ravel()
-        sl_lo = [slice(None)] * 3
-        sl_hi = [slice(None)] * 3
-        sl_lo[axis] = slice(None, -1)
-        sl_hi[axis] = slice(1, None)
-        i = idx[tuple(sl_lo)].ravel()
-        j = idx[tuple(sl_hi)].ravel()
-        rows += [i, j, i, j]
-        cols += [j, i, i, j]
-        vals += [-T, -T, T, T]
-    return sp.csr_matrix((np.concatenate(vals),
-                          (np.concatenate(rows), np.concatenate(cols))),
-                         shape=(n, n))
+        T = box_face_dual_weights(grid, w_exp, axis) / grid.h[axis] ** 2
+        # the cells with a neighbour above along `axis`, and those below
+        below = tuple(slice(None, -1) if k == axis else slice(None)
+                      for k in range(3))
+        above = tuple(slice(1, None) if k == axis else slice(None)
+                      for k in range(3))
+        vals[3][below] += T
+        vals[3][above] += T
+        vals[6 - axis][below] = -T
+        vals[axis][above] = -T
+        stored[6 - axis][below] = True
+        stored[axis][above] = True
+    strides = [shape[1] * shape[2], shape[2], 1]
+    offsets = np.array([-s for s in strides] + [0] + strides[::-1])
+    stored = stored.reshape(7, n).T
+    cols = np.arange(n)[:, None] + offsets
+    indptr = np.zeros(n + 1, dtype=np.int32)
+    np.cumsum(stored.sum(axis=1), out=indptr[1:])
+    A = sp.csr_matrix((vals.reshape(7, n).T[stored],
+                       cols[stored].astype(np.int32), indptr), shape=(n, n))
+    for arr in (A.data, A.indices, A.indptr):
+        arr.setflags(write=False)
+    return A
 
 
 def stiffness_quadratic_form(params: WeightParams, grid, values) -> float:

@@ -133,6 +133,29 @@ def test_count_key_below_one_exit_1(tmp_path, capsys, key, value):
     assert not any(tmp_path.glob("*.csv"))
 
 
+REJECTED_VALUES = {"grid.n=1": "too_few_cells",
+                   "grid.spacing=foo": "invalid_spacing",
+                   "grid.r_min=-1": "invalid_radial_extent",
+                   "grid.r_max=0": "invalid_radial_extent",
+                   "params.a=0.6": "a_out_of_range",
+                   "params.N=2": "dimension_too_small"}
+
+
+@pytest.mark.parametrize("line", sorted(REJECTED_VALUES))
+def test_rejected_grid_or_params_value_exit_1(tmp_path, capsys, line):
+    """A value that the grid or the weight parameters reject is a config
+    error, not a scientific failure."""
+    key = line.partition("=")[0]
+    base = "".join(f"{kv}\n" for kv in A335.splitlines()
+                   if kv.partition("=")[0] != key)
+    cfg = write_cfg(tmp_path, "harmonic_replacement",
+                    base + f"seed=1\n{line}\n")
+    assert main(["run", cfg]) == 1
+    assert (f"error: invalid_config: {REJECTED_VALUES[line]}: "
+            in capsys.readouterr().err)
+    assert not any(tmp_path.glob("*.csv"))
+
+
 def test_common_keys_accepted_by_non_randomized_experiment(tmp_path):
     cfg = write_cfg(tmp_path, "alpha_h_estimation",
                     "params.N=3\nparams.a=0\nparams.b=0\nparams.s=inf\nseed=7\n")

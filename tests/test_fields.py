@@ -7,13 +7,17 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from cknlab import fields
 from cknlab.errors import GridError
-from cknlab.fields import (BoxGrid, DiscreteField, RadialGrid, ball_cell_weights,
-                           box_cell_weights, box_face_area_weights,
-                           box_face_dual_weights, cell_weights, dirichlet_energy,
-                           lq_norm, oscillation, radial_face_dual_weights)
+from cknlab.fields import (BoxGrid, DiscreteField, RadialGrid,
+                           _ball_coverage_fractions, _refined_weights,
+                           ball_cell_weights, box_cell_weights,
+                           box_face_area_weights, box_face_dual_weights,
+                           cell_weights, dirichlet_energy, lq_norm, oscillation,
+                           radial_face_dual_weights)
 from cknlab.measure import BallSpec, ball_measure, centered_weight_integral, weighted_mean
 from cknlab.params import INF, validate
+from cknlab.solver import raw_stiffness
 
 P300 = validate(3, 0.0, 0.0, INF)
 P303 = validate(3, 0.3, 0.3, INF)
@@ -309,6 +313,75 @@ def test_box_tables_at_zero_exponent_are_exact_measures():
         assert np.all(t[f"area{axis}"] == hs[0] * hs[1])
 
 
+def refined_by_corners(lo, hi, w_exp, z0=None):
+    """The octree with every sub-box carried as its own corner pair, run
+    through all levels: the form that `_refined_weights` replaced."""
+    n, d = lo.shape
+    z = np.zeros(n) if z0 is None else z0
+    owner = np.arange(n)
+    out = np.zeros(n)
+    bits = np.array(list(itertools.product((False, True), repeat=d)))[:, None, :]
+    for depth in range(fields._MAX_REFINE_DEPTH + 1):
+        if depth:
+            lo, hi = (np.where(bits, mid, lo).reshape(-1, d),
+                      np.where(bits, hi, mid).reshape(-1, d))
+            owner, z = np.tile(owner, 2 ** d), np.tile(z, 2 ** d)
+        mid = 0.5 * (lo + hi)
+        vol = np.prod(hi - lo, axis=1)
+        diag = np.sqrt(np.sum((hi - lo) ** 2, axis=1))
+        dist = np.sqrt(z * z + np.sum(mid * mid, axis=1))
+        far = dist > fields._ORIGIN_REFINE_FACTOR * diag
+        out += np.bincount(owner[far], dist[far] ** w_exp * vol[far], n)
+        near = ~far
+        lo, hi, mid, owner, z = lo[near], hi[near], mid[near], owner[near], z[near]
+    vol, diag, dist = vol[near], diag[near], dist[near]
+    leaf = np.maximum(dist, 0.25 * diag) ** w_exp * vol
+    at_origin = np.all(lo <= 0.0, axis=1) & np.all(hi >= 0.0, axis=1)
+    if np.any(at_origin):
+        leaf[at_origin] = (fields._ball_equiv_weight(vol[at_origin], w_exp)
+                           if z0 is None else
+                           fields._disk_weight(z[at_origin], vol[at_origin], w_exp))
+    return out + np.bincount(owner, leaf, n)
+
+
+@pytest.mark.parametrize("w_exp", [-0.6, -15 / 7])
+@pytest.mark.parametrize("grid", [cube(16), cube(17), cube(32),
+                                  BoxGrid((-0.7, -0.9, -0.55), (1.3, 1.1, 1.45),
+                                          (9, 8, 10))],
+                         ids=["cube16", "cube17", "cube32", "9x8x10"])
+def test_octree_levels_match_the_corner_pairs(grid, w_exp):
+    """Centres at one size per level give the corner pairs' integrals:
+    bit for bit where every corner is dyadic, else to round-off."""
+    h = np.array(grid.h)
+    exact = grid.shape[0] in (16, 32)
+
+    def check(got, want):
+        if exact:
+            assert np.array_equal(got, want)
+        else:
+            assert np.allclose(got, want, rtol=1e-13, atol=0)
+
+    c = grid.node_coords()
+    c = c[np.linalg.norm(c, axis=1)
+          <= fields._ORIGIN_REFINE_FACTOR * np.linalg.norm(h)]
+    lo = c - 0.5 * h
+    check(_refined_weights(c, h, w_exp), refined_by_corners(lo, lo + h, w_exp))
+    # face patches orthogonal to axis 0, in planes at distance |x_0|
+    ys, zs = np.meshgrid(grid.axis_centers(1), grid.axis_centers(2),
+                         indexing="ij")
+    f = np.stack([ys.ravel(), zs.ravel()], axis=1)
+    xs = grid.axis_centers(0)
+    for x0 in np.abs(0.5 * (xs[:-1] + xs[1:])):
+        if w_exp <= -2.0 and x0 == 0.0:
+            continue  # not integrable in that plane
+        near = f[np.sqrt(x0 * x0 + np.sum(f * f, axis=1))
+                 <= 2 * fields._ORIGIN_REFINE_FACTOR * np.linalg.norm(h[1:])]
+        z0 = np.full(len(near), x0)
+        lo = near - 0.5 * h[1:]
+        check(_refined_weights(near, h[1:], w_exp, z0),
+              refined_by_corners(lo, lo + h[1:], w_exp, z0))
+
+
 def test_box_tables_reject_nonintegrable_weights():
     grid = cube(4)
     for table in (lambda: box_cell_weights(grid, -3.5),
@@ -335,7 +408,8 @@ def test_radial_ball_weights_reject_nonintegrable_weights():
 
 
 def _all_weight_tables(box: BoxGrid, radial: RadialGrid) -> list:
-    tables = [box_cell_weights(box, -0.6), radial_face_dual_weights(radial, 3, -0.6)]
+    tables = [box_cell_weights(box, -0.6), radial_face_dual_weights(radial, 3, -0.6),
+              raw_stiffness(P303, box)]
     for axis in range(3):
         tables += [box_face_dual_weights(box, -0.6, axis),
                    box_face_area_weights(box, -0.6, axis)]
@@ -358,3 +432,51 @@ def test_weight_tables_are_built_once_per_grid():
     first = _all_weight_tables(box, radial)
     again = _all_weight_tables(box, radial)
     assert all(a is b for a, b in zip(first, again))
+
+
+def test_box_stiffness_is_read_only():
+    A = raw_stiffness(P303, BoxGrid((-1.0,) * 3, (1.0,) * 3, (6,) * 3))
+    for arr in (A.data, A.indices, A.indptr):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = arr[0]
+
+
+# ---------------------------------------------------------------------------
+# rim coverage
+
+
+def coverage_by_points(grid: BoxGrid, ball: BallSpec) -> np.ndarray:
+    """The coverage fractions formed from the (n_rim, 64, 3) subsample
+    points themselves, the formula the per-axis kernel replaced."""
+    centers = grid.node_coords()
+    h = np.array(grid.h)
+    half_diag = 0.5 * float(np.linalg.norm(h))
+    d = grid.distance_to(ball.center)
+    frac = np.zeros(len(centers))
+    frac[d <= ball.radius - half_diag] = 1.0
+    rim = np.nonzero((d > ball.radius - half_diag) & (d < ball.radius + half_diag))[0]
+    offs = (np.arange(4) + 0.5) / 4 - 0.5
+    ox, oy, oz = np.meshgrid(offs, offs, offs, indexing="ij")
+    sub = np.stack([ox, oy, oz], axis=-1).reshape(-1, 3) * h
+    pts = centers[rim][:, None, :] + sub[None, :, :]
+    inside = np.linalg.norm(pts - np.array(ball.center), axis=2) <= ball.radius
+    frac[rim] = inside.mean(axis=1)
+    return frac
+
+
+COVERAGE_BALLS = [BallSpec((0.0, 0.0, 0.0), 0.8),     # centred
+                  BallSpec((0.0, 0.0, 0.0), 0.288),
+                  BallSpec((0.2, 0.1, 0.0), 0.5),     # off-centre
+                  BallSpec((0.33, -0.17, 0.41), 0.37),
+                  BallSpec((0.9, -0.8, 0.7), 0.6),    # crossing the box edge
+                  BallSpec((-1.0, 0.3, 0.2), 0.4)]
+
+
+@pytest.mark.parametrize("grid", [cube(32), BoxGrid((-0.7, -0.9, -0.55),
+                                                    (1.3, 1.1, 1.45), (9, 8, 10))],
+                         ids=["cube32", "9x8x10"])
+def test_coverage_fractions_equal_the_pointwise_formula(grid):
+    for ball in COVERAGE_BALLS:
+        frac = _ball_coverage_fractions(grid, ball)
+        assert np.array_equal(frac, coverage_by_points(grid, ball)), ball
+        assert 0.0 < frac.sum() and np.any((0.0 < frac) & (frac < 1.0)), ball

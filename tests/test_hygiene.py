@@ -76,6 +76,47 @@ def test_no_function_level_package_imports(path):
     assert local_relative_imports(path.read_text()) == []
 
 
+MEMO_DECORATORS = {"lru_cache", "cache"}
+
+
+def functools_memos(source: str) -> list[str]:
+    """Every use of `functools.lru_cache` or `functools.cache`, imported by
+    name (under any alias) or read as an attribute of `functools`."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.module == "functools":
+            found += [(node.lineno, f"functools.{alias.name}")
+                      for alias in node.names if alias.name in MEMO_DECORATORS]
+        elif (isinstance(node, ast.Attribute) and node.attr in MEMO_DECORATORS
+              and isinstance(node.value, ast.Name)
+              and node.value.id == "functools"):
+            found.append((node.lineno, f"functools.{node.attr}"))
+    return [f"line {line}: {name}" for line, name in sorted(found)]
+
+
+def test_functools_memos_detected():
+    src = ("import functools\n"
+           "from functools import cached_property, lru_cache as memo\n"
+           "from functools import cache, wraps\n"
+           "@functools.lru_cache(maxsize=None)\n"
+           "def f(x): pass\n"
+           "@functools.cache\n"
+           "def g(x): pass\n"
+           "h = functools.partial(f, 1)\n")
+    assert functools_memos(src) == ["line 2: functools.lru_cache",
+                                    "line 3: functools.cache",
+                                    "line 4: functools.lru_cache",
+                                    "line 6: functools.cache"]
+
+
+@pytest.mark.parametrize("path", SRC, ids=[p.name for p in SRC])
+def test_no_functools_memos(path):
+    """Tables and operators are memoised by `fields._per_grid`, on the grid
+    they belong to, so that they die with it; a module-level memo holds
+    every grid it was called with, and its tables, alive."""
+    assert functools_memos(path.read_text()) == []
+
+
 def cg_call_sites(source: str) -> list[str]:
     """Enclosing function of every call to scipy's `cg`, under any name a
     `from scipy.sparse.linalg import cg [as x]` binds or as `<mod>.cg`."""

@@ -8,10 +8,11 @@ from scipy.sparse.linalg import spsolve
 
 from cknlab import solver
 from cknlab.errors import GridError, ParameterError, SolverError
-from cknlab.fields import BoxGrid, DiscreteField, RadialGrid
+from cknlab.fields import BoxGrid, DiscreteField, RadialGrid, box_face_dual_weights
 from cknlab.measure import BallSpec
 from cknlab.params import INF, validate
-from cknlab.solver import (Tridiagonal, _spd_solve, assemble, ckn_bubble,
+from cknlab.solver import (Tridiagonal, _eliminate_dirichlet, _spd_solve,
+                           assemble, ckn_bubble,
                            dilate_radial, exact_radial_mms, harmonic_replacement,
                            raw_stiffness, residual, solve,
                            stiffness_quadratic_form)
@@ -312,3 +313,50 @@ def test_bubble_dilation_preserves_equation_residual():
     fc = uc.with_values(K * np.abs(uc.values) ** (params.p - 2) * uc.values)
     rep_c = residual(params, uc, fc)
     assert rep_c.dual_norm / rep.dual_norm > 3.0
+
+
+def coo_stiffness(grid: BoxGrid, w_exp: float) -> sp.csr_matrix:
+    """The box raw stiffness assembled as COO triplets, each face adding
+    -T, -T, T, T at (i, j), (j, i), (i, i), (j, j); the conversion to CSR
+    sums the duplicates."""
+    n = grid.n_nodes
+    idx = np.arange(n).reshape(grid.shape)
+    rows, cols, vals = [], [], []
+    for axis in range(3):
+        T = (np.asarray(box_face_dual_weights(grid, w_exp, axis))
+             / grid.h[axis] ** 2).ravel()
+        i = np.delete(idx, -1, axis=axis).ravel()
+        j = np.delete(idx, 0, axis=axis).ravel()
+        rows += [i, j, i, j]
+        cols += [j, i, i, j]
+        vals += [-T, -T, T, T]
+    return sp.csr_matrix((np.concatenate(vals),
+                          (np.concatenate(rows), np.concatenate(cols))),
+                         shape=(n, n))
+
+
+@pytest.mark.parametrize("grid", [BoxGrid((-1.0,) * 3, (1.0,) * 3, (16,) * 3),
+                                  BoxGrid((-0.7, -0.9, -0.55), (1.3, 1.1, 1.45),
+                                          (9, 8, 10))],
+                         ids=["cube16", "9x8x10"])
+def test_box_stiffness_equals_the_coo_assembly(grid):
+    A = raw_stiffness(P335, grid)
+    ref = coo_stiffness(grid, -2.0 * P335.a)
+    assert A is raw_stiffness(P335, grid)
+    for got, want in ((A.indptr, ref.indptr), (A.indices, ref.indices),
+                      (A.data, ref.data)):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+def test_read_only_box_stiffness_serves_every_solve_path():
+    grid = BoxGrid((-1.0,) * 3, (1.0,) * 3, (8,) * 3)
+    A = raw_stiffness(P335, grid)
+    data = A.data.copy()
+    mask = grid.boundary_layer()
+    K, rhs = _eliminate_dirichlet(A, np.ones(grid.n_nodes), mask,
+                                  np.zeros(int(mask.sum())))
+    x, iterations = _spd_solve(K, rhs)
+    assert iterations > 0 and np.linalg.norm(K @ x - rhs) <= 1e-10 * np.linalg.norm(rhs)
+    I = np.nonzero(~mask)[0]
+    assert np.array_equal(A[np.ix_(I, I)].toarray(), A.toarray()[np.ix_(I, I)])
+    assert not A.data.flags.writeable and np.array_equal(A.data, data)
