@@ -9,8 +9,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import dataclass
-from functools import wraps
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable
 
@@ -58,58 +57,16 @@ def parse_config(path: str) -> dict:
     return cfg
 
 
-def _get(cfg: dict, key: str, cast=str, default=...):
-    if key not in cfg:
-        if default is ...:
-            raise UsageError(f"invalid_config: missing key `{key}`")
-        return default
-    raw = cfg[key]
-    try:
-        if cast is float and raw.lower() in ("inf", "infinity"):
-            return INF
-        return cast(raw)
-    except ValueError:
-        raise UsageError(f"invalid_config: bad value for `{key}`: {raw!r}")
-
-
-def _config_values(build):
-    """A grid or weight parameter that the library rejects came from the
-    config, so it is a config error (exit 1), not a scientific failure."""
-    @wraps(build)
-    def checked(cfg: dict):
-        try:
-            return build(cfg)
-        except LabError as exc:
-            raise UsageError(f"invalid_config: {exc.code}: {exc}") from exc
-    return checked
-
-
-@_config_values
-def _params(cfg: dict):
-    return validate(_get(cfg, "params.N", int),
-                    _get(cfg, "params.a", float),
-                    _get(cfg, "params.b", float),
-                    _get(cfg, "params.s", float, INF))
-
-
-@_config_values
-def _grid(cfg: dict) -> RadialGrid:
-    return RadialGrid(_get(cfg, "grid.r_min", float, 0.0),
-                      _get(cfg, "grid.r_max", float, 1.0),
-                      _get(cfg, "grid.n", int, 512),
-                      _get(cfg, "grid.spacing", str, "uniform"))
-
-
 # ---------------------------------------------------------------------------
-# experiments; each returns (passed, {report file: rows}), a row being a
-# list of raw values that `run` formats and writes
+# experiments; each takes the typed config (`_typed_config`) and returns
+# (passed, {report file: rows}), a row being a list of raw values that `run`
+# formats and writes
 
 def exp_measure_identities(cfg):
-    seed = _get(cfg, "seed", int)
-    rng = np.random.default_rng(seed)
-    tol = _get(cfg, "tol", float, 1e-8)
+    rng = np.random.default_rng(cfg["seed"])
+    tol = cfg["tol"]
     combos = []
-    for _ in range(_get(cfg, "n_combos", int, 100)):
+    for _ in range(cfg["n_combos"]):
         N = int(rng.integers(3, 7))
         a = float(rng.uniform(-1.5, (N - 2) / 2 - 1e-3))
         combos.append((N, a, float(rng.uniform(0.1, 2.0))))
@@ -129,19 +86,15 @@ def exp_measure_identities(cfg):
 
 
 def exp_mms_convergence(cfg):
-    params = _params(cfg)
-    gamma = _get(cfg, "mms.gamma", float, 0.0)
-    levels = _get(cfg, "levels", int, 4)
-    n0 = _get(cfg, "grid.n", int, 256)
-    r_min = _get(cfg, "grid.r_min", float, 0.0)
-    r_max = _get(cfg, "grid.r_max", float, 1.0)
-    u_exact, f_exact = exact_radial_mms(params, gamma, r_max)
+    params, coarse = cfg["params"], cfg["grid"]
+    r_min, r_max = coarse.r_min, coarse.r_max
+    u_exact, f_exact = exact_radial_mms(params, cfg["mms.gamma"], r_max)
     rows = []
     errs = []
     ok = True
-    for lev in range(levels + 1):
-        n = n0 * 2 ** lev
-        grid = RadialGrid(r_min, r_max, n)
+    for lev in range(cfg["levels"] + 1):
+        n = coarse.n_cells * 2 ** lev
+        grid = replace(coarse, n_cells=n)
         f = DiscreteField.from_function(grid, f_exact)
         inner = float(u_exact(r_min)) if r_min > 0 else None
         uh, _ = solve(assemble(params, grid, f, dirichlet=0.0, inner=inner))
@@ -155,15 +108,12 @@ def exp_mms_convergence(cfg):
 
 
 def exp_harmonic_replacement(cfg):
-    params = _params(cfg)
-    seed = _get(cfg, "seed", int)
-    grid = _grid(cfg)
-    rng = np.random.default_rng(seed)
-    n_cases = _get(cfg, "n_cases", int, 50)
+    params, grid = cfg["params"], cfg["grid"]
+    rng = np.random.default_rng(cfg["seed"])
     A = raw_stiffness(params, grid)
     rows = []
     ok = True
-    for i in range(n_cases):
+    for i in range(cfg["n_cases"]):
         vals = np.cumsum(rng.standard_normal(grid.n_cells)) * 0.02
         u = DiscreteField(grid=grid, values=vals)
         rho = float(rng.uniform(0.3, 0.8)) * (grid.r_max - grid.r_min)
@@ -181,10 +131,8 @@ def exp_harmonic_replacement(cfg):
 
 
 def exp_inequality_suite(cfg):
-    params = _params(cfg)
-    seed = _get(cfg, "seed", int)
-    grid = _grid(cfg)
-    suite = build_test_suite(grid, seed)
+    params, grid = cfg["params"], cfg["grid"]
+    suite = build_test_suite(grid, cfg["seed"])
     rows = []
     ckn_max = 0.0
     poin_max = 0.0
@@ -200,21 +148,17 @@ def exp_inequality_suite(cfg):
         rows.append([f"poincare_{desc}", p.lhs, p.rhs_core, p.ratio])
     rows.append(["max_ckn_constant", ckn_max, "", ""])
     rows.append(["max_poincare_constant", poin_max, "", ""])
-    ok &= ckn_max <= _get(cfg, "frozen.ckn_constant", float, INF) * 1.02
-    ok &= poin_max <= _get(cfg, "frozen.poincare_constant", float, INF) * 1.02
+    ok &= ckn_max <= cfg["frozen.ckn_constant"] * 1.02
+    ok &= poin_max <= cfg["frozen.poincare_constant"] * 1.02
     return ok, {"inequality_report.csv": rows}
 
 
 def exp_alpha_h_estimation(cfg):
-    params = _params(cfg)
-    grid = RadialGrid(_get(cfg, "grid.r_min", float, 0.25),
-                      _get(cfg, "grid.r_max", float, 2.0),
-                      _get(cfg, "grid.n", int, 4000))
+    params, grid = cfg["params"], cfg["grid"]
     expo = 2 + 2 * params.a - params.N
     u = DiscreteField.from_function(grid, lambda r: r ** expo)
-    center = (_get(cfg, "center", float, 1.2),)
     radii = [0.2 * 0.7 ** k for k in range(5)]
-    est = estimate_alpha_h(params, u, center, radii)
+    est = estimate_alpha_h(params, u, (cfg["center"],), radii)
     ok = 0 < est.alpha_h <= 1 and est.fit_residual <= 0.05
     if params.a == 0.0:
         ok &= est.alpha_h >= 0.9
@@ -223,14 +167,12 @@ def exp_alpha_h_estimation(cfg):
 
 
 def exp_regularity_report(cfg):
-    params = _params(cfg)
-    grid = _grid(cfg)
+    params, grid = cfg["params"], cfg["grid"]
     f = DiscreteField.from_function(grid, lambda r: np.ones_like(r))
     uh, _ = solve(assemble(params, grid, f, dirichlet=0.0))
     radii = default_radii(grid, (0.0,))
     report = regularity_report(params, uh, f, params.s, (0.0,), radii,
-                               alpha_h_est=_get(cfg, "alpha_h", float, 1.0),
-                               seed=_get(cfg, "seed", int))
+                               alpha_h_est=cfg["alpha_h"], seed=cfg["seed"])
     prof = campanato_profile(params, uh, (0.0,), radii)
     return report.passed, {
         "regularity_report.txt": [
@@ -244,18 +186,14 @@ def exp_regularity_report(cfg):
 
 
 def exp_dilation_symmetry(cfg):
-    params = _params(cfg)
-    lam = _get(cfg, "lambda", float, 2.0)
+    params, coarse = cfg["params"], cfg["grid"]
     u_fn, K, _, _ = ckn_bubble(params)
-    ul = dilate_radial(params, u_fn, lam)
-    r_min = _get(cfg, "grid.r_min", float, 0.05)
-    r_max = _get(cfg, "grid.r_max", float, 3.0)
+    ul = dilate_radial(params, u_fn, cfg["lambda"])
     rows = []
     prev = None
     ok = True
-    for n in [_get(cfg, "grid.n", int, 250) * 2 ** k for k in range(3)]:
-        grid = RadialGrid(r_min, r_max, n)
-        uf = DiscreteField.from_function(grid, ul)
+    for n in [coarse.n_cells * 2 ** k for k in range(3)]:
+        uf = DiscreteField.from_function(replace(coarse, n_cells=n), ul)
         ff = uf.with_values(K * np.abs(uf.values) ** (params.p - 2) * uf.values)
         rep = residual(params, uf, ff)
         order = math.log2(prev / rep.dual_norm) if prev else float("nan")
@@ -267,28 +205,22 @@ def exp_dilation_symmetry(cfg):
 
 
 def exp_moser_ladder(cfg):
-    params = _params(cfg)
+    params = cfg["params"]
     u_fn, K, _, _ = ckn_bubble(params)
-    r_max = _get(cfg, "grid.r_max", float, 3.0)
-    grid = RadialGrid(0.0, r_max, _get(cfg, "grid.n", int, 2000))
-    u = DiscreteField.from_function(grid, u_fn)
+    u = DiscreteField.from_function(cfg["grid"], u_fn)
     k_stop = k0_threshold(params) + 2
-    states = run_ladder(params, u, K, k_stop,
-                        margin0=_get(cfg, "margin0", float, 0.3))
+    states = run_ladder(params, u, K, k_stop, margin0=cfg["margin0"])
     return all(math.isfinite(s.norm_q) for s in states), {
         "ladder_report.csv": [[s.k, s.q_k, s.norm_q, s.subdomain_margin]
                               for s in states]}
 
 
 def exp_lemma_a1_envelope(cfg):
-    params = _params(cfg)
-    seed = _get(cfg, "seed", int)
-    rng = np.random.default_rng(seed)
-    eps = epsilon_choice(validate(params.N, params.a, params.b,
-                                  _get(cfg, "eps_s", float, 12.0)))
-    n_balls = _get(cfg, "n_balls", int, 200)
+    params = cfg["params"]
+    rng = np.random.default_rng(cfg["seed"])
+    eps = epsilon_choice(replace(params, s=cfg["eps_s"]))
     balls = []
-    for _ in range(n_balls):
+    for _ in range(cfg["n_balls"]):
         center = rng.uniform(-1.5, 1.5, size=params.N)
         balls.append(BallSpec(tuple(center), float(rng.uniform(0.05, 1.0))))
     rows = []
@@ -301,15 +233,12 @@ def exp_lemma_a1_envelope(cfg):
 
 
 def exp_lemma_a2_property(cfg):
-    params = _params(cfg)
-    seed = _get(cfg, "seed", int)
+    params, seed = cfg["params"], cfg["seed"]
     rng = np.random.default_rng(seed)
-    n_envelopes = _get(cfg, "n_envelopes", int, 20)
-    trials_per = _get(cfg, "n_trials", int, 50)
     rows = []
     trial_rows = []
     total_viol = 0
-    for i in range(n_envelopes):
+    for i in range(cfg["n_envelopes"]):
         alpha = float(rng.uniform(0.1, 1.5))
         beta = float(rng.uniform(alpha + 0.5, 4.0))
         gamma = float(rng.uniform(alpha + 0.1 * (beta - alpha),
@@ -317,8 +246,7 @@ def exp_lemma_a2_property(cfg):
         center = ((0.0,) * params.N if i % 2 == 0
                   else tuple(rng.uniform(-1.0, 1.0, size=params.N)))
         out = lemma_a2_property_check(params, alpha, beta, gamma, center,
-                                      0.02, 1.0, trials_per,
-                                      seed + i)
+                                      0.02, 1.0, cfg["n_trials"], seed + i)
         total_viol += out["violations"]
         rows.append([i, alpha, beta, gamma, float(np.linalg.norm(center)),
                      out["violations"], out["worst_relative_margin"]])
@@ -329,23 +257,46 @@ def exp_lemma_a2_property(cfg):
                              "lemma_a2_trials.csv": trial_rows}
 
 
+# ---------------------------------------------------------------------------
+# the experiment table: each key an experiment accepts, declared once
+
+@dataclass(frozen=True)
+class Key:
+    """One config key: the cast of its text, its default (`...`: required;
+    None: accepted and echoed, not read) and the condition a given value
+    must meet, with its wording for the error message."""
+    cast: Callable = float
+    default: object = ...
+    must: str = ""
+    ok: Callable[[object], bool] = lambda value: True
+
+
+def _count(default: int) -> Key:
+    """Levels, cases or trials: 0 would leave a gate nothing to check."""
+    return Key(int, default, ">= 1", lambda n: n >= 1)
+
+
+def _extent(r_min: float, r_max: float, n: int) -> dict[str, Key]:
+    return {"grid.r_min": Key(float, r_min), "grid.r_max": Key(float, r_max),
+            "grid.n": Key(int, n)}
+
+
+_COMMON = {"output_dir": Key(str, "."), "seed": Key(int, None)}
+_SEEDED = {**_COMMON, "seed": Key(int)}
+# params.* are required exactly where the run reads them
+_PARAMS = {"params.N": Key(int), "params.a": Key(float),
+           "params.b": Key(float), "params.s": Key(float, INF)}
+_SPACING = {"grid.spacing": Key(str, "uniform")}
+
+
 @dataclass(frozen=True)
 class Experiment:
-    run: Callable  # cfg -> (passed, {report file: rows})
+    run: Callable  # typed config -> (passed, {report file: rows})
     description: str
     reports: dict[str, str | None]  # file -> CSV header; None: key=value text
-    keys: tuple[str, ...]  # the config keys it reads beyond COMMON_KEYS
-    randomized: bool = False  # needs `seed`
+    keys: dict[str, Key]  # every config key it accepts besides `experiment`
     trials: str | None = None  # the report only `--dump-trials` writes
 
-
-COMMON_KEYS = ("experiment", "output_dir", "seed", "params.N", "params.a",
-               "params.b", "params.s")
-# keys that count levels, cases or trials: 0 would leave a gate nothing to check
-_COUNT_KEYS = ("levels", "n_combos", "n_cases", "n_balls", "n_envelopes",
-               "n_trials")
-_RADIAL = ("grid.r_min", "grid.r_max", "grid.n")
-_GRID = _RADIAL + ("grid.spacing",)
 
 EXPERIMENTS = {
     "measure_identities": Experiment(
@@ -353,67 +304,120 @@ EXPERIMENTS = {
         "closed-form vs quadrature ball measures, doubling",
         {"measure_report.csv":
          "N,a,r,closed_form,quadrature,rel_error,doubling,doubling_exact"},
-        ("n_combos", "tol"), randomized=True),
+        {**_SEEDED, **{k: Key(key.cast, None) for k, key in _PARAMS.items()},
+         "n_combos": _count(100), "tol": Key(float, 1e-8)}),
     "mms_convergence": Experiment(
         exp_mms_convergence, "manufactured-solution convergence order study",
         {"mms_report.csv": "level,h,max_error,observed_order"},
-        ("mms.gamma", "levels") + _RADIAL),
+        {**_COMMON, **_PARAMS, "mms.gamma": Key(float, 0.0),
+         "levels": _count(4), **_extent(0.0, 1.0, 256)}),
     "harmonic_replacement": Experiment(
         exp_harmonic_replacement, "energy minimality / idempotence suite",
         {"replacement_report.csv":
          "case,energy_u,energy_w,energy_diff_split,idempotence_gap"},
-        ("n_cases",) + _GRID, randomized=True),
+        {**_SEEDED, **_PARAMS, "n_cases": _count(50),
+         **_extent(0.0, 1.0, 512), **_SPACING}),
     "inequality_suite": Experiment(
         exp_inequality_suite, "CKN and Poincare ratios over the 50-field suite",
         {"inequality_report.csv": "descriptor,lhs,rhs_core,ratio"},
-        ("frozen.ckn_constant", "frozen.poincare_constant") + _GRID,
-        randomized=True),
+        {**_SEEDED, **_PARAMS, "frozen.ckn_constant": Key(float, INF),
+         "frozen.poincare_constant": Key(float, INF),
+         **_extent(0.0, 1.0, 512), **_SPACING}),
     "alpha_h_estimation": Experiment(
         exp_alpha_h_estimation, "oscillation-decay exponent of harmonic fields",
         {"alpha_h_report.csv": "alpha_h,fit_residual,n_samples"},
-        ("center",) + _RADIAL),
+        {**_COMMON, **_PARAMS, "center": Key(float, 1.2),
+         **_extent(0.25, 2.0, 4000)}),
     "regularity_report": Experiment(
         exp_regularity_report, "measured vs predicted Holder exponent",
         {"regularity_report.txt": None,
          "regularity_profile.csv": "radius,value"},
-        ("alpha_h",) + _GRID, randomized=True),
+        {**_SEEDED, **_PARAMS,
+         "alpha_h": Key(float, 1.0, "in (0, 1]", lambda x: 0.0 < x <= 1.0),
+         **_extent(0.0, 1.0, 512), **_SPACING}),
     "dilation_symmetry": Experiment(
         exp_dilation_symmetry, "invariant dilation residual refinement study",
         {"dilation_report.csv": "n,dual_residual,observed_order"},
-        ("lambda",) + _RADIAL),
+        {**_COMMON, **_PARAMS,
+         "lambda": Key(float, 2.0, "> 0", lambda x: x > 0.0),
+         **_extent(0.05, 3.0, 250)}),
     "moser_ladder": Experiment(
         exp_moser_ladder, "weighted L^q integrability ladder on a solution",
         {"ladder_report.csv": "k,q_k,norm_q,subdomain_margin"},
-        ("margin0", "grid.r_max", "grid.n")),
+        {**_COMMON, **_PARAMS, "margin0": Key(float, 0.3),
+         "grid.r_max": Key(float, 3.0), "grid.n": Key(int, 2000)}),
     "lemma_a1_envelope": Experiment(
         exp_lemma_a1_envelope, "measure-ratio bound over random balls",
         {"lemma_a1_report.csv": "center_norm,radius,ratio,envelope"},
-        ("n_balls", "eps_s"), randomized=True),
+        {**_SEEDED, **_PARAMS, "n_balls": _count(200),
+         "eps_s": Key(float, 12.0)}),
     "lemma_a2_property": Experiment(
         exp_lemma_a2_property, "iteration-lemma conclusion on random profiles",
         {"lemma_a2_report.csv":
          "envelope,alpha,beta,gamma,center_norm,violations,worst_margin",
          "lemma_a2_trials.csv":
          "envelope,trial,A1,A2,tau,constant,violations,worst_margin"},
-        ("n_envelopes", "n_trials"), randomized=True,
+        {**_SEEDED, **_PARAMS, "n_envelopes": _count(20),
+         "n_trials": _count(50)},
         trials="lemma_a2_trials.csv"),
 }
 
 
-def _write_reports(exp: Experiment, cfg: dict, rows: dict, dump_trials: bool):
-    """Write each report `exp` declares: the manifest line, the CSV header
-    (none for the key=value text report), then one line per row."""
-    echo = " ".join(f"{k}={cfg[k]}" for k in sorted(cfg) if k != "experiment")
-    manifest = f"# experiment={cfg['experiment']} {echo}"
-    out_dir = Path(_get(cfg, "output_dir", str, "."))
-    out_dir.mkdir(parents=True, exist_ok=True)
+def _typed_config(exp: Experiment, raw: dict) -> dict:
+    """Every key `exp` accepts, cast, checked and defaulted, with the
+    `params` and the `grid` built from them.  A value that the weight
+    parameters or the grid reject came from the config, so it is a config
+    error (exit 1), not a scientific failure."""
+    unknown = sorted(set(raw) - {"experiment"} - set(exp.keys))
+    if unknown:
+        raise UsageError("invalid_config: unknown key "
+                         + ", ".join(f"`{k}`" for k in unknown))
+    cfg = {}
+    for name, key in exp.keys.items():
+        if name not in raw:
+            if key.default is ...:
+                raise UsageError(f"invalid_config: missing key `{name}`")
+            cfg[name] = key.default
+            continue
+        try:
+            cfg[name] = key.cast(raw[name])
+        except ValueError:
+            raise UsageError(f"invalid_config: bad value for `{name}`: "
+                             f"{raw[name]!r}") from None
+        if not key.ok(cfg[name]):
+            raise UsageError(f"invalid_config: `{name}` must be {key.must}, "
+                             f"got {raw[name]!r}")
+    try:
+        if exp.keys["params.N"].default is ...:  # the run reads params
+            cfg["params"] = validate(cfg["params.N"], cfg["params.a"],
+                                     cfg["params.b"], cfg["params.s"])
+        if "eps_s" in cfg:  # the s of Lemma A1's comparison exponent
+            epsilon_choice(replace(cfg["params"], s=cfg["eps_s"]))
+        if "grid.n" in cfg:
+            cfg["grid"] = RadialGrid(cfg.get("grid.r_min", 0.0),
+                                     cfg["grid.r_max"], cfg["grid.n"],
+                                     cfg.get("grid.spacing", "uniform"))
+    except LabError as exc:
+        raise UsageError(f"invalid_config: {exc.code}: {exc}") from exc
+    return cfg
+
+
+def _write_reports(exp: Experiment, raw: dict, out_dir: str, rows: dict,
+                   dump_trials: bool):
+    """Write each report `exp` declares: the manifest line (the config as
+    given), the CSV header (none for the key=value text report), then one
+    line per row."""
+    echo = " ".join(f"{k}={raw[k]}" for k in sorted(raw) if k != "experiment")
+    manifest = f"# experiment={raw['experiment']} {echo}"
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
     for fname, header in exp.reports.items():
         if fname == exp.trials and not dump_trials:
             continue
         sep = "=" if header is None else ","
         lines = [manifest] + ([] if header is None else [header])
         lines += [sep.join(_fmt(v) for v in row) for row in rows[fname]]
-        (out_dir / fname).write_text("\n".join(lines) + "\n")
+        (out / fname).write_text("\n".join(lines) + "\n")
 
 
 def list_experiments() -> str:
@@ -423,24 +427,16 @@ def list_experiments() -> str:
 
 def run(config_path: str, dump_trials: bool = False) -> int:
     try:
-        cfg = parse_config(config_path)
-        name = _get(cfg, "experiment")
+        raw = parse_config(config_path)
+        if "experiment" not in raw:
+            raise UsageError("invalid_config: missing key `experiment`")
+        name = raw["experiment"]
         if name not in EXPERIMENTS:
             raise UsageError(f"unknown_experiment: {name}")
         exp = EXPERIMENTS[name]
-        unknown = sorted(set(cfg) - set(COMMON_KEYS) - set(exp.keys))
-        if unknown:
-            raise UsageError("invalid_config: unknown key "
-                             + ", ".join(f"`{k}`" for k in unknown))
-        for key in sorted(set(_COUNT_KEYS) & set(cfg)):
-            if _get(cfg, key, int) < 1:
-                raise UsageError(f"invalid_config: `{key}` must be >= 1, "
-                                 f"got {cfg[key]!r}")
-        if exp.randomized and "seed" not in cfg:
-            raise UsageError("invalid_config: missing key `seed` "
-                             f"(required for randomized experiment {name})")
+        cfg = _typed_config(exp, raw)
         passed, rows = exp.run(cfg)
-        _write_reports(exp, cfg, rows, dump_trials)
+        _write_reports(exp, raw, cfg["output_dir"], rows, dump_trials)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

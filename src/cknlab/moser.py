@@ -35,17 +35,6 @@ class LadderState:
     subdomain_margin: float
 
 
-@dataclass
-class IterationEnvelope:
-    A1: float
-    A2: float
-    alpha: float
-    beta: float
-    gamma: float
-    tau: float
-    constant: float
-
-
 # ---------------------------------------------------------------------------
 # smallness condition for the potential
 
@@ -143,26 +132,6 @@ def interpolation_gap(params: WeightParams, field: DiscreteField, q1: float,
 
 # ---------------------------------------------------------------------------
 # abstract iteration lemma
-
-def lemma_a2_constant(A1: float, A2: float, alpha: float, beta: float,
-                      gamma: float, doubling_constant: float) -> IterationEnvelope:
-    """tau and the proof-chain constant for the iteration lemma.
-
-    tau = min(A1^{-1/(gamma-alpha)}, 1/2); the constant is the worse of
-    the two branches C_d and C_d^3 / (tau (1 - tau^{beta-gamma})), with
-    C_d the doubling constant of the measure family at scale tau.
-    """
-    if not (0.0 < alpha < gamma < beta):
-        raise ParameterError("exponent_order_violation",
-                             f"need 0 < alpha < gamma < beta, got "
-                             f"({alpha}, {gamma}, {beta})")
-    if A1 <= 0 or A2 <= 0:
-        raise ParameterError("exponent_order_violation", "A1, A2 must be > 0")
-    tau = _tau(A1, alpha, gamma)
-    return IterationEnvelope(A1=A1, A2=A2, alpha=alpha, beta=beta, gamma=gamma,
-                             tau=tau, constant=_chain_constant(
-                                 doubling_constant, tau, beta, gamma))
-
 
 def _tau(A1: float, alpha: float, gamma: float) -> float:
     return min(A1 ** (-1.0 / (gamma - alpha)), 0.5)

@@ -217,11 +217,3 @@ def regularity_report(params: WeightParams, u: DiscreteField,
                             holder_seminorm=hq["seminorm"],
                             sup_norm=hq["sup_norm"], passed=passed)
 
-
-def mean_value_deviation(params: WeightParams, field: DiscreteField, center,
-                         radii):
-    """|u_{x,r} - u(x)| per radius; fits the local continuity rate."""
-    u_at = field.values[int(np.argmin(field.grid.distance_to(center)))]
-    return [abs(weighted_mean(field.values, ball_cell_weights(
-                field.grid, params.N, -2.0 * params.a, ball)) - u_at)
-            for ball in _ball_family(center, radii)]

@@ -278,3 +278,36 @@ def test_package_import_skips_integrate_special_optimize():
         env=env, capture_output=True, text=True, check=True).stdout.split()
     test_only = {"scipy.integrate", "scipy.special", "scipy.optimize"}
     assert test_only & set(out) == set()
+
+
+def experiment_grid_constructions(source: str) -> list[str]:
+    """Every `exp_*` function that calls `RadialGrid(...)`, by name or as
+    `<mod>.RadialGrid`."""
+    return [fn.name for fn in ast.parse(source).body
+            if isinstance(fn, ast.FunctionDef) and fn.name.startswith("exp_")
+            and any(isinstance(node, ast.Call) and (
+                (isinstance(node.func, ast.Name)
+                 and node.func.id == "RadialGrid")
+                or (isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "RadialGrid"))
+                for node in ast.walk(fn))]
+
+
+def test_experiment_grid_constructions_detected():
+    src = ("def exp_a(cfg):\n"
+           "    return RadialGrid(0.0, 1.0, 8)\n"
+           "def exp_b(cfg):\n"
+           "    return [fields.RadialGrid(0.0, 1.0, n) for n in (2, 4)]\n"
+           "def exp_c(cfg):\n"
+           "    return replace(cfg['grid'], n_cells=4)\n"
+           "def _typed_config(exp, raw):\n"
+           "    return RadialGrid(0.0, 1.0, 8)\n")
+    assert experiment_grid_constructions(src) == ["exp_a", "exp_b"]
+
+
+def test_experiments_build_no_grid():
+    """The config's grid is built, and a bad grid value rejected as a config
+    error, in one place before the run; an experiment refines it with
+    `dataclasses.replace`."""
+    cli_py = next(path for path in SRC if path.name == "cli.py")
+    assert experiment_grid_constructions(cli_py.read_text()) == []

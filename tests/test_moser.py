@@ -8,8 +8,7 @@ from cknlab.errors import ParameterError, SolverError
 from cknlab.fields import DiscreteField, RadialGrid
 from cknlab.measure import centered_weight_integral, sphere_area
 from cknlab import moser
-from cknlab.moser import (MeasureTable, find_ell,
-                          interpolation_gap, lemma_a2_constant,
+from cknlab.moser import (MeasureTable, find_ell, interpolation_gap,
                           lemma_a2_property_check, run_ladder, smallness_check,
                           subdomain_lq_norm)
 from cknlab.params import INF, k0_threshold, moser_ladder, validate
@@ -133,21 +132,16 @@ def test_interpolation_log_convexity():
 
 
 def test_lemma_a2_tau_examples():
-    env = lemma_a2_constant(4.0, 1.0, 0.5, 3.0, 2.5, doubling_constant=8.0)
-    assert env.tau == 0.5
-    env = lemma_a2_constant(1.0, 1.0, 0.5, 3.0, 2.5, doubling_constant=8.0)
-    assert env.tau == 0.5
-    env = lemma_a2_constant(100.0, 1.0, 1.0, 3.0, 2.0, doubling_constant=8.0)
-    assert env.tau == pytest.approx(0.01)
+    assert moser._tau(4.0, 0.5, 2.5) == 0.5
+    assert moser._tau(1.0, 0.5, 2.5) == 0.5
+    assert moser._tau(100.0, 1.0, 2.0) == pytest.approx(0.01)
+
+
+def test_lemma_a2_property_check_needs_ordered_exponents():
     with pytest.raises(ParameterError) as exc:
-        lemma_a2_constant(1.0, 1.0, 2.0, 1.0, 1.5, doubling_constant=8.0)
+        lemma_a2_property_check(P335, 2.0, 1.0, 1.5, (0.0, 0.0, 0.0),
+                                0.02, 1.0, n_trials=5, seed=1)
     assert exc.value.code == "exponent_order_violation"
-
-
-def test_lemma_a2_constant_overflow_is_a_parameter_error():
-    with pytest.raises(ParameterError) as exc:
-        lemma_a2_constant(4.0, 1.0, 0.5, 3.0, 2.5, doubling_constant=1e200)
-    assert exc.value.code == "constant_overflow"
 
 
 def test_centered_doubling_constant_exact():

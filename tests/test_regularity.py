@@ -9,7 +9,7 @@ from cknlab.params import INF, validate
 from cknlab.regularity import (FitResult, GrowthProfile, ProfileKind,
                                campanato_profile, default_radii, fit_growth,
                                gradient_profile, holder_quotient,
-                               mean_value_deviation, regularity_report)
+                               regularity_report)
 from cknlab.solver import assemble, exact_radial_mms, solve
 
 P300 = validate(3, 0.0, 0.0, INF)
@@ -160,10 +160,3 @@ def test_campanato_gradient_consistency_smooth():
     gr = fit_growth(gradient_profile(P300, u, (0.0,), radii), P300,
                     "measure_normalized")
     assert abs(ca.exponent - gr.exponent) <= 0.1
-
-
-def test_mean_value_deviation_decays():
-    grid = RadialGrid(0.0, 1.0, 1024)
-    u = DiscreteField.from_function(grid, lambda r: np.sin(3 * r))
-    devs = mean_value_deviation(P300, u, (0.0,), [0.2, 0.1, 0.05])
-    assert devs[0] > devs[-1] >= 0
