@@ -260,32 +260,41 @@ def exp_lemma_a2_property(cfg):
 # ---------------------------------------------------------------------------
 # the experiment table: each key an experiment accepts, declared once
 
+def _real(text: str, inf_ok: bool = False) -> float:
+    """A finite float, or also `inf` where `inf_ok`."""
+    value = float(text)
+    if not (math.isfinite(value) or inf_ok and value == INF):
+        raise ValueError(text)  # fails the cast like any bad text
+    return value
+
+
 @dataclass(frozen=True)
 class Key:
     """One config key: the cast of its text, its default (`...`: required;
-    None: accepted and echoed, not read) and the condition a given value
-    must meet, with its wording for the error message."""
-    cast: Callable = float
+    None: accepted and echoed, not read) and the condition its value must
+    meet in the typed config, with its wording for the error message."""
+    cast: Callable = _real
     default: object = ...
     must: str = ""
-    ok: Callable[[object], bool] = lambda value: True
+    ok: Callable[[object, dict], bool] = lambda value, cfg: True
 
 
 def _count(default: int) -> Key:
     """Levels, cases or trials: 0 would leave a gate nothing to check."""
-    return Key(int, default, ">= 1", lambda n: n >= 1)
+    return Key(int, default, ">= 1", lambda n, cfg: n >= 1)
 
 
 def _extent(r_min: float, r_max: float, n: int) -> dict[str, Key]:
-    return {"grid.r_min": Key(float, r_min), "grid.r_max": Key(float, r_max),
+    return {"grid.r_min": Key(_real, r_min), "grid.r_max": Key(_real, r_max),
             "grid.n": Key(int, n)}
 
 
+_NO_BOUND = Key(lambda text: _real(text, inf_ok=True), INF)  # inf: no bound
 _COMMON = {"output_dir": Key(str, "."), "seed": Key(int, None)}
 _SEEDED = {**_COMMON, "seed": Key(int)}
 # params.* are required exactly where the run reads them
-_PARAMS = {"params.N": Key(int), "params.a": Key(float),
-           "params.b": Key(float), "params.s": Key(float, INF)}
+_PARAMS = {"params.N": Key(int), "params.a": Key(_real),
+           "params.b": Key(_real), "params.s": _NO_BOUND}
 _SPACING = {"grid.spacing": Key(str, "uniform")}
 
 
@@ -296,6 +305,7 @@ class Experiment:
     reports: dict[str, str | None]  # file -> CSV header; None: key=value text
     keys: dict[str, Key]  # every config key it accepts besides `experiment`
     trials: str | None = None  # the report only `--dump-trials` writes
+    for_regularity: bool = False  # params must satisfy s > p/(p-2)
 
 
 EXPERIMENTS = {
@@ -305,11 +315,11 @@ EXPERIMENTS = {
         {"measure_report.csv":
          "N,a,r,closed_form,quadrature,rel_error,doubling,doubling_exact"},
         {**_SEEDED, **{k: Key(key.cast, None) for k, key in _PARAMS.items()},
-         "n_combos": _count(100), "tol": Key(float, 1e-8)}),
+         "n_combos": _count(100), "tol": Key(_real, 1e-8)}),
     "mms_convergence": Experiment(
         exp_mms_convergence, "manufactured-solution convergence order study",
         {"mms_report.csv": "level,h,max_error,observed_order"},
-        {**_COMMON, **_PARAMS, "mms.gamma": Key(float, 0.0),
+        {**_COMMON, **_PARAMS, "mms.gamma": Key(_real, 0.0),
          "levels": _count(4), **_extent(0.0, 1.0, 256)}),
     "harmonic_replacement": Experiment(
         exp_harmonic_replacement, "energy minimality / idempotence suite",
@@ -320,37 +330,39 @@ EXPERIMENTS = {
     "inequality_suite": Experiment(
         exp_inequality_suite, "CKN and Poincare ratios over the 50-field suite",
         {"inequality_report.csv": "descriptor,lhs,rhs_core,ratio"},
-        {**_SEEDED, **_PARAMS, "frozen.ckn_constant": Key(float, INF),
-         "frozen.poincare_constant": Key(float, INF),
+        {**_SEEDED, **_PARAMS, "frozen.ckn_constant": _NO_BOUND,
+         "frozen.poincare_constant": _NO_BOUND,
          **_extent(0.0, 1.0, 512), **_SPACING}),
     "alpha_h_estimation": Experiment(
         exp_alpha_h_estimation, "oscillation-decay exponent of harmonic fields",
         {"alpha_h_report.csv": "alpha_h,fit_residual,n_samples"},
-        {**_COMMON, **_PARAMS, "center": Key(float, 1.2),
+        {**_COMMON, **_PARAMS,
+         "center": Key(_real, 1.2, "in [grid.r_min, grid.r_max]",
+                       lambda c, cfg: cfg["grid.r_min"] <= c <= cfg["grid.r_max"]),
          **_extent(0.25, 2.0, 4000)}),
     "regularity_report": Experiment(
         exp_regularity_report, "measured vs predicted Holder exponent",
         {"regularity_report.txt": None,
          "regularity_profile.csv": "radius,value"},
         {**_SEEDED, **_PARAMS,
-         "alpha_h": Key(float, 1.0, "in (0, 1]", lambda x: 0.0 < x <= 1.0),
-         **_extent(0.0, 1.0, 512), **_SPACING}),
+         "alpha_h": Key(_real, 1.0, "in (0, 1]", lambda x, cfg: 0.0 < x <= 1.0),
+         **_extent(0.0, 1.0, 512), **_SPACING}, for_regularity=True),
     "dilation_symmetry": Experiment(
         exp_dilation_symmetry, "invariant dilation residual refinement study",
         {"dilation_report.csv": "n,dual_residual,observed_order"},
         {**_COMMON, **_PARAMS,
-         "lambda": Key(float, 2.0, "> 0", lambda x: x > 0.0),
+         "lambda": Key(_real, 2.0, "> 0", lambda x, cfg: x > 0.0),
          **_extent(0.05, 3.0, 250)}),
     "moser_ladder": Experiment(
         exp_moser_ladder, "weighted L^q integrability ladder on a solution",
         {"ladder_report.csv": "k,q_k,norm_q,subdomain_margin"},
-        {**_COMMON, **_PARAMS, "margin0": Key(float, 0.3),
-         "grid.r_max": Key(float, 3.0), "grid.n": Key(int, 2000)}),
+        {**_COMMON, **_PARAMS, "margin0": Key(_real, 0.3),
+         "grid.r_max": Key(_real, 3.0), "grid.n": Key(int, 2000)}),
     "lemma_a1_envelope": Experiment(
         exp_lemma_a1_envelope, "measure-ratio bound over random balls",
         {"lemma_a1_report.csv": "center_norm,radius,ratio,envelope"},
         {**_SEEDED, **_PARAMS, "n_balls": _count(200),
-         "eps_s": Key(float, 12.0)}),
+         "eps_s": Key(_real, 12.0)}),
     "lemma_a2_property": Experiment(
         exp_lemma_a2_property, "iteration-lemma conclusion on random profiles",
         {"lemma_a2_report.csv":
@@ -384,13 +396,15 @@ def _typed_config(exp: Experiment, raw: dict) -> dict:
         except ValueError:
             raise UsageError(f"invalid_config: bad value for `{name}`: "
                              f"{raw[name]!r}") from None
-        if not key.ok(cfg[name]):
+    for name, key in exp.keys.items():
+        if not key.ok(cfg[name], cfg):
             raise UsageError(f"invalid_config: `{name}` must be {key.must}, "
-                             f"got {raw[name]!r}")
+                             f"got {raw.get(name, cfg[name])!r}")
     try:
         if exp.keys["params.N"].default is ...:  # the run reads params
             cfg["params"] = validate(cfg["params.N"], cfg["params.a"],
-                                     cfg["params.b"], cfg["params.s"])
+                                     cfg["params.b"], cfg["params.s"],
+                                     exp.for_regularity)
         if "eps_s" in cfg:  # the s of Lemma A1's comparison exponent
             epsilon_choice(replace(cfg["params"], s=cfg["eps_s"]))
         if "grid.n" in cfg:

@@ -6,8 +6,9 @@ cell and face weights use the exact antiderivative of t^{N-1+w}; box
 weights use the cell-centroid value, except on cells near the coordinate
 origin, where the weight may be singular: those are refined together, one
 level of 2^d-way splits at a time, each level held as its sub-box centres
-and the one size they share (see `_refined_weights`).  Weight tables and
-the box stiffness are memoised on their grid (`_per_grid`).
+and the one size they share (see `_refined_weights`).  Weight tables, the
+box stiffness and each ball's rim coverage are memoised on their grid
+(`_per_grid`).
 """
 from __future__ import annotations
 
@@ -38,9 +39,9 @@ class RadialGrid:
     spacing: str = "uniform"
 
     def __post_init__(self):
-        if not 0.0 <= self.r_min < self.r_max:
-            raise GridError("invalid_radial_extent",
-                            f"need 0 <= r_min < r_max, got [{self.r_min}, {self.r_max}]")
+        if not 0.0 <= self.r_min < self.r_max < math.inf:
+            raise GridError("invalid_radial_extent", "need 0 <= r_min < r_max "
+                            f"< inf, got [{self.r_min}, {self.r_max}]")
         if self.n_cells < 2:
             raise GridError("too_few_cells", f"need n_cells >= 2, got {self.n_cells}")
         if self.spacing not in ("uniform", "geometric"):
@@ -343,12 +344,14 @@ def cell_weights(grid, N: int, w_exp: float) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # ball-restricted cell weights
 
+@_per_grid
 def _ball_coverage_fractions(grid: BoxGrid, ball: BallSpec) -> np.ndarray:
     """Per-cell fraction of the cell inside the ball (4^3 subsample on the rim).
 
     The subsample is a tensor grid, so its offsets from the ball's centre
     are formed per axis and only their squares are broadcast to the
-    (n_rim, 4, 4, 4) points, summed in x, y, z order.
+    (n_rim, 4, 4, 4) points, summed in x, y, z order.  Memoised per ball,
+    read-only: the Campanato and gradient profiles use the same balls.
     """
     centers = grid.node_coords()
     h = np.array(grid.h)
@@ -365,6 +368,7 @@ def _ball_coverage_fractions(grid: BoxGrid, ball: BallSpec) -> np.ndarray:
         r2 = (sq[0][:, :, None, None] + sq[1][:, None, :, None]
               + sq[2][:, None, None, :])
         frac[rim] = (np.sqrt(r2) <= ball.radius).reshape(len(rim), -1).mean(axis=1)
+    frac.setflags(write=False)
     return frac
 
 

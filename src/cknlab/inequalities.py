@@ -124,7 +124,7 @@ def weak_harnack_check(params: WeightParams, field: DiscreteField,
     dist = grid.distance_to(ball.center)
     A = raw_stiffness(params, grid)
     res = A @ u
-    scale = max(float(np.abs(u).max()), 1.0) * np.maximum(A.diagonal(), 1e-300)
+    scale = max(float(np.abs(u).max()), 1.0) * np.maximum(A.diag, 1e-300)
     check = dist <= 2.0 * ball.radius
     # rows touching the domain edge see a one-sided stencil, and the two
     # end faces carry edge-extended dual weights; skip those rows

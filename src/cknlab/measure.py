@@ -17,6 +17,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.polynomial.legendre import leggauss
 
 from .errors import GridError, QuadratureError
 from .params import WeightParams
@@ -158,7 +159,7 @@ def centered_weight_quadrature(N, w_exp, radius) -> np.ndarray:
     e >= 1 that 64 nodes reach round-off (Golub & Welsch, Math. Comp. 23,
     1969, for the rule).
     """
-    x, wts = np.polynomial.legendre.leggauss(64)
+    x, wts = leggauss(64)
     u = 0.5 * (x + 1.0)
     N = np.asarray(N, int).reshape(-1)
     e = N - 1 + np.asarray(w_exp, float).reshape(-1)

@@ -14,14 +14,13 @@ Two stiffness variants are used:
   the data on the outer layer of cells, whose rows become identity rows,
   with their couplings moved symmetrically to the right-hand side.
 
-Every radial operator is a symmetric `Tridiagonal`; box operators are
-CSR, and the box `raw_stiffness` is built once per grid, straight into
-CSR, and memoised read-only on the grid beside its weight tables.
-Every SPD system (solve, residual, harmonic replacement) goes
-through `_spd_solve`, which picks the method by that type: a banded
-Cholesky for `Tridiagonal`, and for CSR Jacobi-preconditioned CG from
-zero under one policy, relative residual `_CG_RTOL` within
-`_CG_MAX_ITER` iterations.  A solve that fails raises `SolverError`.
+A radial operator is a `Tridiagonal` chain of face conductances and end
+caps, solved directly by its closed-form LDL^T; a box operator is a
+7-point `Stencil`, solved by Jacobi-preconditioned CG from zero (`_pcg`)
+to relative residual `_CG_RTOL` within `_CG_MAX_ITER` iterations.  Every
+SPD solve (solve, residual, harmonic replacement) goes through
+`_spd_solve`, needs numpy alone, and raises `SolverError` on failure.
+The box `raw_stiffness` is memoised read-only on its grid.
 """
 from __future__ import annotations
 
@@ -29,9 +28,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.linalg import LinAlgError, solveh_banded
-from scipy.sparse.linalg import cg
 
 from .errors import GridError, ParameterError, SolverError
 from .fields import (BoxGrid, DiscreteField, RadialGrid, _per_grid,
@@ -46,17 +42,23 @@ _CG_MAX_ITER = 100000
 
 @dataclass(eq=False)
 class Tridiagonal:
-    """Symmetric tridiagonal matrix: its diagonal and first off-diagonal.
+    """Stiffness of a chain of cells: face conductances T and end caps.
 
-    `A @ x` sums each row in the column order of a CSR matvec
-    (sub-, main, then super-diagonal, starting from 0), so products are
-    bit-identical to those of the equivalent sparse matrix.
+    A cell's diagonal adds its face above, its face below, then its cap;
+    `A @ x` sums each row in the column order of a CSR matvec, from 0, so
+    products are bit-identical to those of the equivalent sparse matrix.
     """
-    diag: np.ndarray
-    off: np.ndarray
+    T: np.ndarray
+    cap_lo: float = 0.0
+    cap_hi: float = 0.0
 
-    def diagonal(self) -> np.ndarray:
-        return self.diag
+    def __post_init__(self):
+        self.off = -self.T
+        self.diag = np.zeros(len(self.T) + 1)
+        self.diag[:-1] += self.T
+        self.diag[1:] += self.T
+        self.diag[-1] += self.cap_hi
+        self.diag[0] += self.cap_lo
 
     def __matmul__(self, x) -> np.ndarray:
         x = np.asarray(x, float)
@@ -67,20 +69,67 @@ class Tridiagonal:
         return y
 
     def principal(self, lo: int, hi: int) -> "Tridiagonal":
-        """The principal submatrix on the rows and columns lo..hi-1."""
-        return Tridiagonal(self.diag[lo:hi], self.off[lo:hi - 1])
+        """The principal submatrix on cells lo..hi-1: the sub-chain capped
+        by the faces that cut it out (at the ends, by the old caps)."""
+        T = self.T
+        return Tridiagonal(T[lo:hi - 1], T[lo - 1] if lo > 0 else self.cap_lo,
+                           T[hi - 1] if hi <= len(T) else self.cap_hi)
+
+
+@dataclass(eq=False)
+class Stencil:
+    """7-point operator on a box of cells, flat in C order over `shape`.
+
+    `coef[k]` couples each cell to its neighbour at flat offset
+    `offsets[k]` (CSR column order) and is 0 where there is none; `A @ x`
+    adds the products slot by slot, so it equals the CSR matvec.  With
+    `nodes`, A acts on vectors over those cells alone: a principal submatrix.
+    """
+    coef: np.ndarray  # (7, cells)
+    shape: tuple[int, int, int]
+    nodes: object = ...  # flat indices of the unknowns; `...`: every cell
+
+    @property
+    def offsets(self) -> tuple[int, ...]:
+        s = (self.shape[1] * self.shape[2], self.shape[2], 1)
+        return (-s[0], -s[1], -s[2], 0, s[2], s[1], s[0])
+
+    @property
+    def diag(self) -> np.ndarray:
+        return self.coef[3][self.nodes]
+
+    def __matmul__(self, x) -> np.ndarray:
+        n, pad = self.coef.shape[1], self.offsets[-1]
+        xp = np.zeros(n + 2 * pad)  # a neighbour past either end reads 0
+        xp[pad:pad + n][self.nodes] = x
+        y = self.coef[0] * xp[:n]  # slot 0: offset -pad
+        tmp = np.empty(n)
+        for c, o in zip(self.coef[1:], self.offsets[1:]):
+            y += np.multiply(c, xp[pad + o:pad + o + n], out=tmp)
+        return y[self.nodes]
+
+    def principal(self, mask: np.ndarray) -> "Stencil":
+        """The principal submatrix on the cells of `mask`: the stencil on
+        their bounding box grown by one cell, which holds every neighbour
+        of a `mask` cell, acting on the `mask` cells alone."""
+        cells = mask.reshape(self.shape)
+        box = tuple(slice(max(int(i.min()) - 1, 0), int(i.max()) + 2)
+                    for i in np.nonzero(cells))
+        coef = self.coef.reshape((7,) + self.shape)[(slice(None),) + box]
+        return Stencil(coef.reshape(7, -1), coef.shape[1:],
+                       np.flatnonzero(cells[box]))
 
 
 @dataclass
 class LinearSystem:
-    matrix: Tridiagonal | sp.csr_matrix
+    matrix: Tridiagonal | Stencil
     rhs: np.ndarray
     grid: object
 
 
 @dataclass
 class SolveReport:
-    iterations: int  # CG iterations; 0 for the direct banded solve
+    iterations: int  # CG iterations; 0 for the direct chain solve
     relative_residual: float
     converged: bool = True  # always: a failed solve raises SolverError
 
@@ -88,70 +137,39 @@ class SolveReport:
 # ---------------------------------------------------------------------------
 # stiffness assembly helpers
 
-def _tridiag(T: np.ndarray, cap_lo: float = 0.0,
-             cap_hi: float = 0.0) -> Tridiagonal:
-    """Chain stiffness of face transmissibilities T, plus boundary caps
-    on the first and last diagonal entries."""
-    diag = np.zeros(len(T) + 1)
-    diag[:-1] += T
-    diag[1:] += T
-    diag[-1] += cap_hi
-    diag[0] += cap_lo
-    return Tridiagonal(diag, -T)
-
-
-def raw_stiffness(params: WeightParams, grid) -> Tridiagonal | sp.csr_matrix:
+def raw_stiffness(params: WeightParams, grid) -> Tridiagonal | Stencil:
     """Symmetric stiffness over all cells, natural (no-flux) at the domain edge.
 
     Its quadratic form u^T A u equals `fields.dirichlet_energy` exactly.
     """
     if isinstance(grid, RadialGrid):
         w = np.asarray(radial_face_dual_weights(grid, params.N, -2.0 * params.a))
-        T = w / np.diff(grid.centers) ** 2
-        return _tridiag(T)
+        return Tridiagonal(w / np.diff(grid.centers) ** 2)
     return _box_stiffness(grid, -2.0 * params.a)
 
 
 @_per_grid
-def _box_stiffness(grid: BoxGrid, w_exp: float) -> sp.csr_matrix:
-    """The box `raw_stiffness`, built once per grid straight into CSR.
+def _box_stiffness(grid: BoxGrid, w_exp: float) -> Stencil:
+    """The box `raw_stiffness`, built once per grid.
 
-    Row r has 7 slots in column order: its neighbours at r - s_0, r - s_1,
-    r - s_2 (s_k the flat stride of axis k), itself, then r + s_2, r + s_1,
-    r + s_0; a slot is stored where its neighbour exists.  The diagonal
-    adds the face transmissibilities axis by axis, the face above the cell
-    before the face below, so it equals the COO assembly's duplicate sum
-    bit for bit.  The arrays are read-only, like the weight tables.
+    The diagonal adds the face transmissibilities axis by axis, the face
+    above the cell before the face below, so it equals the COO assembly's
+    duplicate sum bit for bit.  The coefficients are read-only, like the
+    weight tables.
     """
-    shape = grid.shape
-    n = grid.n_nodes
-    vals = np.zeros((7,) + shape)
-    stored = np.zeros((7,) + shape, dtype=bool)
-    stored[3] = True
+    coef = np.zeros((7,) + grid.shape)
     for axis in range(3):
-        T = box_face_dual_weights(grid, w_exp, axis) / grid.h[axis] ** 2
-        # the cells with a neighbour above along `axis`, and those below
-        below = tuple(slice(None, -1) if k == axis else slice(None)
-                      for k in range(3))
-        above = tuple(slice(1, None) if k == axis else slice(None)
-                      for k in range(3))
-        vals[3][below] += T
-        vals[3][above] += T
-        vals[6 - axis][below] = -T
-        vals[axis][above] = -T
-        stored[6 - axis][below] = True
-        stored[axis][above] = True
-    strides = [shape[1] * shape[2], shape[2], 1]
-    offsets = np.array([-s for s in strides] + [0] + strides[::-1])
-    stored = stored.reshape(7, n).T
-    cols = np.arange(n)[:, None] + offsets
-    indptr = np.zeros(n + 1, dtype=np.int32)
-    np.cumsum(stored.sum(axis=1), out=indptr[1:])
-    A = sp.csr_matrix((vals.reshape(7, n).T[stored],
-                       cols[stored].astype(np.int32), indptr), shape=(n, n))
-    for arr in (A.data, A.indices, A.indptr):
-        arr.setflags(write=False)
-    return A
+        T = np.zeros(grid.shape)  # the face above each cell; 0 on the last
+        T[(slice(None),) * axis + (slice(-1),)] = (
+            box_face_dual_weights(grid, w_exp, axis) / grid.h[axis] ** 2)
+        below = np.roll(T, 1, axis)  # the face below each cell
+        coef[3] += T
+        coef[3] += below
+        coef[6 - axis] = -T
+        coef[axis] = -below
+    coef = coef.reshape(7, -1)
+    coef.setflags(write=False)
+    return Stencil(coef, grid.shape)
 
 
 def stiffness_quadratic_form(params: WeightParams, grid, values) -> float:
@@ -161,15 +179,19 @@ def stiffness_quadratic_form(params: WeightParams, grid, values) -> float:
     return float(v @ (A @ v))
 
 
-def _eliminate_dirichlet(A: sp.csr_matrix, rhs: np.ndarray, mask: np.ndarray,
+def _eliminate_dirichlet(A: Stencil, rhs: np.ndarray, mask: np.ndarray,
                          gvals: np.ndarray):
     """Identity rows/columns on `mask`; couplings moved to the RHS."""
     x_b = np.zeros(len(rhs))
     x_b[mask] = gvals
     rhs = rhs - A @ x_b
     rhs[mask] = gvals
-    D = sp.diags((~mask).astype(float))
-    return (D @ A @ D + sp.diags(mask.astype(float))).tocsr(), rhs
+    # slot k of cell r couples it to cell r + offsets[k]; a roll wraps
+    # only where the slot has no neighbour, whose coefficient is 0 anyway
+    coef = A.coef * ~np.array([np.roll(mask, -o) for o in A.offsets])
+    coef[:, mask] = 0.0
+    coef[3][mask] = 1.0
+    return Stencil(coef, A.shape), rhs
 
 
 def _cap_transmissibility(params: WeightParams, lo: float, hi: float) -> float:
@@ -211,7 +233,7 @@ def assemble(params: WeightParams, grid, f: DiscreteField | None = None,
         if inner is not None:
             t_in = _cap_transmissibility(params, e[0], c[0])
             rhs[0] += t_in * float(inner)
-        return LinearSystem(matrix=_tridiag(T, t_in, t_out), rhs=rhs, grid=grid)
+        return LinearSystem(Tridiagonal(T, t_in, t_out), rhs, grid)
     mask = grid.boundary_layer()
     pts = grid.node_coords()[mask]
     gvals = (np.asarray(dirichlet(pts), float) if callable(dirichlet)
@@ -223,41 +245,61 @@ def assemble(params: WeightParams, grid, f: DiscreteField | None = None,
 # ---------------------------------------------------------------------------
 # solve
 
-def _jacobi(A: sp.csr_matrix) -> sp.dia_matrix:
-    d = A.diagonal()
-    if np.any(d <= 0):
+def _pcg(A: Stencil, b: np.ndarray):
+    """Jacobi-preconditioned CG from x = 0; returns (x, iterations).
+
+    The steps and stop test of `scipy.sparse.linalg.cg` 1.17, operation
+    for operation: stop when |r| < `_CG_RTOL` |b| at the top of an
+    iteration; raise SolverError after `_CG_MAX_ITER` iterations.
+    """
+    d = A.diag
+    if not np.all(d > 0):
         raise SolverError("not_spd", "nonpositive diagonal entry in stiffness")
-    return sp.diags(1.0 / d)
+    inv_d = 1.0 / d
+    x = np.zeros(len(b))
+    r = np.array(b, float)
+    atol = _CG_RTOL * float(np.linalg.norm(b))
+    if atol == 0.0:
+        return x, 0
+    for iteration in range(_CG_MAX_ITER):
+        if np.linalg.norm(r) < atol:
+            return x, iteration
+        z = r * inv_d
+        rho = np.dot(r, z)
+        if iteration > 0:
+            p *= rho / rho_prev
+            p += z
+        else:
+            p = z
+        q = A @ p
+        alpha = rho / np.dot(p, q)
+        x += alpha * p
+        r -= alpha * q
+        rho_prev = rho
+    raise SolverError("no_convergence",
+                      f"CG stopped after {_CG_MAX_ITER} iterations")
 
 
-def _spd_solve(A: Tridiagonal | sp.csr_matrix, b: np.ndarray):
+def _spd_solve(A: Tridiagonal | Stencil, b: np.ndarray):
     """Solve the SPD system A x = b; returns (x, CG iterations).
 
-    A `Tridiagonal` A (every radial system) gets a banded Cholesky, O(n)
-    and direct; a CSR A gets Jacobi-preconditioned CG from zero to
-    relative residual `_CG_RTOL`.  Raises SolverError when A is not
-    positive definite or CG does not converge in `_CG_MAX_ITER` steps.
+    A `Stencil` gets `_pcg`, a `Tridiagonal` the closed-form LDL^T of its
+    chain: q_i = 1 + cap_lo sum_{k<i} 1/T_k solves the homogeneous equation
+    from the first cell and, with T_{n-1} := cap_hi, S_j = sum_{k<=j} q_k b_k,
+    x_i = q_i sum_{j>=i} S_j / (q_j (T_j q_j + cap_lo)).  Its pivots are
+    sums of positive terms (Higham, SIAM J. Matrix Anal. Appl. 11, 1990:
+    elimination without pivoting is stable on such chains).  Raises
+    SolverError when A is not positive definite or CG does not converge.
     """
-    if isinstance(A, Tridiagonal):
-        ab = np.zeros((2, len(A.diag)))
-        ab[0] = A.diag
-        ab[1, :-1] = A.off
-        try:
-            return solveh_banded(ab, b, lower=True), 0
-        except LinAlgError as exc:
-            raise SolverError("not_spd", f"banded Cholesky failed: {exc}") from exc
-    count = 0
-
-    def cb(_):
-        nonlocal count
-        count += 1
-
-    x, info = cg(A, b, rtol=_CG_RTOL, atol=0.0, maxiter=_CG_MAX_ITER,
-                 M=_jacobi(A), callback=cb)
-    if info != 0:
-        raise SolverError("no_convergence",
-                          f"CG stopped after {count} iterations (info={info})")
-    return x, count
+    if isinstance(A, Stencil):
+        return _pcg(A, b)
+    T, lo, hi = A.T, A.cap_lo, A.cap_hi
+    if not (np.all(T > 0) and lo >= 0 and hi >= 0 and lo + hi > 0):
+        raise SolverError("not_spd", "a chain needs conductances > 0, caps "
+                          f">= 0 and a nonzero cap, got caps ({lo}, {hi})")
+    q = 1.0 + lo * np.concatenate(([0.0], np.cumsum(1.0 / T)))
+    g = np.cumsum(q * b) / (q * (np.append(T, hi) * q + lo))
+    return q * np.cumsum(g[::-1])[::-1], 0
 
 
 def solve(system: LinearSystem) -> tuple[DiscreteField, SolveReport]:
@@ -387,11 +429,9 @@ def harmonic_replacement(params: WeightParams, u: DiscreteField,
                         f"only {int(interior.sum())} relaxable nodes in the ball")
     I = np.nonzero(interior)[0]
     b = -(A @ np.where(interior, 0.0, u.values))[I]
-    if isinstance(A, Tridiagonal):
-        A_II = A.principal(I[0], I[-1] + 1)  # radial: I is one run of cells
-    else:
-        A_II = A[np.ix_(I, I)]
-    x, _ = _spd_solve(A_II, b)
+    # radial: I is one run of cells
+    x, _ = _spd_solve(A.principal(I[0], I[-1] + 1) if isinstance(A, Tridiagonal)
+                      else A.principal(interior), b)
     w = u.values.copy()
     w[I] = x
     return u.with_values(w, name="harmonic_replacement")

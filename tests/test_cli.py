@@ -156,6 +156,15 @@ REJECTED_VALUES = {
     ("lemma_a1_envelope", "eps_s=0.5"): "s_too_small: ",
     ("lemma_a1_envelope", "eps_s=-1"): "s_too_small: ",
     ("alpha_h_estimation", "seed=abc"): "bad value for `seed`: 'abc'",
+    ("mms_convergence", "grid.r_max=inf"): "bad value for `grid.r_max`: 'inf'",
+    ("harmonic_replacement", "grid.r_max=inf"):
+        "bad value for `grid.r_max`: 'inf'",
+    ("dilation_symmetry", "lambda=inf"): "bad value for `lambda`: 'inf'",
+    ("dilation_symmetry", "lambda=nan"): "bad value for `lambda`: 'nan'",
+    ("harmonic_replacement", "params.s=nan"): "bad value for `params.s`: 'nan'",
+    ("regularity_report", "params.s=1"): "s_too_small: ",
+    ("alpha_h_estimation", "center=5"):
+        "`center` must be in [grid.r_min, grid.r_max], got '5'",
 }
 
 

@@ -29,6 +29,18 @@ def radial_ones(n=256, r_max=1.0, r_min=0.0):
     return DiscreteField.from_function(grid, lambda r: np.ones_like(r))
 
 
+@pytest.mark.parametrize("r_min,r_max", [(0.0, math.inf), (math.inf, math.inf),
+                                         (math.nan, 1.0), (0.0, math.nan),
+                                         (-1.0, 1.0), (1.0, 1.0)])
+def test_radial_grid_rejects_a_bad_extent(r_min, r_max):
+    """An extent outside 0 <= r_min < r_max < inf is rejected where the
+    grid is built; r_max = inf used to reach the solver as a division by
+    zero."""
+    with pytest.raises(GridError) as exc:
+        RadialGrid(r_min, r_max, 8)
+    assert exc.value.code == "invalid_radial_extent"
+
+
 def test_weighted_integral_ones_matches_measure():
     f = radial_ones(128)
     got = f.values @ cell_weights(f.grid, 3, -2 * 0.3)
@@ -409,7 +421,8 @@ def test_radial_ball_weights_reject_nonintegrable_weights():
 
 def _all_weight_tables(box: BoxGrid, radial: RadialGrid) -> list:
     tables = [box_cell_weights(box, -0.6), radial_face_dual_weights(radial, 3, -0.6),
-              raw_stiffness(P303, box)]
+              raw_stiffness(P303, box),
+              _ball_coverage_fractions(box, BallSpec((0.1, 0.0, -0.2), 0.5))]
     for axis in range(3):
         tables += [box_face_dual_weights(box, -0.6, axis),
                    box_face_area_weights(box, -0.6, axis)]
@@ -436,7 +449,8 @@ def test_weight_tables_are_built_once_per_grid():
 
 def test_box_stiffness_is_read_only():
     A = raw_stiffness(P303, BoxGrid((-1.0,) * 3, (1.0,) * 3, (6,) * 3))
-    for arr in (A.data, A.indices, A.indptr):
+    assert len(A.coef) == 7
+    for arr in A.coef:
         with pytest.raises(ValueError, match="read-only"):
             arr[0] = arr[0]
 
@@ -479,4 +493,6 @@ def test_coverage_fractions_equal_the_pointwise_formula(grid):
     for ball in COVERAGE_BALLS:
         frac = _ball_coverage_fractions(grid, ball)
         assert np.array_equal(frac, coverage_by_points(grid, ball)), ball
+        assert frac is _ball_coverage_fractions(grid, ball)
+        assert not frac.flags.writeable
         assert 0.0 < frac.sum() and np.any((0.0 < frac) & (frac < 1.0)), ball

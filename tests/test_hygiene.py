@@ -118,38 +118,32 @@ def test_no_functools_memos(path):
 
 
 def cg_call_sites(source: str) -> list[str]:
-    """Enclosing function of every call to scipy's `cg`, under any name a
-    `from scipy.sparse.linalg import cg [as x]` binds or as `<mod>.cg`."""
-    tree = ast.parse(source)
-    names = {alias.asname or alias.name for node in ast.walk(tree)
-             if isinstance(node, ast.ImportFrom)
-             and node.module == "scipy.sparse.linalg"
-             for alias in node.names if alias.name == "cg"}
+    """Enclosing function of every call to the package's CG, `_pcg`, by
+    name or as `<mod>._pcg`."""
     sites = []
 
     def visit(node, where):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             where = node.name
         if isinstance(node, ast.Call) and (
-                (isinstance(node.func, ast.Name) and node.func.id in names)
+                (isinstance(node.func, ast.Name) and node.func.id == "_pcg")
                 or (isinstance(node.func, ast.Attribute)
-                    and node.func.attr == "cg")):
+                    and node.func.attr == "_pcg")):
             sites.append(where)
         for child in ast.iter_child_nodes(node):
             visit(child, where)
 
-    visit(tree, "<module>")
+    visit(ast.parse(source), "<module>")
     return sites
 
 
 def test_cg_call_sites_detected():
-    src = ("from scipy.sparse.linalg import cg as krylov\n"
-           "import scipy.sparse.linalg as spla\n"
-           "def f():\n"
-           "    krylov(A, b)\n"
+    src = ("def f():\n"
+           "    _pcg(A, b)\n"
            "def g():\n"
-           "    spla.cg(A, b)\n"
-           "spla.cg(A, b)\n")
+           "    solver._pcg(A, b)\n"
+           "    pcg(A, b)\n"
+           "_pcg(A, b)\n")
     assert cg_call_sites(src) == ["f", "g", "<module>"]
 
 
@@ -253,8 +247,8 @@ def test_module_level_scipy_imports_detected():
         "line 3: scipy.special", "line 5: scipy"]
 
 
-# the scipy that runs: banded Cholesky, CSR matrices and CG
-SCIPY_AT_IMPORT = {"scipy.linalg", "scipy.sparse", "scipy.sparse.linalg"}
+# the package runs on numpy alone: importing it imports no scipy
+SCIPY_AT_IMPORT = set()
 
 
 @pytest.mark.parametrize("path", SRC, ids=[p.name for p in SRC])
@@ -263,9 +257,10 @@ def test_module_level_scipy_imports_are_solver_modules(path):
             if found.split(": ")[1] not in SCIPY_AT_IMPORT] == []
 
 
-def test_package_import_skips_integrate_special_optimize():
-    """A fresh interpreter importing the modules a benchmark worker imports
-    loads none of the scipy subpackages that only tests need."""
+def test_run_path_loads_no_scipy():
+    """A fresh interpreter that imports the modules a benchmark worker
+    imports and runs a radial solve, a box solve and a box harmonic
+    replacement loads no scipy module: the run path is numpy alone."""
     src = str(Path(solver.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
@@ -274,10 +269,19 @@ def test_package_import_skips_integrate_special_optimize():
          "import sys\n"
          "from cknlab import (cli, fields, inequalities, measure, moser,\n"
          "                    regularity, solver)\n"
+         "from cknlab.params import validate\n"
+         "P = validate(3, 0.3, 0.5)\n"
+         "radial = fields.RadialGrid(0.0, 1.0, 64)\n"
+         "solver.solve(solver.assemble(P, radial, dirichlet=1.0))\n"
+         "box = fields.BoxGrid((-1.0,) * 3, (1.0,) * 3, (8,) * 3)\n"
+         "u, rep = solver.solve(solver.assemble(P, box,\n"
+         "                      dirichlet=lambda p: p[:, 0]))\n"
+         "assert rep.iterations > 0\n"
+         "solver.harmonic_replacement(P, u, measure.BallSpec((0.0,) * 3, 0.6))\n"
          "print(*sorted(sys.modules))"],
         env=env, capture_output=True, text=True, check=True).stdout.split()
-    test_only = {"scipy.integrate", "scipy.special", "scipy.optimize"}
-    assert test_only & set(out) == set()
+    assert "cknlab.solver" in out
+    assert [name for name in out if name.split(".")[0] == "scipy"] == []
 
 
 def experiment_grid_constructions(source: str) -> list[str]:

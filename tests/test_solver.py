@@ -4,15 +4,15 @@ import math
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from scipy.sparse.linalg import spsolve
+from scipy.sparse.linalg import cg, spsolve
 
 from cknlab import solver
 from cknlab.errors import GridError, ParameterError, SolverError
 from cknlab.fields import BoxGrid, DiscreteField, RadialGrid, box_face_dual_weights
 from cknlab.measure import BallSpec
 from cknlab.params import INF, validate
-from cknlab.solver import (Tridiagonal, _eliminate_dirichlet, _spd_solve,
-                           assemble, ckn_bubble,
+from cknlab.solver import (Stencil, Tridiagonal, _eliminate_dirichlet, _pcg,
+                           _spd_solve, assemble, ckn_bubble,
                            dilate_radial, exact_radial_mms, harmonic_replacement,
                            raw_stiffness, residual, solve,
                            stiffness_quadratic_form)
@@ -29,9 +29,9 @@ def test_assembled_matrix_structure():
     # rows away from the outer cap have zero sum (constants are flat)
     rowsums = A @ np.ones(grid.n_cells)
     assert np.allclose(rowsums[:-1], 0.0, atol=1e-10)
-    # box grids: a symmetric CSR with identity rows on the outer layer
+    # box grids: a symmetric stencil with identity rows on the outer layer
     box = BoxGrid((-1, -1, -1), (1, 1, 1), (6, 6, 6))
-    B = assemble(P335, box).matrix
+    B = stencil_csr(assemble(P335, box).matrix)
     assert (abs(B - B.T) > 1e-14).nnz == 0
     for i in np.nonzero(box.boundary_layer())[0]:
         row = B.getrow(i).toarray().ravel()
@@ -62,6 +62,55 @@ def test_radial_solve_matches_sparse_direct():
     assert np.max(np.abs(uh.values - ref)) <= 5e-11 * np.max(np.abs(ref))
 
 
+def thomas_long_double(A: Tridiagonal, b: np.ndarray) -> np.ndarray:
+    """Tridiagonal elimination without pivoting, in long double."""
+    d, o = A.diag.astype(np.longdouble), A.off.astype(np.longdouble)
+    y = np.array(b, np.longdouble)
+    c = np.zeros(len(d), np.longdouble)
+    piv = d[0]
+    y[0] /= piv
+    for i in range(1, len(d)):
+        c[i - 1] = o[i - 1] / piv
+        piv = d[i] - o[i - 1] * c[i - 1]
+        y[i] = (y[i] - o[i - 1] * y[i - 1]) / piv
+    for i in range(len(d) - 2, -1, -1):
+        y[i] -= c[i] * y[i + 1]
+    return y
+
+
+# max|x - x_ref| / max|x_ref| of the chain solve was at most 3.3e-12 on
+# these systems (6.3e-12 over four (N, a, b), uniform and geometric grids);
+# it grows like n^2, the chain's condition number
+CHAIN_TOL = 1e-11
+
+
+@pytest.mark.parametrize("n", [64, 256, 1024, 4096])
+@pytest.mark.parametrize("r_min", [0.0, 0.1], ids=["ball", "annulus"])
+def test_chain_solve_matches_long_double_elimination(r_min, n):
+    _, f_exact = exact_radial_mms(P335, 0.0, 1.0)
+    grid = RadialGrid(r_min, 1.0, n)
+    f = DiscreteField.from_function(grid, f_exact)
+    sys_ = assemble(P335, grid, f, dirichlet=0.3,
+                    inner=1.0 if r_min > 0 else None)
+    lo, hi = n // 5, n - n // 7
+    cases = [(sys_.matrix, sys_.rhs),
+             (raw_stiffness(P335, grid).principal(lo, hi),
+              np.random.default_rng(n).standard_normal(hi - lo))]
+    for A, b in cases:
+        ref = thomas_long_double(A, b)
+        x, iterations = _spd_solve(A, b)
+        assert iterations == 0
+        assert np.max(np.abs(x - ref)) <= CHAIN_TOL * np.max(np.abs(ref))
+
+
+def test_principal_chain_has_the_diagonal_of_the_slice():
+    A = raw_stiffness(P335, RadialGrid(0.1, 1.0, 40))
+    for lo, hi in [(0, 40), (0, 7), (5, 40), (5, 17), (3, 5)]:
+        sub = A.principal(lo, hi)
+        assert np.array_equal(sub.diag, A.diag[lo:hi])
+        assert np.array_equal(sub.off, A.off[lo:hi - 1])
+
+
 @pytest.mark.parametrize("grid", [RadialGrid(0.0, 1.0, 97),
                                   RadialGrid(0.1, 1.0, 64),
                                   RadialGrid(0.05, 2.0, 50, "geometric")])
@@ -82,10 +131,17 @@ def test_spd_solve_failures_raise(monkeypatch):
     with pytest.raises(SolverError) as exc:
         _spd_solve(sys_.matrix, sys_.rhs)
     assert exc.value.code == "no_convergence"
-    indefinite = Tridiagonal(np.array([2.0, -1.0]), np.array([-1.0]))
-    with pytest.raises(SolverError) as exc:
-        _spd_solve(indefinite, np.ones(2))
-    assert exc.value.code == "not_spd"
+    indefinite = Tridiagonal(np.array([1.0]), 1.0, -2.0)  # [[2, -1], [-1, -1]]
+    assert np.array_equal(indefinite.diag, [2.0, -1.0])
+    for chain in (indefinite,
+                  Tridiagonal(np.array([1.0, 0.0, 2.0]), 1.0, 1.0),  # T <= 0
+                  Tridiagonal(np.array([1.0, -3.0]), 1.0, 0.0),
+                  Tridiagonal(np.array([1.0, 2.0]), 0.0, -1e-300),  # a cap < 0
+                  Tridiagonal(np.array([1.0, 2.0])),  # two zero caps: singular
+                  Tridiagonal(np.array([1.0, np.nan]), 1.0, 1.0)):
+        with pytest.raises(SolverError) as exc:
+            _spd_solve(chain, np.ones(len(chain.T) + 1))
+        assert exc.value.code == "not_spd"
 
 
 def test_classical_mms_closed_form():
@@ -208,12 +264,12 @@ def test_harmonic_replacement_box_energy_split():
 # sha256 of the replacement's float64 bytes (first 32 hex digits), for
 # u = 0.05 * cumsum(N(0,1)) with seed 31 on 64 cells
 FROZEN_REPLACEMENTS = {
-    ("uniform", "centred"): "5e63a9f41955fb846ad2a175d71c0777",
-    ("uniform", "off-centre"): "b3e73da09c02351b4fbb6c5d3c855d82",
-    ("annulus", "centred"): "5c9e28ebfa86650986db1c8fc220fcd8",
-    ("annulus", "off-centre"): "8d58547ff8c53e1cba83e1c9957b494a",
-    ("geometric", "centred"): "33f6a902cad063ba25950e5f9a9818dc",
-    ("geometric", "off-centre"): "8404a36a7359e6ce8e065eaf4fb1c666",
+    ("uniform", "centred"): "77cc70f5dbabf867865d2858df33dfdb",
+    ("uniform", "off-centre"): "8fb692061b1c07293018f83c09c5a3e9",
+    ("annulus", "centred"): "2e0b0e200a75419c417ef7c46c3990a5",
+    ("annulus", "off-centre"): "961c002a5983b2b94217005072468c56",
+    ("geometric", "centred"): "a11aa8d5e969acac016716109337923d",
+    ("geometric", "off-centre"): "3b2f5b9ae47f262ede9eb7c73584c59c",
 }
 
 
@@ -335,28 +391,103 @@ def coo_stiffness(grid: BoxGrid, w_exp: float) -> sp.csr_matrix:
                          shape=(n, n))
 
 
-@pytest.mark.parametrize("grid", [BoxGrid((-1.0,) * 3, (1.0,) * 3, (16,) * 3),
-                                  BoxGrid((-0.7, -0.9, -0.55), (1.3, 1.1, 1.45),
-                                          (9, 8, 10))],
-                         ids=["cube16", "9x8x10"])
+def stencil_csr(A: Stencil) -> sp.csr_matrix:
+    """The CSR matrix of a stencil over a whole box: each row's slots in
+    column order, stored where the neighbour exists.  Asserts that every
+    coefficient of a missing neighbour is 0, so the CSR holds all of A."""
+    n = A.coef.shape[1]
+    idx = np.indices(A.shape).reshape(3, n)
+    exists = np.ones((7, n), dtype=bool)
+    for axis in range(3):
+        exists[axis] = idx[axis] > 0
+        exists[6 - axis] = idx[axis] < A.shape[axis] - 1
+    assert A.nodes is ... and np.all(A.coef[~exists] == 0.0)
+    cols = np.arange(n) + np.array(A.offsets)[:, None]
+    indptr = np.concatenate([[0], np.cumsum(exists.sum(axis=0))])
+    return sp.csr_matrix((A.coef.T[exists.T], cols.T[exists.T], indptr),
+                         shape=(n, n))
+
+
+BOX_GRIDS = [BoxGrid((-1.0,) * 3, (1.0,) * 3, (16,) * 3),
+             BoxGrid((-0.7, -0.9, -0.55), (1.3, 1.1, 1.45), (9, 8, 10))]
+
+
+@pytest.mark.parametrize("grid", BOX_GRIDS, ids=["cube16", "9x8x10"])
 def test_box_stiffness_equals_the_coo_assembly(grid):
     A = raw_stiffness(P335, grid)
     ref = coo_stiffness(grid, -2.0 * P335.a)
     assert A is raw_stiffness(P335, grid)
-    for got, want in ((A.indptr, ref.indptr), (A.indices, ref.indices),
-                      (A.data, ref.data)):
-        assert got.dtype == want.dtype and np.array_equal(got, want)
+    assert isinstance(A, Stencil) and A.coef.dtype == ref.data.dtype
+    csr = stencil_csr(A)
+    for got, want in ((csr.indptr, ref.indptr), (csr.indices, ref.indices),
+                      (csr.data, ref.data)):
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("grid", BOX_GRIDS, ids=["cube16", "9x8x10"])
+def test_stencil_matvec_is_bit_equal_to_csr(grid):
+    """The raw, the Dirichlet-eliminated and a principal operator multiply
+    as the CSR matrices built from the COO assembly do, bit for bit."""
+    ref = coo_stiffness(grid, -2.0 * P335.a)
+    A = raw_stiffness(P335, grid)
+    mask = grid.boundary_layer()
+    D = sp.diags((~mask).astype(float))
+    K_ref = (D @ ref @ D + sp.diags(mask.astype(float))).tocsr()
+    rng = np.random.default_rng(9)
+    gvals = rng.standard_normal(int(mask.sum()))
+    rhs = rng.standard_normal(grid.n_nodes)
+    K, K_rhs = _eliminate_dirichlet(A, rhs, mask, gvals)
+    x_b = np.zeros(grid.n_nodes)
+    x_b[mask] = gvals
+    want_rhs = rhs - ref @ x_b
+    want_rhs[mask] = gvals
+    assert np.array_equal(K_rhs, want_rhs)
+    # a ball's relaxed nodes, and a scattered set reaching the box's edge
+    ball = grid.distance_to((0.2, 0.1, 0.3)) <= 0.5
+    sel = [ball & ~mask, rng.random(grid.n_nodes) < 0.4]
+    x = rng.standard_normal(grid.n_nodes)
+    x[::5] = 0.0
+    for v in (x, -x, np.ones_like(x)):
+        assert np.array_equal(A @ v, ref @ v)
+        assert np.array_equal(K @ v, K_ref @ v)
+        for keep in sel:
+            I = np.nonzero(keep)[0]
+            A_II = A.principal(keep)
+            assert np.array_equal(A_II @ v[I], ref[np.ix_(I, I)] @ v[I])
+            assert np.array_equal(A_II.diag, ref.diagonal()[I])
+
+
+def test_pcg_matches_scipy_cg():
+    """`_pcg` takes scipy's CG steps: the same iterate and count, bit for bit."""
+    grid = BoxGrid((-1.0,) * 3, (1.0,) * 3, (16,) * 3)
+    f = DiscreteField.from_function(grid, lambda p: np.cos(p[:, 0]) + p[:, 1])
+    sys_ = assemble(P335, grid, f, dirichlet=lambda p: p[:, 2] ** 2)
+    x, iterations = _pcg(sys_.matrix, sys_.rhs)
+    count = 0
+
+    def cb(_):
+        nonlocal count
+        count += 1
+
+    K = stencil_csr(sys_.matrix)
+    ref, info = cg(K, sys_.rhs, rtol=solver._CG_RTOL, atol=0.0,
+                   maxiter=solver._CG_MAX_ITER,
+                   M=sp.diags(1.0 / K.diagonal()), callback=cb)
+    assert info == 0 and iterations == count > 0
+    assert np.array_equal(x, ref)
 
 
 def test_read_only_box_stiffness_serves_every_solve_path():
     grid = BoxGrid((-1.0,) * 3, (1.0,) * 3, (8,) * 3)
     A = raw_stiffness(P335, grid)
-    data = A.data.copy()
+    coef = A.coef.copy()
     mask = grid.boundary_layer()
     K, rhs = _eliminate_dirichlet(A, np.ones(grid.n_nodes), mask,
                                   np.zeros(int(mask.sum())))
     x, iterations = _spd_solve(K, rhs)
     assert iterations > 0 and np.linalg.norm(K @ x - rhs) <= 1e-10 * np.linalg.norm(rhs)
     I = np.nonzero(~mask)[0]
-    assert np.array_equal(A[np.ix_(I, I)].toarray(), A.toarray()[np.ix_(I, I)])
-    assert not A.data.flags.writeable and np.array_equal(A.data, data)
+    A_II = A.principal(~mask)
+    columns = np.column_stack([A_II @ e for e in np.eye(len(I))])
+    assert np.array_equal(columns, stencil_csr(A).toarray()[np.ix_(I, I)])
+    assert not A.coef.flags.writeable and np.array_equal(A.coef, coef)
