@@ -315,7 +315,8 @@ EXPERIMENTS = {
         {"measure_report.csv":
          "N,a,r,closed_form,quadrature,rel_error,doubling,doubling_exact"},
         {**_SEEDED, **{k: Key(key.cast, None) for k, key in _PARAMS.items()},
-         "n_combos": _count(100), "tol": Key(_real, 1e-8)}),
+         "n_combos": _count(100),
+         "tol": Key(_real, 1e-8, "> 0", lambda x, cfg: x > 0.0)}),
     "mms_convergence": Experiment(
         exp_mms_convergence, "manufactured-solution convergence order study",
         {"mms_report.csv": "level,h,max_error,observed_order"},
@@ -356,7 +357,9 @@ EXPERIMENTS = {
     "moser_ladder": Experiment(
         exp_moser_ladder, "weighted L^q integrability ladder on a solution",
         {"ladder_report.csv": "k,q_k,norm_q,subdomain_margin"},
-        {**_COMMON, **_PARAMS, "margin0": Key(_real, 0.3),
+        {**_COMMON, **_PARAMS,
+         "margin0": Key(_real, 0.3, "in [0, grid.r_max / 2)",
+                        lambda m, cfg: 0.0 <= m < cfg["grid.r_max"] / 2),
          "grid.r_max": Key(_real, 3.0), "grid.n": Key(int, 2000)}),
     "lemma_a1_envelope": Experiment(
         exp_lemma_a1_envelope, "measure-ratio bound over random balls",

@@ -6,9 +6,11 @@ cell and face weights use the exact antiderivative of t^{N-1+w}; box
 weights use the cell-centroid value, except on cells near the coordinate
 origin, where the weight may be singular: those are refined together, one
 level of 2^d-way splits at a time, each level held as its sub-box centres
-and the one size they share (see `_refined_weights`).  Weight tables, the
-box stiffness and each ball's rim coverage are memoised on their grid
-(`_per_grid`).
+and the one size they share, until the near set repeats exactly halved;
+the rest of the octree is then a geometric series, summed in closed form
+(see `_refined_weights`).  Distances over a box grid are formed per axis.
+Weight tables, the box stiffness and each ball's rim coverage are memoised
+on their grid (`_per_grid`).
 """
 from __future__ import annotations
 
@@ -111,13 +113,11 @@ class BoxGrid:
 
     @property
     def n_nodes(self) -> int:
-        nx, ny, nz = self.shape
-        return nx * ny * nz
+        return math.prod(self.shape)
 
     @property
     def cell_volume(self) -> float:
-        hx, hy, hz = self.h
-        return hx * hy * hz
+        return math.prod(self.h)
 
     def axis_centers(self, axis: int) -> np.ndarray:
         n = self.shape[axis]
@@ -126,9 +126,8 @@ class BoxGrid:
 
     @cached_property
     def _node_coords(self) -> np.ndarray:
-        xs, ys, zs = (self.axis_centers(i) for i in range(3))
-        X, Y, Z = np.meshgrid(xs, ys, zs, indexing="ij")
-        pts = np.stack([X, Y, Z], axis=-1).reshape(-1, 3)
+        pts = np.stack(np.meshgrid(*_box_coords(self), indexing="ij"),
+                       axis=-1).reshape(-1, 3)
         pts.setflags(write=False)
         return pts
 
@@ -137,8 +136,8 @@ class BoxGrid:
 
     def distance_to(self, center) -> np.ndarray:
         """Euclidean distance of each node to the point `center`."""
-        return np.linalg.norm(self.node_coords() - np.asarray(center, float),
-                              axis=1)
+        return _tensor_norm([self.axis_centers(k) - float(c)
+                             for k, c in enumerate(center)]).reshape(-1)
 
     def interior_mask(self, margin: float) -> np.ndarray:
         """Nodes at least `margin` inside every face of the box."""
@@ -177,10 +176,7 @@ class DiscreteField:
     @classmethod
     def from_function(cls, grid, fn, name: str = "") -> "DiscreteField":
         coords = grid.node_coords()
-        if isinstance(grid, RadialGrid):
-            vals = fn(coords[:, 0])
-        else:
-            vals = fn(coords)
+        vals = fn(coords[:, 0] if isinstance(grid, RadialGrid) else coords)
         return cls(grid=grid, values=np.broadcast_to(np.asarray(vals, float),
                                                     (grid.n_nodes,)).copy(), name=name)
 
@@ -280,12 +276,21 @@ def _refined_weights(mid: np.ndarray, size: np.ndarray, w_exp: float,
     equal-volume ball (d = 3) or disk (d = 2) integral if its closed box
     `mid ± size/2` holds the origin's projection, and
     max(dist, diag/4)^w * volume otherwise.
+
+    Self-similar tail: once a level's near sub-boxes, as rows (owner, mid,
+    z) in units of its size, are the previous level's bit for bit, every
+    later level is this one halved exactly (distances and near tests too),
+    so its far part is this level's times rho = 2^{-(d+w)} (|x|^w is
+    homogeneous), the last leaf this level's times rho^(levels left), and
+    the loop stops for the closed-form series.  A rounded sub-box centre
+    (origin no dyadic multiple of h) never matches: all levels run.
     """
     n, d = mid.shape
     z = np.zeros(n) if z0 is None else z0
     owner = np.arange(n)
     out = np.zeros(n)
     offsets = np.array(list(itertools.product((-0.25, 0.25), repeat=d)))[:, None, :]
+    prev, steps = None, 0
     for depth in range(_MAX_REFINE_DEPTH + 1):
         if depth:
             mid = (mid + offsets * size).reshape(-1, d)
@@ -295,11 +300,20 @@ def _refined_weights(mid: np.ndarray, size: np.ndarray, w_exp: float,
         diag = math.sqrt(float(np.sum(size * size)))
         dist = np.sqrt(z * z + np.sum(mid * mid, axis=1))
         far = dist > _ORIGIN_REFINE_FACTOR * diag
-        out += np.bincount(owner[far], dist[far] ** w_exp * vol, n)
+        part = np.bincount(owner[far], dist[far] ** w_exp * vol, n)
+        out += part
         near = ~far
         mid, owner, z, dist = mid[near], owner[near], z[near], dist[near]
         if not len(owner):
             return out
+        rows = np.column_stack([owner, 2.0 ** depth * mid, 2.0 ** depth * z])
+        if (prev is not None and prev.shape == rows.shape  # cheap tests first
+                and np.array_equal(prev.sum(axis=0), rows.sum(axis=0))
+                and np.array_equal(prev[np.lexsort(prev.T)],
+                                   rows[np.lexsort(rows.T)])):
+            steps = _MAX_REFINE_DEPTH - depth
+            break
+        prev = rows
     leaf = np.maximum(dist, 0.25 * diag) ** w_exp * vol
     at_origin = (np.all(mid - 0.5 * size <= 0.0, axis=1)
                  & np.all(mid + 0.5 * size >= 0.0, axis=1))
@@ -310,27 +324,47 @@ def _refined_weights(mid: np.ndarray, size: np.ndarray, w_exp: float,
         vols = np.full(int(at_origin.sum()), vol)
         leaf[at_origin] = (_ball_equiv_weight(vols, w_exp) if z0 is None
                            else _disk_weight(z[at_origin], vols, w_exp))
+    if steps:  # d + w > 0 here: a self-similar set touches the origin
+        rho = 2.0 ** -(d + w_exp)
+        out += part * (rho * (1.0 - rho ** steps) / (1.0 - rho))
+        leaf *= rho ** steps
     return out + np.bincount(owner, leaf, n)
 
 
+def _tensor_norm(coords: list[np.ndarray]) -> np.ndarray:
+    """|x| on the tensor grid of per-axis `coords`, summed (x^2 + y^2) + z^2
+    as `np.linalg.norm(..., axis=-1)` sums, so bit-identical to it."""
+    x2, y2, z2 = (c * c for c in coords)
+    return np.sqrt((x2[:, None, None] + y2[None, :, None]) + z2)
+
+
+def _box_coords(grid: BoxGrid, axis: int | None = None) -> list[np.ndarray]:
+    """Per-axis cell centres; with `axis`, of the interior faces normal to it."""
+    coords = [grid.axis_centers(i) for i in range(3)]
+    if axis is not None:
+        coords[axis] = 0.5 * (coords[axis][:-1] + coords[axis][1:])
+    return coords
+
+
 def _box_volume_weights(grid: BoxGrid, w_exp: float,
-                        centers: np.ndarray) -> np.ndarray:
-    """Integral of |x|^{w} over the cell-sized box around each of `centers`
-    (shape (..., 3)): centroid rule, with the boxes near the origin refined
-    level by level in one `_refined_weights` call."""
+                        coords: list[np.ndarray]) -> np.ndarray:
+    """Integral of |x|^{w} over the cell-sized box around each point of the
+    tensor grid of `coords`: centroid rule, with the boxes near the origin
+    refined level by level in one `_refined_weights` call."""
     h = np.array(grid.h)
-    dist = np.linalg.norm(centers, axis=-1)
+    dist = _tensor_norm(coords)
     w = np.where(dist > 0, dist, 1.0) ** w_exp * grid.cell_volume
     if w_exp != 0.0:
         near = dist <= _ORIGIN_REFINE_FACTOR * float(np.linalg.norm(h))
-        w[near] = _refined_weights(centers[near], h, w_exp)
+        c = np.stack([x[i] for x, i in zip(coords, np.nonzero(near))], axis=1)
+        w[near] = _refined_weights(c, h, w_exp)
     w.setflags(write=False)
     return w
 
 
 @_per_grid
 def box_cell_weights(grid: BoxGrid, w_exp: float) -> np.ndarray:
-    return _box_volume_weights(grid, w_exp, grid.node_coords())
+    return _box_volume_weights(grid, w_exp, _box_coords(grid)).reshape(-1)
 
 
 def cell_weights(grid, N: int, w_exp: float) -> np.ndarray:
@@ -416,33 +450,25 @@ def radial_face_dual_weights(grid: RadialGrid, N: int, w_exp: float) -> np.ndarr
     return _radial_shell_weights(N, w_exp, lo, hi, floor=1e-300)
 
 
-def _face_centers(grid: BoxGrid, axis: int) -> np.ndarray:
-    """Centers of the interior faces orthogonal to `axis`, shape (..., 3):
-    like the cell array but with shape[axis]-1 along `axis`."""
-    coords = [grid.axis_centers(i) for i in range(3)]
-    coords[axis] = 0.5 * (coords[axis][:-1] + coords[axis][1:])
-    return np.stack(np.meshgrid(*coords, indexing="ij"), axis=-1)
-
-
 @_per_grid
 def box_face_dual_weights(grid: BoxGrid, w_exp: float, axis: int) -> np.ndarray:
     """Weight integral over the h^3 dual box of each interior face along axis."""
-    return _box_volume_weights(grid, w_exp, _face_centers(grid, axis))
+    return _box_volume_weights(grid, w_exp, _box_coords(grid, axis))
 
 
 @_per_grid
 def box_face_area_weights(grid: BoxGrid, w_exp: float, axis: int) -> np.ndarray:
     """2D weight integral over each interior face orthogonal to `axis`."""
     h = np.array(grid.h)
-    centers = _face_centers(grid, axis)
-    dist = np.linalg.norm(centers, axis=-1)
+    coords = _box_coords(grid, axis)
+    dist = _tensor_norm(coords)
     tang = [i for i in range(3) if i != axis]
     area = h[tang[0]] * h[tang[1]]
     w = np.where(dist > 0, dist, 1.0) ** w_exp * area
     if w_exp != 0.0:
         diag = float(np.linalg.norm(h[tang])) * 2.0
         near = dist <= _ORIGIN_REFINE_FACTOR * diag
-        c = centers[near]
+        c = np.stack([x[i] for x, i in zip(coords, np.nonzero(near))], axis=1)
         w[near] = _refined_weights(c[:, tang], h[tang], w_exp,
                                    np.abs(c[:, axis]))
     w.setflags(write=False)
@@ -466,36 +492,27 @@ def dirichlet_energy(params: WeightParams, field: DiscreteField,
             w = _radial_shell_weights(params.N, w_exp, *_radial_duals(grid),
                                       ball, floor=1e-300)
         return float(grads ** 2 @ w)
-    nx, ny, nz = grid.shape
-    v = field.values.reshape(nx, ny, nz)
+    v = field.values.reshape(grid.shape)
     h = grid.h
     total = 0.0
-    frac_cells = None
-    if ball is not None:
-        frac_cells = _ball_coverage_fractions(grid, ball).reshape(nx, ny, nz)
+    frac_cells = (None if ball is None
+                  else _ball_coverage_fractions(grid, ball).reshape(grid.shape))
     for axis in range(3):
         grads = np.diff(v, axis=axis) / h[axis]
         w = np.asarray(box_face_dual_weights(grid, w_exp, axis))
+        lead = (slice(None),) * axis  # indexes along `axis` after these
         if frac_cells is not None:
             # approximate the dual-box clipping by the mean coverage of the
             # two cells sharing the face
-            sl_lo = [slice(None)] * 3
-            sl_hi = [slice(None)] * 3
-            sl_lo[axis] = slice(None, -1)
-            sl_hi[axis] = slice(1, None)
-            w = w * 0.5 * (frac_cells[tuple(sl_lo)] + frac_cells[tuple(sl_hi)])
+            w = w * 0.5 * (frac_cells[lead + (slice(None, -1),)]
+                           + frac_cells[lead + (slice(1, None),)])
         total += float(np.sum(grads ** 2 * w))
         if frac_cells is None:
             # boundary half-cells: reuse the adjacent interior gradient so a
             # linear field reproduces its exact energy
-            sl_first = [slice(None)] * 3
-            sl_last = [slice(None)] * 3
-            sl_first[axis] = slice(0, 1)
-            sl_last[axis] = slice(-1, None)
             area_w = np.asarray(box_face_area_weights(grid, w_exp, axis))
-            cap_first = area_w[tuple(sl_first)] * 0.5 * h[axis]
-            cap_last = area_w[tuple(sl_last)] * 0.5 * h[axis]
-            total += float(np.sum(grads[tuple(sl_first)] ** 2 * cap_first))
-            total += float(np.sum(grads[tuple(sl_last)] ** 2 * cap_last))
+            for end in (slice(0, 1), slice(-1, None)):
+                cap = area_w[lead + (end,)] * 0.5 * h[axis]
+                total += float(np.sum(grads[lead + (end,)] ** 2 * cap))
     return total
 

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -47,18 +48,22 @@ class Tridiagonal:
     A cell's diagonal adds its face above, its face below, then its cap;
     `A @ x` sums each row in the column order of a CSR matvec, from 0, so
     products are bit-identical to those of the equivalent sparse matrix.
+    The chain solve reads T and the caps alone; `diag`, `off` are lazy.
     """
     T: np.ndarray
     cap_lo: float = 0.0
     cap_hi: float = 0.0
 
-    def __post_init__(self):
-        self.off = -self.T
-        self.diag = np.zeros(len(self.T) + 1)
-        self.diag[:-1] += self.T
-        self.diag[1:] += self.T
-        self.diag[-1] += self.cap_hi
-        self.diag[0] += self.cap_lo
+    @cached_property
+    def off(self) -> np.ndarray:
+        return -self.T
+
+    @cached_property
+    def diag(self) -> np.ndarray:
+        diag = np.concatenate((self.T, [self.cap_hi]))  # the face above
+        diag[1:] += self.T  # the face below
+        diag[0] += self.cap_lo
+        return diag
 
     def __matmul__(self, x) -> np.ndarray:
         x = np.asarray(x, float)

@@ -165,6 +165,12 @@ REJECTED_VALUES = {
     ("regularity_report", "params.s=1"): "s_too_small: ",
     ("alpha_h_estimation", "center=5"):
         "`center` must be in [grid.r_min, grid.r_max], got '5'",
+    ("measure_identities", "tol=0"): "`tol` must be > 0, got '0'",
+    ("measure_identities", "tol=-1"): "`tol` must be > 0, got '-1'",
+    ("moser_ladder", "margin0=-1"):
+        "`margin0` must be in [0, grid.r_max / 2), got '-1'",
+    ("moser_ladder", "margin0=5"):
+        "`margin0` must be in [0, grid.r_max / 2), got '5'",
 }
 
 

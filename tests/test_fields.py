@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import itertools
 import math
 import weakref
@@ -241,13 +242,16 @@ def cube(m):
     return BoxGrid((-1.0,) * 3, (1.0,) * 3, (m,) * 3)
 
 
-def box_tables(grid, w_exp):
-    """Cell, face-dual and face-area tables, each as an (nx, ny, nz) array
-    (the cell table reshaped, the face tables one shorter along their axis)."""
+def box_tables(grid, w_exp, areas=True):
+    """Cell, face-dual and (with `areas`) face-area tables, each as an
+    (nx, ny, nz) array (the cell table reshaped, the face tables one
+    shorter along their axis)."""
     out = {"cell": np.asarray(box_cell_weights(grid, w_exp)).reshape(grid.shape)}
     for axis in range(3):
         out[f"dual{axis}"] = np.asarray(box_face_dual_weights(grid, w_exp, axis))
-        out[f"area{axis}"] = np.asarray(box_face_area_weights(grid, w_exp, axis))
+        if areas:
+            out[f"area{axis}"] = np.asarray(box_face_area_weights(grid, w_exp,
+                                                                  axis))
     return out
 
 
@@ -363,15 +367,21 @@ def refined_by_corners(lo, hi, w_exp, z0=None):
                          ids=["cube16", "cube17", "cube32", "9x8x10"])
 def test_octree_levels_match_the_corner_pairs(grid, w_exp):
     """Centres at one size per level give the corner pairs' integrals:
-    bit for bit where every corner is dyadic, else to round-off."""
+    bit for bit where every corner is dyadic, else to round-off.  On the
+    dyadic grids the self-similar tail replaces the levels past the
+    repeating one by a geometric series wherever the origin is in reach
+    (the cells, and the face plane through it): there the sums differ by
+    round-off, at most 9.1e-16 relative over w in {-0.5, -0.6, -1.9, 0.7,
+    -15/7} on cube16 and cube32, so 2e-15."""
     h = np.array(grid.h)
     exact = grid.shape[0] in (16, 32)
 
-    def check(got, want):
-        if exact:
+    def check(got, want, tail=True):
+        if exact and not tail:
             assert np.array_equal(got, want)
         else:
-            assert np.allclose(got, want, rtol=1e-13, atol=0)
+            assert np.allclose(got, want, rtol=2e-15 if exact else 1e-13,
+                               atol=0)
 
     c = grid.node_coords()
     c = c[np.linalg.norm(c, axis=1)
@@ -391,16 +401,95 @@ def test_octree_levels_match_the_corner_pairs(grid, w_exp):
         z0 = np.full(len(near), x0)
         lo = near - 0.5 * h[1:]
         check(_refined_weights(near, h[1:], w_exp, z0),
-              refined_by_corners(lo, lo + h[1:], w_exp, z0))
+              refined_by_corners(lo, lo + h[1:], w_exp, z0), x0 == 0.0)
+
+
+@pytest.mark.parametrize("w_exp", [-0.6, -15 / 7, 0.7])
+def test_box_tables_scale_with_the_grid(w_exp):
+    """cube32's middle half is cube16 halved, cell for cell and face for
+    face, so its weight integrals are cube16's times 2^{-(3+w)} (face
+    patches 2^{-(2+w)}).  The octree halves their sub-boxes exactly, so
+    the tables differ by the round-off of the tail's series and of the
+    centroid powers alone: at most 9.0e-16 relative at these exponents
+    (1.13e-15 at w = -1.9), so 2e-15."""
+    areas = w_exp > -2.0  # else the face plane x_k = 0 is not integrable
+    t16 = box_tables(cube(16), w_exp, areas)
+    t32 = box_tables(cube(32), w_exp, areas)
+    for key, table in t16.items():
+        deg = (2.0 if key.startswith("area") else 3.0) + w_exp
+        middle = tuple(slice(8, 8 + n) for n in table.shape)
+        assert np.allclose(t32[key][middle], 2.0 ** -deg * table,
+                           rtol=2e-15, atol=0), key
+
+
+@pytest.mark.parametrize("grid", [cube(16), cube(17), BoxGrid(
+    (-0.7, -0.9, -0.55), (1.3, 1.1, 1.45), (9, 8, 10))],
+    ids=["cube16", "cube17", "9x8x10"])
+def test_separable_distances_equal_the_norm_of_the_points(grid):
+    """|x - c| formed per axis, (x^2 + y^2) + z^2, is `np.linalg.norm` of
+    the points, bit for bit: node distances and face-centre distances."""
+    for c in ((0.0, 0.0, 0.0), (0.3, -0.4, 1.2), (0.2, 0.1, 0.0)):
+        want = np.linalg.norm(grid.node_coords() - np.array(c), axis=1)
+        assert np.array_equal(grid.distance_to(c), want)
+    for axis in (None, 0, 1, 2):
+        coords = fields._box_coords(grid, axis)
+        pts = np.stack(np.meshgrid(*coords, indexing="ij"), axis=-1)
+        assert np.array_equal(fields._tensor_norm(coords),
+                              np.linalg.norm(pts, axis=-1))
+
+
+# sha256 (first 32 hex digits) of the float64 bytes of every table the box
+# study reads, |x|^{-bp} cells and |x|^{-2a} cells and faces at (3, 0.3, 0.5),
+# on grids where no sub-box centre repeats exactly halved, so that no
+# refinement takes the self-similar tail: they must not move by a bit
+FROZEN_BOX_TABLES = {
+    "cube20": {"cell@-bp": "910719cec080b3ae16a0bed24385f545",
+               "cell": "d78346bb3325c859ccd81f6c7cb13af1",
+               "dual0": "d818ef38f035b77fb719deac7d9e9bb5",
+               "dual1": "bdbd203dd8cc19e02d5272daaf2415a6",
+               "dual2": "efc2c11260755efd1face833f3bd576b",
+               "area0": "9210b7021ce91e57759ed23539164201",
+               "area1": "413522c644ae2f6e786ec7385b6a0be2",
+               "area2": "161bf48d378a94e8bd7a1b8b9578ce8a"},
+    "9x8x10": {"cell@-bp": "f1f084196690ccede2663a8c2a0562f7",
+               "cell": "25f8acca2f0d7783206efc6dc16b5483",
+               "dual0": "f13c212900cfafb267b096786d247a12",
+               "dual1": "ffe3eb6de4aff95c39b263dd8c23b38e",
+               "dual2": "c34dc7932aca35ffad4871669062ce36",
+               "area0": "94c82293dc4a81dde2fc10b56ff4fc02",
+               "area1": "14dfff0aac7edc6509e4bcf89e28ad38",
+               "area2": "64e7c8fecc977444846076a90e6e7904"},
+}
+
+
+@pytest.mark.parametrize("name", sorted(FROZEN_BOX_TABLES))
+def test_box_tables_off_the_dyadic_lattice_are_frozen(name):
+    grid = {"cube20": cube(20), "9x8x10": BoxGrid(
+        (-0.7, -0.9, -0.55), (1.3, 1.1, 1.45), (9, 8, 10))}[name]
+    p = validate(3, 0.3, 0.5, INF)
+    tables = box_tables(grid, -2.0 * p.a)
+    tables["cell@-bp"] = box_cell_weights(grid, -p.bp)
+    for key, want in FROZEN_BOX_TABLES[name].items():
+        table = np.asarray(tables[key]).astype("<f8")
+        assert hashlib.sha256(table.tobytes()).hexdigest()[:32] == want, key
 
 
 def test_box_tables_reject_nonintegrable_weights():
-    grid = cube(4)
-    for table in (lambda: box_cell_weights(grid, -3.5),
-                  lambda: box_face_dual_weights(grid, -3.0, 0),
-                  lambda: box_face_area_weights(grid, -2.5, 0)):
+    """Also at w = -d exactly, where the self-similar tail's ratio
+    2^{-(d+w)} is 1: the check comes before the series."""
+    for m, w in itertools.product((4, 5, 16), (-3.5, -3.0)):
+        grid = cube(m)
+        tables = [lambda: box_cell_weights(grid, w),
+                  lambda: box_face_dual_weights(grid, w, 0)]
+        if m % 2 == 0:  # a face plane through the origin
+            tables.append(lambda: box_face_area_weights(grid, w + 1.0, 0))
+        for table in tables:
+            with pytest.raises(GridError) as exc:
+                table()
+            assert exc.value.code == "nonintegrable_weight", (m, w)
+    for d in (2, 3):
         with pytest.raises(GridError) as exc:
-            table()
+            _refined_weights(np.zeros((1, d)), np.ones(d), -float(d))
         assert exc.value.code == "nonintegrable_weight"
     # away from the origin the same exponents are integrable
     far = BoxGrid((1.0, 1.0, 1.0), (2.0, 2.0, 2.0), (4, 4, 4))
