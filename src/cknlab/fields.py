@@ -9,8 +9,8 @@ level of 2^d-way splits at a time, each level held as its sub-box centres
 and the one size they share, until the near set repeats exactly halved;
 the rest of the octree is then a geometric series, summed in closed form
 (see `_refined_weights`).  Distances over a box grid are formed per axis.
-Weight tables, the box stiffness and each ball's rim coverage are memoised
-on their grid (`_per_grid`).
+Weight tables, the stiffness and each ball's rim coverage are memoised on
+their grid (`_per_grid`), read-only, as are a grid's edges and centres.
 """
 from __future__ import annotations
 
@@ -60,10 +60,11 @@ class RadialGrid:
         e.setflags(write=False)
         return e
 
-    @property
+    @cached_property
     def centers(self) -> np.ndarray:
-        e = self.edges
-        return 0.5 * (e[:-1] + e[1:])
+        c = 0.5 * (self.edges[:-1] + self.edges[1:])
+        c.setflags(write=False)
+        return c
 
     @property
     def n_nodes(self) -> int:
@@ -190,13 +191,18 @@ class DiscreteField:
 
 def _per_grid(table):
     """Memoise a weight table or operator in its grid's `__dict__` (as
-    `cached_property` does), so that it lives exactly as long as the grid."""
+    `cached_property` does), so that it lives exactly as long as the grid.
+    Every later caller shares it, so the table, or each array field of the
+    operator, is made read-only."""
     @wraps(table)
     def cached(grid, *args, **kwargs):
         memo = grid.__dict__.setdefault("_weight_tables", {})
         key = (table.__name__, args, tuple(sorted(kwargs.items())))
         if key not in memo:
-            memo[key] = table(grid, *args, **kwargs)
+            value = memo[key] = table(grid, *args, **kwargs)
+            for a in (value, *getattr(value, "__dict__", {}).values()):
+                if isinstance(a, np.ndarray):
+                    a.setflags(write=False)
         return memo[key]
     return cached
 
@@ -240,6 +246,7 @@ def _radial_duals(grid: RadialGrid) -> tuple[np.ndarray, np.ndarray]:
             np.concatenate([c[1:-1], [e[-1]]]))
 
 
+@_per_grid
 def radial_cell_weights(grid: RadialGrid, N: int, w_exp: float) -> np.ndarray:
     """sigma_{N-1} * integral of t^{N-1+w} over each cell."""
     return _radial_shell_weights(N, w_exp, grid.edges[:-1], grid.edges[1:])
@@ -358,7 +365,6 @@ def _box_volume_weights(grid: BoxGrid, w_exp: float,
         near = dist <= _ORIGIN_REFINE_FACTOR * float(np.linalg.norm(h))
         c = np.stack([x[i] for x, i in zip(coords, np.nonzero(near))], axis=1)
         w[near] = _refined_weights(c, h, w_exp)
-    w.setflags(write=False)
     return w
 
 
@@ -402,7 +408,6 @@ def _ball_coverage_fractions(grid: BoxGrid, ball: BallSpec) -> np.ndarray:
         r2 = (sq[0][:, :, None, None] + sq[1][:, None, :, None]
               + sq[2][:, None, None, :])
         frac[rim] = (np.sqrt(r2) <= ball.radius).reshape(len(rim), -1).mean(axis=1)
-    frac.setflags(write=False)
     return frac
 
 
@@ -471,7 +476,6 @@ def box_face_area_weights(grid: BoxGrid, w_exp: float, axis: int) -> np.ndarray:
         c = np.stack([x[i] for x, i in zip(coords, np.nonzero(near))], axis=1)
         w[near] = _refined_weights(c[:, tang], h[tang], w_exp,
                                    np.abs(c[:, axis]))
-    w.setflags(write=False)
     return w
 
 

@@ -148,11 +148,23 @@ def _chain_constant(cd: float, tau: float, beta: float, gamma: float) -> float:
                              f"{cd!r}") from exc
 
 
+def _rank(x, xp, guess):
+    """`np.searchsorted(xp, x, "right")` for x finite or -inf, from a float
+    `guess` off by less than one (affine in log x for geometric xp), whose
+    floor one comparison with each neighbour then corrects."""
+    k = guess.clip(0, len(xp)).astype(np.intp)  # the floor, as guess >= 0
+    xq = np.concatenate(([-np.inf], xp, [np.inf]))  # xq[k] = xp[k - 1]
+    k -= x < xq.take(k)
+    k += x >= xq[1:].take(k)
+    return k
+
+
 class MeasureTable:
     """mu_a(B_r(x0)) sampled on `_TABLE_SIZE` geometric radii with log-log
     interpolation in between; closed form when centered, else one batched
     shell quadrature over all the radii.  The interpolant at the table
-    radii, the numerator of every doubling ratio, is evaluated once."""
+    radii, the numerator of every doubling ratio, is evaluated once.  A
+    lookup ranks log r by `_rank`, then sums as `np.interp` does."""
 
     def __init__(self, params: WeightParams, center, r_lo: float, r_hi: float):
         self.params = params
@@ -167,6 +179,11 @@ class MeasureTable:
                 params.N, -2.0 * params.a, np.full(_TABLE_SIZE, d), self.radii)
         self._lx = np.log(self.radii)
         self._ly = np.log(self.values)
+        s = np.diff(self._ly) / np.diff(self._lx)
+        seg = np.array([np.append(s, s[-1]), self._lx, self._ly])
+        # by rank: slope, log radius and log value of the segment below each
+        # table radius, the end segments carried on past the table's ends
+        self._seg = np.hstack((seg[:, :1], seg))
         self._at_radii = self(self.radii)
 
     def __call__(self, r):
@@ -174,14 +191,10 @@ class MeasureTable:
         # exact power law below the table (and asymptotically above it), so
         # extending the boundary segments keeps small-radius doubling honest
         lx = np.log(np.asarray(r, float))
-        ly = np.interp(lx, self._lx, self._ly)
-        s_lo = (self._ly[1] - self._ly[0]) / (self._lx[1] - self._lx[0])
-        s_hi = (self._ly[-1] - self._ly[-2]) / (self._lx[-1] - self._lx[-2])
-        ly = np.where(lx < self._lx[0],
-                      self._ly[0] + s_lo * (lx - self._lx[0]), ly)
-        ly = np.where(lx > self._lx[-1],
-                      self._ly[-1] + s_hi * (lx - self._lx[-1]), ly)
-        return np.exp(ly)
+        per_bin = (_TABLE_SIZE - 1) / (self._lx[-1] - self._lx[0])
+        k = _rank(lx, self._lx, (lx - self._lx[0]) * per_bin + 1.0)
+        s, lx_j, ly_j = self._seg.take(k, axis=-1)
+        return np.exp(s * (lx - lx_j) + ly_j)
 
     def doubling_constant(self, tau):
         """max over the table radii r of mu(r) / mu(tau r); for an array of
@@ -222,21 +235,22 @@ def _draw_trials(rng: np.random.Generator, radii: np.ndarray, r_lo: float,
     kept = []
     for trial in range(n_trials):
         k = len(kept)
+        inc, keep = prof[k, :n], prof[k, n:]
         style = styles[k] = rng.integers(0, 3)
         if style == 0:
             expo0[k] = rng.random()
-            rng.standard_normal(out=prof[k, :n])
+            rng.standard_normal(out=inc)
             rng.random(out=u[k])
         elif style == 1:
-            rng.standard_exponential(out=prof[k, :n])
-            rng.random(out=prof[k, n:])
-            if not prof[k, :n][prof[k, n:] >= 0.4].any():
+            rng.standard_exponential(out=inc)
+            rng.random(out=keep)
+            if not (keep >= 0.4) @ inc > 0:  # no increment (all >= 0) left
                 rng.random()  # the scale
                 continue
             rng.random(out=u[k, 1:])
         else:
             rng.random(out=prof[k])
-            if not prof[k, :n][prof[k, n:] < 0.15].any():
+            if not (keep < 0.15) @ inc > 0:  # no step (all >= 0)
                 rng.random(2)  # exponent and scale
                 continue
             rng.random(out=u[k])
@@ -280,6 +294,20 @@ def _hypothesis_needs(phi: np.ndarray, w: np.ndarray, g: np.ndarray,
     return w * np.max(a1, axis=1), (1.0 - w) * np.max(a2, axis=1)
 
 
+def _interp_rows(x: np.ndarray, xp: np.ndarray, fp: np.ndarray) -> np.ndarray:
+    """`np.interp(x[i], xp, fp[i])` for every row i, bit for bit, on
+    geometric xp: x ranked by `_rank` among xp itself, then the segment
+    below it summed as `np.interp` does; slope 0 past either end."""
+    m, n = fp.shape
+    lx = np.log(xp)
+    k = _rank(x, xp, (np.log(x) - lx[0]) * ((n - 1) / (lx[-1] - lx[0])) + 1.0)
+    dx = x - np.concatenate((xp[:1], xp)).take(k)
+    k += (n + 1) * np.arange(m).reshape((m,) + (1,) * (x.ndim - 1))
+    zero = np.zeros((m, 1))  # rank-indexed rows, as in `MeasureTable`
+    s = np.hstack((zero, np.diff(fp) / np.diff(xp), zero))
+    return s.take(k) * dx + np.hstack((fp[:, :1], fp)).take(k)
+
+
 def lemma_a2_property_check(params: WeightParams, alpha: float, beta: float,
                             gamma: float, center, r_lo: float, r_hi: float,
                             n_trials: int, seed: int,
@@ -297,7 +325,8 @@ def lemma_a2_property_check(params: WeightParams, alpha: float, beta: float,
     trials are then done together: A1 and A2 from running maxima
     (`_hypothesis_needs`), every doubling constant from one table
     evaluation, the proof constants in trial order (the first overflow
-    raises), and the conclusion on (trials x n_pairs) arrays.
+    raises), and the conclusion on (trials x n_pairs) arrays, every
+    profile interpolated at its pairs in one `_interp_rows` call.
     """
     if not (0.0 < alpha < gamma < beta):
         raise ParameterError("exponent_order_violation",
@@ -320,8 +349,7 @@ def lemma_a2_property_check(params: WeightParams, alpha: float, beta: float,
 
     # conclusion at the random pairs rho <= r
     pairs = np.stack([rho_chk, r_chk], axis=1)
-    lhs, phi_r = np.reshape([np.interp(x, radii, p) for x, p in zip(pairs, phi)],
-                            pairs.shape).transpose(1, 0, 2)
+    lhs, phi_r = _interp_rows(pairs, radii, phi).transpose(1, 0, 2)
     mu_rho = table(rho_chk)
     constant = np.array(constants)[:, None]
     rhs = constant * (mu_rho / table(r_chk) * (rho_chk / r_chk) ** -gamma * phi_r

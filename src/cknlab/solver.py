@@ -20,7 +20,7 @@ caps, solved directly by its closed-form LDL^T; a box operator is a
 to relative residual `_CG_RTOL` within `_CG_MAX_ITER` iterations.  Every
 SPD solve (solve, residual, harmonic replacement) goes through
 `_spd_solve`, needs numpy alone, and raises `SolverError` on failure.
-The box `raw_stiffness` is memoised read-only on its grid.
+`raw_stiffness` is memoised read-only on its grid.
 """
 from __future__ import annotations
 
@@ -31,7 +31,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import GridError, ParameterError, SolverError
-from .fields import (BoxGrid, DiscreteField, RadialGrid, _per_grid,
+from .fields import (DiscreteField, RadialGrid, _per_grid,
                      _power_antiderivative, box_face_dual_weights, cell_weights,
                      radial_face_dual_weights)
 from .measure import BallSpec, sphere_area
@@ -48,13 +48,13 @@ class Tridiagonal:
     A cell's diagonal adds its face above, its face below, then its cap;
     `A @ x` sums each row in the column order of a CSR matvec, from 0, so
     products are bit-identical to those of the equivalent sparse matrix.
-    The chain solve reads T and the caps alone; `diag`, `off` are lazy.
+    The chain solve reads T and the caps alone; `diag` is lazy.
     """
     T: np.ndarray
     cap_lo: float = 0.0
     cap_hi: float = 0.0
 
-    @cached_property
+    @property
     def off(self) -> np.ndarray:
         return -self.T
 
@@ -63,14 +63,15 @@ class Tridiagonal:
         diag = np.concatenate((self.T, [self.cap_hi]))  # the face above
         diag[1:] += self.T  # the face below
         diag[0] += self.cap_lo
+        diag.setflags(write=False)
         return diag
 
     def __matmul__(self, x) -> np.ndarray:
         x = np.asarray(x, float)
         y = np.zeros(len(self.diag))
-        y[1:] += self.off * x[:-1]
+        y[1:] -= self.T * x[:-1]
         y += self.diag * x
-        y[:-1] += self.off * x[1:]
+        y[:-1] -= self.T * x[1:]
         return y
 
     def principal(self, lo: int, hi: int) -> "Tridiagonal":
@@ -147,21 +148,18 @@ def raw_stiffness(params: WeightParams, grid) -> Tridiagonal | Stencil:
 
     Its quadratic form u^T A u equals `fields.dirichlet_energy` exactly.
     """
-    if isinstance(grid, RadialGrid):
-        w = np.asarray(radial_face_dual_weights(grid, params.N, -2.0 * params.a))
-        return Tridiagonal(w / np.diff(grid.centers) ** 2)
-    return _box_stiffness(grid, -2.0 * params.a)
+    return _stiffness(grid, params.N, -2.0 * params.a)
 
 
 @_per_grid
-def _box_stiffness(grid: BoxGrid, w_exp: float) -> Stencil:
-    """The box `raw_stiffness`, built once per grid.
-
-    The diagonal adds the face transmissibilities axis by axis, the face
-    above the cell before the face below, so it equals the COO assembly's
-    duplicate sum bit for bit.  The coefficients are read-only, like the
-    weight tables.
-    """
+def _stiffness(grid, N: int, w_exp: float) -> Tridiagonal | Stencil:
+    """The `raw_stiffness`, built once per grid: the radial chain, or the
+    box stencil, whose diagonal adds the face transmissibilities axis by
+    axis, the face above the cell before the face below, so it equals the
+    COO assembly's duplicate sum bit for bit."""
+    if isinstance(grid, RadialGrid):
+        return Tridiagonal(radial_face_dual_weights(grid, N, w_exp)
+                           / np.diff(grid.centers) ** 2)
     coef = np.zeros((7,) + grid.shape)
     for axis in range(3):
         T = np.zeros(grid.shape)  # the face above each cell; 0 on the last
@@ -172,9 +170,7 @@ def _box_stiffness(grid: BoxGrid, w_exp: float) -> Stencil:
         coef[3] += below
         coef[6 - axis] = -T
         coef[axis] = -below
-    coef = coef.reshape(7, -1)
-    coef.setflags(write=False)
-    return Stencil(coef, grid.shape)
+    return Stencil(coef.reshape(7, -1), grid.shape)
 
 
 def stiffness_quadratic_form(params: WeightParams, grid, values) -> float:

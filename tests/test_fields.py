@@ -15,7 +15,7 @@ from cknlab.fields import (BoxGrid, DiscreteField, RadialGrid,
                            ball_cell_weights, box_cell_weights,
                            box_face_area_weights, box_face_dual_weights,
                            cell_weights, dirichlet_energy, lq_norm, oscillation,
-                           radial_face_dual_weights)
+                           radial_cell_weights, radial_face_dual_weights)
 from cknlab.measure import BallSpec, ball_measure, centered_weight_integral, weighted_mean
 from cknlab.params import INF, validate
 from cknlab.solver import raw_stiffness
@@ -510,7 +510,8 @@ def test_radial_ball_weights_reject_nonintegrable_weights():
 
 def _all_weight_tables(box: BoxGrid, radial: RadialGrid) -> list:
     tables = [box_cell_weights(box, -0.6), radial_face_dual_weights(radial, 3, -0.6),
-              raw_stiffness(P303, box),
+              radial_cell_weights(radial, 3, -0.6), radial.centers,
+              raw_stiffness(P303, box), raw_stiffness(P303, radial),
               _ball_coverage_fractions(box, BallSpec((0.1, 0.0, -0.2), 0.5))]
     for axis in range(3):
         tables += [box_face_dual_weights(box, -0.6, axis),

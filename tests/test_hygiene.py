@@ -1,5 +1,6 @@
 """Source hygiene checks that need no linter: stdlib `ast` and `inspect`."""
 import ast
+import functools
 import importlib
 import inspect
 import os
@@ -8,9 +9,12 @@ import sys
 import types
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from cknlab import solver
+from cknlab.fields import BoxGrid, RadialGrid
+from cknlab.measure import BallSpec
 
 SRC = sorted((Path(__file__).resolve().parent.parent / "src" / "cknlab")
              .glob("*.py"))
@@ -315,3 +319,71 @@ def test_experiments_build_no_grid():
     `dataclasses.replace`."""
     cli_py = next(path for path in SRC if path.name == "cli.py")
     assert experiment_grid_constructions(cli_py.read_text()) == []
+
+
+def per_grid_tables(source: str) -> list[str]:
+    """Every module-level function decorated with `_per_grid`, by name or
+    as `<mod>._per_grid`."""
+    return [fn.name for fn in ast.parse(source).body
+            if isinstance(fn, ast.FunctionDef)
+            and any((isinstance(d, ast.Name) and d.id == "_per_grid")
+                    or (isinstance(d, ast.Attribute) and d.attr == "_per_grid")
+                    for d in fn.decorator_list)]
+
+
+def test_per_grid_tables_detected():
+    src = ("@_per_grid\n"
+           "def a(grid): pass\n"
+           "@fields._per_grid\n"
+           "def b(grid, w): pass\n"
+           "@cached_property\n"
+           "def c(self): pass\n"
+           "def d(grid): pass\n")
+    assert per_grid_tables(src) == ["a", "b"]
+
+
+def shared_arrays(value) -> list:
+    """The arrays a memoised value hands out to every caller: itself, or
+    each public array attribute of an operator that two reads return as
+    one object (fields and cached properties; a fresh array per read is
+    no one else's)."""
+    if isinstance(value, np.ndarray):
+        return [value]
+    names = [name for name in dir(value) if not name.startswith("_")]
+    return [getattr(value, name) for name in names
+            if isinstance(getattr(value, name), np.ndarray)
+            and getattr(value, name) is getattr(value, name)]
+
+
+def test_memoised_tables_are_read_only():
+    """A table memoised on its grid (`fields._per_grid`, and the grids'
+    cached properties) is shared by every later caller: one in-place
+    write would corrupt every later energy, stiffness or solve on that
+    grid, so each hands out read-only arrays.  A new table joins
+    `calls` with sample arguments, or this test fails."""
+    radial = RadialGrid(0.0, 1.0, 16)
+    box = BoxGrid((-1.0,) * 3, (1.0,) * 3, (6,) * 3)
+    calls = [
+        ("fields.radial_cell_weights", (radial, 3, -0.6)),
+        ("fields.radial_face_dual_weights", (radial, 3, -0.6)),
+        ("fields.box_cell_weights", (box, -0.6)),
+        ("fields._ball_coverage_fractions", (box, BallSpec((0.1, 0.0, 0.2), 0.7))),
+        ("fields.box_face_dual_weights", (box, -0.6, 1)),
+        ("fields.box_face_area_weights", (box, -0.6, 2)),
+        ("solver._stiffness", (radial, 3, -0.6)),
+        ("solver._stiffness", (box, 3, -0.6)),
+    ]
+    tables = {f"{path.stem}.{name}" for path in SRC
+              for name in per_grid_tables(path.read_text())}
+    assert tables == {key for key, _ in calls}
+    for key, args in calls:
+        mod, name = key.split(".")
+        table = getattr(importlib.import_module(f"cknlab.{mod}"), name)
+        arrays = shared_arrays(table(*args))
+        assert arrays, key
+        assert not any(a.flags.writeable for a in arrays), key
+    for grid in (radial, box):
+        props = [name for name, attr in vars(type(grid)).items()
+                 if isinstance(attr, functools.cached_property)]
+        arrays = [getattr(grid, name) for name in props]
+        assert arrays and not any(a.flags.writeable for a in arrays), props

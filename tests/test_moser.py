@@ -297,3 +297,115 @@ def test_first_overflowing_trial_raises(monkeypatch):
     assert str(exc.value) == ("C_d^3 overflows for doubling constant "
                               "1e+200")
 
+
+
+# ---------------------------------------------------------------------------
+# lookups by rank: the references are the `np.interp` forms they replaced
+
+def _reference_table_call(self, r):
+    """`MeasureTable.__call__` as `np.interp` in log-log, then the two
+    end-slope extrapolations by `np.where`."""
+    lx = np.log(np.asarray(r, float))
+    ly = np.interp(lx, self._lx, self._ly)
+    s_lo = (self._ly[1] - self._ly[0]) / (self._lx[1] - self._lx[0])
+    s_hi = (self._ly[-1] - self._ly[-2]) / (self._lx[-1] - self._lx[-2])
+    ly = np.where(lx < self._lx[0], self._ly[0] + s_lo * (lx - self._lx[0]), ly)
+    ly = np.where(lx > self._lx[-1],
+                  self._ly[-1] + s_hi * (lx - self._lx[-1]), ly)
+    return np.exp(ly)
+
+
+def _reference_interp_rows(x, xp, fp):
+    """One `np.interp` call per row."""
+    return np.reshape([np.interp(xi, xp, f) for xi, f in zip(x, fp)], x.shape)
+
+
+def _stress_points(xp):
+    """The table points, their float neighbours, points past both ends and
+    a dense sweep over 1e-4...3."""
+    return np.concatenate([xp, np.nextafter(xp, 0.0), np.nextafter(xp, np.inf),
+                           [1e-300, 0.5 * xp[0], xp[-1] * 1.5, 3.0, 1e3],
+                           np.geomspace(1e-4, 3.0, 4001)])
+
+
+@pytest.mark.parametrize("r_lo, r_hi, n", [(0.005, 1.0, 120), (0.02, 1.0, 80),
+                                           (0.02, 1.0, 2), (1e-6, 7.0, 33)])
+def test_rank_is_searchsorted(r_lo, r_hi, n):
+    xp = np.geomspace(r_lo, r_hi, n)
+    x = _stress_points(xp)
+    want = np.searchsorted(xp, x, "right")
+    lx = np.log(xp)
+    guess = (np.log(x) - lx[0]) * ((n - 1) / (lx[-1] - lx[0])) + 1.0
+    # the floor of the guess from logs is off by at most one
+    assert np.all(np.abs(np.floor(np.clip(guess, 0, n)) - want) <= 1)
+    assert np.array_equal(moser._rank(x, xp, guess), want)
+    for off in (-0.999, 0.0, 1.999):
+        assert np.array_equal(moser._rank(x, xp, want + off), want)
+    # ranked among the logs, as `MeasureTable` ranks
+    assert np.array_equal(moser._rank(np.log(x), lx, guess),
+                          np.searchsorted(lx, np.log(x), "right"))
+
+
+@pytest.mark.parametrize("center, r_lo", [((0.0, 0.0, 0.0), 0.005),
+                                          ((0.6, 0.0, 0.0), 0.005),
+                                          ((0.3, -0.5, 0.2), 0.05)])
+def test_measure_table_lookup_is_the_interp_formula(center, r_lo):
+    t = MeasureTable(P335, center, r_lo, 1.0)
+    r = _stress_points(t.radii)
+    want = _reference_table_call(t, r)
+    assert t(r).tobytes() == want.tobytes()
+    taus = np.array([0.5, 0.3, 1e-3, 1e-9])
+    assert (t(taus[:, None] * t.radii).tobytes()
+            == _reference_table_call(t, taus[:, None] * t.radii).tobytes())
+    for x in (r_lo, 1.0, 0.3, 1e-5, 2.0):
+        assert t(x) == _reference_table_call(t, x)
+
+
+def test_all_rows_interpolate_as_interp():
+    rng = np.random.default_rng(4)
+    radii = np.geomspace(0.02, 1.0, 80)
+    _, phi, _, r, rho = moser._draw_trials(rng, radii, 0.02, 1.0, 60, 200)
+    pairs = np.stack([rho, r], axis=1)
+    pairs[:, 1, :3] = (1.0, np.nextafter(1.0, 0.0), 1.5)  # at and past r_hi
+    pairs[:, 0, :4] = (0.02, np.nextafter(0.02, 0.0), 0.01, 1e-9)  # below r_lo
+    pairs[:, 0, 4:84] = radii  # at every radius
+    pairs[::2, 0, 84:164] = np.nextafter(radii, np.inf)
+    pairs[1::2, 0, 84:164] = np.nextafter(radii, 0.0)
+    phi[::5, 40:] = phi[::5, 40:41]  # plateaus
+    want = _reference_interp_rows(pairs, radii, phi)
+    assert moser._interp_rows(pairs, radii, phi).tobytes() == want.tobytes()
+
+
+# (alpha, beta, gamma, center, seed): envelopes 0 and 1 of `lemma_a2_property`
+# at seeds 1 and 103, and its envelope 6 at seed 103, whose proof constants
+# overflow to inf and whose margins are nan
+_ENVELOPES = [
+    (0.8165502745803593, 3.8670718195075273, 1.4734120326807556,
+     (0.0, 0.0, 0.0), 1),
+    (1.4281092259921415, 2.5741899344581407, 1.9308503180794496,
+     (0.6554051876408835, -0.18160172726167745, 0.09918737534611899), 2),
+    (0.5377565258121265, 1.7022417169275588, 0.8237631513274817,
+     (0.0, 0.0, 0.0), 103),
+    (1.3042501038308052, 3.6871989336526747, 1.739972170744268,
+     (-0.42182032573152073, 0.3231434782925795, 0.4025915272584826), 104),
+    (0.20012668755848062, 0.7720629032492135, 0.2612306313504103,
+     (0.0, 0.0, 0.0), 109),
+]
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
+                            "ignore:invalid value encountered:RuntimeWarning")
+@pytest.mark.parametrize("alpha, beta, gamma, center, seed", _ENVELOPES)
+def test_lemma_a2_check_is_unchanged_by_the_lookups(monkeypatch, alpha, beta,
+                                                    gamma, center, seed):
+    def check():
+        out = lemma_a2_property_check(P335, alpha, beta, gamma, center,
+                                      0.02, 1.0, n_trials=50, seed=seed)
+        return repr(out)  # nan margins compare equal as text
+
+    got = check()
+    monkeypatch.setattr(MeasureTable, "__call__", _reference_table_call)
+    monkeypatch.setattr(moser, "_interp_rows", _reference_interp_rows)
+    assert got == check()
+    if seed == 109:
+        assert "nan" in got and "inf" in got
