@@ -189,22 +189,28 @@ class DiscreteField:
 # ---------------------------------------------------------------------------
 # weight integrals over cells
 
-def _per_grid(table):
-    """Memoise a weight table or operator in its grid's `__dict__` (as
-    `cached_property` does), so that it lives exactly as long as the grid.
-    Every later caller shares it, so the table, or each array field of the
-    operator, is made read-only."""
-    @wraps(table)
-    def cached(grid, *args, **kwargs):
-        memo = grid.__dict__.setdefault("_weight_tables", {})
-        key = (table.__name__, args, tuple(sorted(kwargs.items())))
-        if key not in memo:
-            value = memo[key] = table(grid, *args, **kwargs)
-            for a in (value, *getattr(value, "__dict__", {}).values()):
-                if isinstance(a, np.ndarray):
-                    a.setflags(write=False)
-        return memo[key]
-    return cached
+def _memoised_in(slot: str):
+    """A decorator that memoises a function's value in the `__dict__` of its
+    first argument, under `slot` (as `cached_property` does), so that the
+    value lives exactly as long as that object.  Every later caller shares
+    it, so the value, or each array field of it, is made read-only."""
+    def decorate(build):
+        @wraps(build)
+        def cached(owner, *args, **kwargs):
+            memo = owner.__dict__.setdefault(slot, {})
+            key = (build.__name__, args, tuple(sorted(kwargs.items())))
+            if key not in memo:
+                value = memo[key] = build(owner, *args, **kwargs)
+                for a in (value, *getattr(value, "__dict__", {}).values()):
+                    if isinstance(a, np.ndarray):
+                        a.setflags(write=False)
+            return memo[key]
+        return cached
+    return decorate
+
+
+# a weight table or operator, memoised on its grid
+_per_grid = _memoised_in("_weight_tables")
 
 
 def _power_antiderivative(expo: float, lo: np.ndarray, hi: np.ndarray):

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError, SolverError
-from .fields import DiscreteField, cell_weights
+from .fields import DiscreteField, _memoised_in, cell_weights
 from .measure import BallSpec, ball_weight_integrals, centered_weight_integrals
 from .params import WeightParams, moser_ladder
 from .solver import residual as solver_residual
@@ -159,6 +159,16 @@ def _rank(x, xp, guess):
     return k
 
 
+# a constant that every envelope of a `lemma_a2_property` run rebuilds alike,
+# memoised on the run's `WeightParams`
+_per_run = _memoised_in("_run_constants")
+
+
+@_per_run
+def _geometric_radii(params: WeightParams, lo: float, hi: float, n: int):
+    return np.geomspace(lo, hi, n)
+
+
 class MeasureTable:
     """mu_a(B_r(x0)) sampled on `_TABLE_SIZE` geometric radii with log-log
     interpolation in between; closed form when centered, else one batched
@@ -169,7 +179,7 @@ class MeasureTable:
     def __init__(self, params: WeightParams, center, r_lo: float, r_hi: float):
         self.params = params
         self.center = tuple(center)
-        self.radii = np.geomspace(r_lo, r_hi, _TABLE_SIZE)
+        self.radii = _geometric_radii(params, r_lo, r_hi, _TABLE_SIZE)
         d = BallSpec(self.center, r_hi).center_norm
         if d == 0.0:
             self.values = np.array(centered_weight_integrals(
@@ -202,6 +212,11 @@ class MeasureTable:
         tau = np.asarray(tau, float)
         cd = np.max(self._at_radii / self(tau[..., None] * self.radii), axis=-1)
         return float(cd) if cd.ndim == 0 else cd
+
+
+@_per_run
+def _centred_table(params: WeightParams, r_lo: float, r_hi: float):
+    return MeasureTable(params, (0.0,) * params.N, r_lo, r_hi)
 
 
 def _draw_trials(rng: np.random.Generator, radii: np.ndarray, r_lo: float,
@@ -326,14 +341,19 @@ def lemma_a2_property_check(params: WeightParams, alpha: float, beta: float,
     (`_hypothesis_needs`), every doubling constant from one table
     evaluation, the proof constants in trial order (the first overflow
     raises), and the conclusion on (trials x n_pairs) arrays, every
-    profile interpolated at its pairs in one `_interp_rows` call.
+    profile interpolated at its pairs in one `_interp_rows` call.  The
+    profile and table radii and the centred table are memoised on `params`
+    (`_per_run`), so the envelopes of one run build them once.
     """
     if not (0.0 < alpha < gamma < beta):
         raise ParameterError("exponent_order_violation",
                              f"({alpha}, {gamma}, {beta})")
     rng = np.random.default_rng(seed)
-    table = MeasureTable(params, center, r_lo * 0.25, r_hi)
-    radii = np.geomspace(r_lo, r_hi, 80)
+    if BallSpec(center, r_hi).center_norm == 0.0:
+        table = _centred_table(params, r_lo * 0.25, r_hi)
+    else:
+        table = MeasureTable(params, center, r_lo * 0.25, r_hi)
+    radii = _geometric_radii(params, r_lo, r_hi, 80)
     kept, phi, w, r_chk, rho_chk = _draw_trials(rng, radii, r_lo, r_hi,
                                                 n_trials, n_pairs)
 

@@ -16,6 +16,10 @@ from .fields import (DiscreteField, RadialGrid, ball_cell_weights,
 from .measure import BallSpec, ball_measure, weighted_mean
 from .params import HolderBound, WeightParams, holder_bound, validate
 
+# Node pairs `holder_quotient` evaluates at once: its working memory is
+# O(n + _PAIR_BLOCK) for n nodes, not one array entry per pair.
+_PAIR_BLOCK = 1 << 14
+
 
 class ProfileKind(enum.Enum):
     campanato = "campanato"
@@ -136,6 +140,29 @@ def fit_growth(profile: GrowthProfile, params: WeightParams | None = None,
 # ---------------------------------------------------------------------------
 # Hölder quotient
 
+def _row_blocks(n: int):
+    """Every pair i < j of n nodes, as broadcasting index blocks of about
+    `_PAIR_BLOCK` pairs (one row at least): rows [a, b) against the nodes
+    a+1..n-1.  A block also holds its j <= i corner, whose pairs j < i
+    repeat pairs met before and whose i == j are masked."""
+    a = 0
+    while a < n - 1:
+        b = min(n - 1, a + max(1, _PAIR_BLOCK // (n - 1 - a)))
+        yield np.arange(a, b)[:, None], np.arange(a + 1, n)
+        a = b
+
+
+def _max_quotient(pts: np.ndarray, vals: np.ndarray, i: np.ndarray,
+                  j: np.ndarray, alpha: float) -> float:
+    """max of |u_i - u_j| / |x_i - x_j|^alpha over the index arrays i, j
+    (broadcast together), with i == j masked before the division."""
+    dist = np.linalg.norm(pts[i] - pts[j], axis=-1)
+    num = np.abs(vals[i] - vals[j])
+    # the quotients are >= 0, so a masked 0 never raises the max
+    return np.divide(num, dist ** alpha, out=np.zeros_like(num),
+                     where=i != j).max()
+
+
 def holder_quotient(field: DiscreteField, subdomain_margin: float,
                     alpha: float, seed: int = 0, max_exact: int = 2000,
                     n_pairs: int = 2_000_000):
@@ -143,7 +170,10 @@ def holder_quotient(field: DiscreteField, subdomain_margin: float,
     subdomain, plus the sup norm there.
 
     All pairs are used up to `max_exact` nodes; beyond that a seeded
-    random sample of `n_pairs` pairs.
+    random sample of `n_pairs` pairs (i and j drawn whole, in that order,
+    pairs with i == j dropped).  Either way the pairs are taken
+    `_PAIR_BLOCK` at a time under a running max, which is exact, so the
+    seminorm does not depend on the block size.
     """
     if not (0.0 < alpha <= 1.0):
         raise ParameterError("invalid_alpha", f"alpha={alpha} not in (0,1]")
@@ -155,16 +185,18 @@ def holder_quotient(field: DiscreteField, subdomain_margin: float,
     vals = field.values[keep]
     n = len(pts)
     if n <= max_exact:
-        i, j = np.triu_indices(n, k=1)
+        blocks = _row_blocks(n)
     else:
         rng = np.random.default_rng(seed)
-        i = rng.integers(0, n, size=n_pairs)
-        j = rng.integers(0, n, size=n_pairs)
-        ok = i != j
-        i, j = i[ok], j[ok]
-    dist = np.linalg.norm(pts[i] - pts[j], axis=1)
-    quot = np.abs(vals[i] - vals[j]) / dist ** alpha
-    return {"seminorm": float(quot.max()),
+        # the same values as int64 draws, at half the memory
+        i = rng.integers(0, n, size=n_pairs, dtype=np.int32)
+        j = rng.integers(0, n, size=n_pairs, dtype=np.int32)
+        blocks = ((i[s:s + _PAIR_BLOCK], j[s:s + _PAIR_BLOCK])
+                  for s in range(0, n_pairs, _PAIR_BLOCK))
+    seminorm = 0.0
+    for bi, bj in blocks:  # np.maximum, as np.max, keeps a nan
+        seminorm = np.maximum(seminorm, _max_quotient(pts, vals, bi, bj, alpha))
+    return {"seminorm": float(seminorm),
             "sup_norm": float(np.abs(vals).max())}
 
 

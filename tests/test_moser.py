@@ -409,3 +409,34 @@ def test_lemma_a2_check_is_unchanged_by_the_lookups(monkeypatch, alpha, beta,
     assert got == check()
     if seed == 109:
         assert "nan" in got and "inf" in got
+
+
+def test_lemma_a2_run_constants_built_once(monkeypatch):
+    """All envelopes checked with one `WeightParams` share its profile
+    radii and one centred table, read-only; the results are those of
+    fresh parameters."""
+    params = validate(3, 0.3, 0.5, INF)
+    built = []
+    init = MeasureTable.__init__
+
+    def counting_init(self, params, center, r_lo, r_hi):
+        built.append(tuple(center))
+        init(self, params, center, r_lo, r_hi)
+
+    def check(params, center, seed):
+        return repr(lemma_a2_property_check(params, 0.5, 3.0, 1.5, center,
+                                            0.02, 1.0, n_trials=5, seed=seed))
+
+    monkeypatch.setattr(MeasureTable, "__init__", counting_init)
+    outs = [check(params, center, seed) for seed in (1, 2)
+            for center in ((0.0, 0.0, 0.0), (0.5, 0.0, 0.0))]
+    assert built == [(0.0, 0.0, 0.0), (0.5, 0.0, 0.0), (0.5, 0.0, 0.0)]
+    assert outs == [check(validate(3, 0.3, 0.5, INF), center, seed)
+                    for seed in (1, 2)
+                    for center in ((0.0, 0.0, 0.0), (0.5, 0.0, 0.0))]
+    table = moser._centred_table(params, 0.005, 1.0)
+    radii = moser._geometric_radii(params, 0.02, 1.0, 80)
+    assert radii is moser._geometric_radii(params, 0.02, 1.0, 80)
+    arrays = [radii] + [a for a in vars(table).values()
+                        if isinstance(a, np.ndarray)]
+    assert len(arrays) == 7 and not any(a.flags.writeable for a in arrays)

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from cknlab import regularity
 from cknlab.errors import GridError, ParameterError
 from cknlab.fields import BoxGrid, DiscreteField, RadialGrid
 from cknlab.params import INF, validate
@@ -88,13 +89,93 @@ def test_holder_quotient_examples():
     assert out2["seminorm"] == pytest.approx(1.0, rel=0.02)
 
 
-def test_holder_quotient_sampled_pairs_deterministic():
+def test_holder_quotient_sampled_pairs_deterministic(monkeypatch):
     rng = np.random.default_rng(3)
     grid = RadialGrid(0.0, 1.0, 3000)  # > 2000 nodes: sampled path
     u = DiscreteField(grid=grid, values=np.cumsum(rng.normal(size=3000)) * 1e-3)
     a = holder_quotient(u, 0.05, 0.5, seed=9, n_pairs=200_000)
     b = holder_quotient(u, 0.05, 0.5, seed=9, n_pairs=200_000)
     assert a == b
+    # the whole sample at once, and by odd, default and oversized slices
+    for seed in (0, 9):
+        want = _reference_holder_quotient(u, 0.05, 0.5, seed=seed,
+                                          n_pairs=200_000)
+        for block in (1001, regularity._PAIR_BLOCK, 10 ** 6):
+            monkeypatch.setattr(regularity, "_PAIR_BLOCK", block)
+            got = holder_quotient(u, 0.05, 0.5, seed=seed, n_pairs=200_000)
+            assert got == want, (seed, block)
+
+
+def _reference_holder_quotient(field, subdomain_margin, alpha, seed=0,
+                               max_exact=2000, n_pairs=2_000_000):
+    """`holder_quotient` as it was before the pairs went by blocks: every
+    pair (or the whole sample) as one array."""
+    keep = field.grid.interior_mask(subdomain_margin)
+    pts = field.grid.node_coords()[keep]
+    vals = field.values[keep]
+    n = len(pts)
+    if n <= max_exact:
+        i, j = np.triu_indices(n, k=1)
+    else:
+        rng = np.random.default_rng(seed)
+        i = rng.integers(0, n, size=n_pairs)
+        j = rng.integers(0, n, size=n_pairs)
+        ok = i != j
+        i, j = i[ok], j[ok]
+    dist = np.linalg.norm(pts[i] - pts[j], axis=1)
+    quot = np.abs(vals[i] - vals[j]) / dist ** alpha
+    return {"seminorm": float(quot.max()),
+            "sup_norm": float(np.abs(vals).max())}
+
+
+def _radial(n, kind):
+    grid = RadialGrid(0.0, 1.0, n)
+    if kind == "noisy":
+        rng = np.random.default_rng(n)
+        return DiscreteField(grid=grid,
+                             values=np.cumsum(rng.normal(size=n)) * 1e-2)
+    fn = {"constant": lambda r: np.full_like(r, 1.5), "sqrt": np.sqrt}[kind]
+    return DiscreteField.from_function(grid, fn)
+
+
+def _box(kind):
+    grid = BoxGrid((-1, -1, -1), (1, 1, 1), (12, 12, 12))
+    x0 = np.array([0.2, -0.1, 0.05])
+    fn = {"linear": lambda p: p[:, 0] - 2.0 * p[:, 2],
+          "sqrt": lambda p: np.linalg.norm(p - x0, axis=1) ** 0.5}[kind]
+    return DiscreteField.from_function(grid, fn)
+
+
+# at margin 0.1, n = 512 and 2400 keep 410 and 1920 nodes, the box 12^3 1000
+EXACT_FIELDS = {f"radial{n}_{kind}": (lambda n=n, kind=kind: _radial(n, kind))
+                for n in (512, 2400) for kind in ("constant", "sqrt", "noisy")}
+EXACT_FIELDS.update({f"box12_{kind}": (lambda kind=kind: _box(kind))
+                     for kind in ("linear", "sqrt")})
+
+
+@pytest.mark.parametrize("name", sorted(EXACT_FIELDS))
+def test_holder_quotient_blocks_equal_all_pairs(name, monkeypatch):
+    """Bit-equal seminorm and sup norm for blocks of one row, an odd size,
+    the default and more than all pairs."""
+    u = EXACT_FIELDS[name]()
+    n_kept = int(u.grid.interior_mask(0.1).sum())
+    assert n_kept in (410, 1920, 1000)
+    for alpha in (0.3, 0.5, 1.0):
+        want = _reference_holder_quotient(u, 0.1, alpha)
+        for block in (1, 1001, regularity._PAIR_BLOCK, n_kept ** 2):
+            monkeypatch.setattr(regularity, "_PAIR_BLOCK", block)
+            assert holder_quotient(u, 0.1, alpha) == want, (alpha, block)
+
+
+@pytest.mark.parametrize("n", [2001, 3277, 1 << 20])
+def test_int32_pair_draws_equal_int64_draws(n):
+    """`holder_quotient` draws its sampled pairs as int32, which on this
+    numpy are the int64 draws' values, so the sample is the same."""
+    for seed in (0, 9):
+        a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+        for size in (200_001, 2_000_000):
+            assert np.array_equal(a.integers(0, n, size=size, dtype=np.int32),
+                                  b.integers(0, n, size=size))
 
 
 def test_holder_quotient_errors():
