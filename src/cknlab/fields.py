@@ -27,6 +27,7 @@ from .params import WeightParams
 
 _ORIGIN_REFINE_FACTOR = 2.0  # refine cells closer to 0 than this many diagonals
 _MAX_REFINE_DEPTH = 24
+_RIM_BLOCK = 512  # rim cells whose 4^3 subsample is formed at once
 
 
 # ---------------------------------------------------------------------------
@@ -165,7 +166,8 @@ class DiscreteField:
     name: str = ""
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=float).reshape(-1)
+        # C order, so that a BLAS reduction sums it in index order
+        v = np.ascontiguousarray(self.values, dtype=float).reshape(-1)
         if v.size != self.grid.n_nodes:
             raise GridError("value_count_mismatch",
                             f"{v.size} values for {self.grid.n_nodes} grid nodes")
@@ -396,8 +398,10 @@ def _ball_coverage_fractions(grid: BoxGrid, ball: BallSpec) -> np.ndarray:
 
     The subsample is a tensor grid, so its offsets from the ball's centre
     are formed per axis and only their squares are broadcast to the
-    (n_rim, 4, 4, 4) points, summed in x, y, z order.  Memoised per ball,
-    read-only: the Campanato and gradient profiles use the same balls.
+    (rows, 4, 4, 4) points, summed in x, y, z order, `_RIM_BLOCK` rim
+    cells at a time; each row's mean is its own, so the blocks do not
+    change a bit.  Memoised per ball, read-only: the Campanato and
+    gradient profiles use the same balls.
     """
     centers = grid.node_coords()
     h = np.array(grid.h)
@@ -406,14 +410,14 @@ def _ball_coverage_fractions(grid: BoxGrid, ball: BallSpec) -> np.ndarray:
     frac = np.zeros(len(centers))
     frac[d <= ball.radius - half_diag] = 1.0
     rim = np.nonzero((d > ball.radius - half_diag) & (d < ball.radius + half_diag))[0]
-    if len(rim):
-        m = 4
-        offs = (np.arange(m) + 0.5) / m - 0.5
-        sq = [((centers[rim, k, None] + offs * h[k]) - ball.center[k]) ** 2
+    offs = (np.arange(4) + 0.5) / 4 - 0.5
+    for s in range(0, len(rim), _RIM_BLOCK):
+        rows = rim[s:s + _RIM_BLOCK]
+        sq = [((centers[rows, k, None] + offs * h[k]) - ball.center[k]) ** 2
               for k in range(3)]
         r2 = (sq[0][:, :, None, None] + sq[1][:, None, :, None]
               + sq[2][:, None, None, :])
-        frac[rim] = (np.sqrt(r2) <= ball.radius).reshape(len(rim), -1).mean(axis=1)
+        frac[rows] = (np.sqrt(r2) <= ball.radius).reshape(len(rows), -1).mean(axis=1)
     return frac
 
 
@@ -469,9 +473,12 @@ def box_face_dual_weights(grid: BoxGrid, w_exp: float, axis: int) -> np.ndarray:
 
 @_per_grid
 def box_face_area_weights(grid: BoxGrid, w_exp: float, axis: int) -> np.ndarray:
-    """2D weight integral over each interior face orthogonal to `axis`."""
+    """2D weight integral over the first and the last layer of interior
+    faces orthogonal to `axis` (2 long along it), the boundary caps of
+    `dirichlet_energy`; no other face area is read."""
     h = np.array(grid.h)
     coords = _box_coords(grid, axis)
+    coords[axis] = coords[axis][[0, -1]]
     dist = _tensor_norm(coords)
     tang = [i for i in range(3) if i != axis]
     area = h[tang[0]] * h[tang[1]]

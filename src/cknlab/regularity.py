@@ -164,14 +164,15 @@ def _max_quotient(pts: np.ndarray, vals: np.ndarray, i: np.ndarray,
 
 
 def holder_quotient(field: DiscreteField, subdomain_margin: float,
-                    alpha: float, seed: int = 0, max_exact: int = 2000,
+                    alpha: float, seed: int = 0, max_exact: int = 3600,
                     n_pairs: int = 2_000_000):
     """Max of |u(x)-u(y)| / |x-y|^alpha over node pairs in the margin-shrunk
     subdomain, plus the sup norm there.
 
-    All pairs are used up to `max_exact` nodes; beyond that a seeded
-    random sample of `n_pairs` pairs (i and j drawn whole, in that order,
-    pairs with i == j dropped).  Either way the pairs are taken
+    All pairs are used up to `max_exact` nodes, where their n(n-1)/2 cost
+    no more than 2,000,000 sampled ones (about 9.5 ns a pair against 30
+    ns); beyond that a seeded random sample of `n_pairs` pairs (i and j
+    drawn whole, in that order, pairs with i == j dropped).  Either way the pairs are taken
     `_PAIR_BLOCK` at a time under a running max, which is exact, so the
     seminorm does not depend on the block size.
     """

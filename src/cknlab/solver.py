@@ -11,16 +11,19 @@ Two stiffness variants are used:
   the Dirichlet data, the standard consistent second-order scheme.
   Radial grids have no boundary unknowns: the caps' couplings to the
   boundary values are folded into the right-hand side.  Box grids impose
-  the data on the outer layer of cells, whose rows become identity rows,
-  with their couplings moved symmetrically to the right-hand side.
+  the data on the outer layer of cells, whose rows become identity rows:
+  their couplings move to the right-hand side, and copies of the face
+  conductances drop the faces that touch that layer.
 
 A radial operator is a `Tridiagonal` chain of face conductances and end
 caps, solved directly by its closed-form LDL^T; a box operator is a
-7-point `Stencil`, solved by Jacobi-preconditioned CG from zero (`_pcg`)
-to relative residual `_CG_RTOL` within `_CG_MAX_ITER` iterations.  Every
-SPD solve (solve, residual, harmonic replacement) goes through
-`_spd_solve`, needs numpy alone, and raises `SolverError` on failure.
-`raw_stiffness` is memoised read-only on its grid.
+symmetric 7-point `Stencil`, its diagonal and one conductance per face
+(four cell-sized arrays), solved by Jacobi-preconditioned CG from zero
+(`_pcg`, on reused buffers) to relative residual `_CG_RTOL` within
+`_CG_MAX_ITER` iterations.  Every SPD solve (solve, residual, harmonic
+replacement) goes through `_spd_solve`, needs numpy alone, and raises
+`SolverError` on failure.  `raw_stiffness` is memoised read-only on its
+grid.
 """
 from __future__ import annotations
 
@@ -84,34 +87,40 @@ class Tridiagonal:
 
 @dataclass(eq=False)
 class Stencil:
-    """7-point operator on a box of cells, flat in C order over `shape`.
-
-    `coef[k]` couples each cell to its neighbour at flat offset
-    `offsets[k]` (CSR column order) and is 0 where there is none; `A @ x`
-    adds the products slot by slot, so it equals the CSR matvec.  With
-    `nodes`, A acts on vectors over those cells alone: a principal submatrix.
+    """Symmetric 7-point operator on a box of cells, flat in C order over
+    `shape`: the diagonal `D` and, per axis k, the conductance `T[k]` of
+    the face above each cell, 0 on the last layer (Saad, Iterative Methods
+    for Sparse Linear Systems, 2003, 3.4).  A cell's coupling to its
+    neighbour below along k is that neighbour's `T[k]`; a flat shift past
+    a row's end meets a 0 conductance, or a cell outside `nodes`.  `A @ x`
+    sums each row in CSR column order, so it equals the CSR matvec bit for
+    bit.  With `nodes`, A acts on vectors over those cells alone: a
+    principal submatrix.
     """
-    coef: np.ndarray  # (7, cells)
+    D: np.ndarray  # (cells,)
+    T: np.ndarray  # (3, cells)
     shape: tuple[int, int, int]
     nodes: object = ...  # flat indices of the unknowns; `...`: every cell
 
     @property
-    def offsets(self) -> tuple[int, ...]:
-        s = (self.shape[1] * self.shape[2], self.shape[2], 1)
-        return (-s[0], -s[1], -s[2], 0, s[2], s[1], s[0])
-
-    @property
     def diag(self) -> np.ndarray:
-        return self.coef[3][self.nodes]
+        return self.D[self.nodes]
 
     def __matmul__(self, x) -> np.ndarray:
-        n, pad = self.coef.shape[1], self.offsets[-1]
-        xp = np.zeros(n + 2 * pad)  # a neighbour past either end reads 0
-        xp[pad:pad + n][self.nodes] = x
-        y = self.coef[0] * xp[:n]  # slot 0: offset -pad
-        tmp = np.empty(n)
-        for c, o in zip(self.coef[1:], self.offsets[1:]):
-            y += np.multiply(c, xp[pad + o:pad + o + n], out=tmp)
+        n = len(self.D)
+        xs, y, tmp = np.zeros(n), np.empty(n), np.empty(n)
+        xs[self.nodes] = x  # a cell outside `nodes` reads 0
+        o = [math.prod(self.shape[k + 1:]) for k in range(3)]
+        # CSR sums 0 - p0 - p1 - p2 below the diagonal: -(p0 + p1 + p2)
+        y[:o[0]] = 0.0
+        np.multiply(self.T[0, :n - o[0]], xs[:n - o[0]], out=y[o[0]:])
+        for k in (1, 2):
+            y[o[k]:] += np.multiply(self.T[k, :n - o[k]], xs[:n - o[k]],
+                                    out=tmp[o[k]:])
+        np.subtract(np.multiply(self.D, xs, out=tmp), y, out=y)
+        for k in (2, 1, 0):
+            y[:n - o[k]] -= np.multiply(self.T[k, :n - o[k]], xs[o[k]:],
+                                        out=tmp[o[k]:])
         return y[self.nodes]
 
     def principal(self, mask: np.ndarray) -> "Stencil":
@@ -121,8 +130,9 @@ class Stencil:
         cells = mask.reshape(self.shape)
         box = tuple(slice(max(int(i.min()) - 1, 0), int(i.max()) + 2)
                     for i in np.nonzero(cells))
-        coef = self.coef.reshape((7,) + self.shape)[(slice(None),) + box]
-        return Stencil(coef.reshape(7, -1), coef.shape[1:],
+        D = self.D.reshape(self.shape)[box]
+        T = self.T.reshape((3,) + self.shape)[(slice(None),) + box]
+        return Stencil(D.reshape(-1), T.reshape(3, -1), D.shape,
                        np.flatnonzero(cells[box]))
 
 
@@ -160,17 +170,15 @@ def _stiffness(grid, N: int, w_exp: float) -> Tridiagonal | Stencil:
     if isinstance(grid, RadialGrid):
         return Tridiagonal(radial_face_dual_weights(grid, N, w_exp)
                            / np.diff(grid.centers) ** 2)
-    coef = np.zeros((7,) + grid.shape)
-    for axis in range(3):
-        T = np.zeros(grid.shape)  # the face above each cell; 0 on the last
-        T[(slice(None),) * axis + (slice(-1),)] = (
-            box_face_dual_weights(grid, w_exp, axis) / grid.h[axis] ** 2)
-        below = np.roll(T, 1, axis)  # the face below each cell
-        coef[3] += T
-        coef[3] += below
-        coef[6 - axis] = -T
-        coef[axis] = -below
-    return Stencil(coef.reshape(7, -1), grid.shape)
+    D = np.zeros(grid.shape)
+    T = np.zeros((3,) + grid.shape)  # the face above each cell; 0 on the last
+    for axis, face in enumerate(T):
+        lead = (slice(None),) * axis  # indexes along `axis` after these
+        face[lead + (slice(-1),)] = (box_face_dual_weights(grid, w_exp, axis)
+                                     / grid.h[axis] ** 2)
+        D += face
+        D[lead + (slice(1, None),)] += face[lead + (slice(-1),)]  # the face below
+    return Stencil(D.reshape(-1), T.reshape(3, -1), grid.shape)
 
 
 def stiffness_quadratic_form(params: WeightParams, grid, values) -> float:
@@ -187,12 +195,15 @@ def _eliminate_dirichlet(A: Stencil, rhs: np.ndarray, mask: np.ndarray,
     x_b[mask] = gvals
     rhs = rhs - A @ x_b
     rhs[mask] = gvals
-    # slot k of cell r couples it to cell r + offsets[k]; a roll wraps
-    # only where the slot has no neighbour, whose coefficient is 0 anyway
-    coef = A.coef * ~np.array([np.roll(mask, -o) for o in A.offsets])
-    coef[:, mask] = 0.0
-    coef[3][mask] = 1.0
-    return Stencil(coef, A.shape), rhs
+    cells = mask.reshape(A.shape)
+    T = A.T.reshape((3,) + A.shape).copy()
+    for axis, face in enumerate(T):  # zero every face of a `mask` cell
+        lead = (slice(None),) * axis
+        face[cells] = 0.0  # the face above it
+        face[lead + (slice(-1),)][cells[lead + (slice(1, None),)]] = 0.0  # below
+    D = A.D.copy()
+    D[mask] = 1.0
+    return Stencil(D, T.reshape(3, -1), A.shape), rhs
 
 
 def _cap_transmissibility(params: WeightParams, lo: float, hi: float) -> float:
@@ -259,23 +270,24 @@ def _pcg(A: Stencil, b: np.ndarray):
     inv_d = 1.0 / d
     x = np.zeros(len(b))
     r = np.array(b, float)
+    z, step = np.empty_like(r), np.empty_like(r)
     atol = _CG_RTOL * float(np.linalg.norm(b))
     if atol == 0.0:
         return x, 0
     for iteration in range(_CG_MAX_ITER):
         if np.linalg.norm(r) < atol:
             return x, iteration
-        z = r * inv_d
+        np.multiply(r, inv_d, out=z)
         rho = np.dot(r, z)
         if iteration > 0:
             p *= rho / rho_prev
             p += z
         else:
-            p = z
+            p = z.copy()
         q = A @ p
         alpha = rho / np.dot(p, q)
-        x += alpha * p
-        r -= alpha * q
+        x += np.multiply(alpha, p, out=step)
+        r -= np.multiply(alpha, q, out=step)
         rho_prev = rho
     raise SolverError("no_convergence",
                       f"CG stopped after {_CG_MAX_ITER} iterations")

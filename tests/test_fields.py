@@ -187,6 +187,19 @@ GRIDS = [RadialGrid(0.1, 2.0, 40),
          BoxGrid((-1.0, -0.5, 0.0), (1.0, 1.5, 1.0), (6, 7, 5))]
 
 
+def test_field_values_from_a_reversed_view_are_contiguous():
+    """A field stores C-contiguous values, so BLAS sums a field built from
+    a reversed view in the same order as one built from a copy."""
+    grid = RadialGrid(0.0, 1.0, 512)
+    rng = np.random.default_rng(1)
+    for _ in range(20):
+        v, w = rng.standard_normal(512), rng.random(512)
+        view = DiscreteField(grid=grid, values=v[::-1])
+        copy = DiscreteField(grid=grid, values=v[::-1].copy())
+        assert view.values.flags.c_contiguous
+        assert weighted_mean(view.values, w) == weighted_mean(copy.values, w)
+
+
 @pytest.mark.parametrize("grid", GRIDS, ids=["radial", "box"])
 def test_distance_to_matches_brute_force(grid):
     coords = grid.node_coords()
@@ -242,16 +255,34 @@ def cube(m):
     return BoxGrid((-1.0,) * 3, (1.0,) * 3, (m,) * 3)
 
 
+def full_face_area_weights(grid, w_exp, axis):
+    """2D weight integral over every interior face orthogonal to `axis`:
+    the table `box_face_area_weights` built before it kept only its two
+    end layers, kept as their reference and for the quadrature checks."""
+    h = np.array(grid.h)
+    coords = fields._box_coords(grid, axis)
+    dist = fields._tensor_norm(coords)
+    tang = [i for i in range(3) if i != axis]
+    area = h[tang[0]] * h[tang[1]]
+    w = np.where(dist > 0, dist, 1.0) ** w_exp * area
+    if w_exp != 0.0:
+        diag = float(np.linalg.norm(h[tang])) * 2.0
+        near = dist <= fields._ORIGIN_REFINE_FACTOR * diag
+        c = np.stack([x[i] for x, i in zip(coords, np.nonzero(near))], axis=1)
+        w[near] = _refined_weights(c[:, tang], h[tang], w_exp,
+                                   np.abs(c[:, axis]))
+    return w
+
+
 def box_tables(grid, w_exp, areas=True):
-    """Cell, face-dual and (with `areas`) face-area tables, each as an
-    (nx, ny, nz) array (the cell table reshaped, the face tables one
+    """Cell, face-dual and (with `areas`) full face-area tables, each as
+    an (nx, ny, nz) array (the cell table reshaped, the face tables one
     shorter along their axis)."""
     out = {"cell": np.asarray(box_cell_weights(grid, w_exp)).reshape(grid.shape)}
     for axis in range(3):
         out[f"dual{axis}"] = np.asarray(box_face_dual_weights(grid, w_exp, axis))
         if areas:
-            out[f"area{axis}"] = np.asarray(box_face_area_weights(grid, w_exp,
-                                                                  axis))
+            out[f"area{axis}"] = full_face_area_weights(grid, w_exp, axis)
     return out
 
 
@@ -283,7 +314,7 @@ def test_box_tables_match_the_recursion(m, w_exp):
         dual = box_face_dual_weights(grid, w_exp, axis)
         assert dual.sum() == pytest.approx(dual_total, rel=1e-12)
         if area_total is not None:
-            area = box_face_area_weights(grid, w_exp, axis)
+            area = full_face_area_weights(grid, w_exp, axis)
             assert area.sum() == pytest.approx(area_total, rel=1e-12)
 
 
@@ -474,6 +505,34 @@ def test_box_tables_off_the_dyadic_lattice_are_frozen(name):
         assert hashlib.sha256(table.tobytes()).hexdigest()[:32] == want, key
 
 
+AREA_GRIDS = {f"cube{m}": (lambda m=m: cube(m)) for m in (5, 16, 17, 20, 32)}
+AREA_GRIDS.update({
+    "9x8x10": lambda: BoxGrid((-0.7, -0.9, -0.55), (1.3, 1.1, 1.45), (9, 8, 10)),
+    "9x8x10x2": lambda: BoxGrid((-1.4, -1.8, -1.1), (2.6, 2.2, 2.9), (9, 8, 10)),
+    "corner8": lambda: BoxGrid((0.0,) * 3, (1.0,) * 3, (8, 8, 8)),
+    "end_at_origin": lambda: BoxGrid((-0.5, -1.0, -1.0), (1.5, 1.0, 1.0),
+                                     (4, 16, 16)),
+    "2x3x2": lambda: BoxGrid((-1.0,) * 3, (1.0,) * 3, (2, 3, 2))})
+
+
+@pytest.mark.parametrize("name", sorted(AREA_GRIDS))
+def test_end_layer_face_areas_equal_the_full_table(name):
+    """`box_face_area_weights` is the full table's first and last layer,
+    bit for bit, also where the origin lies in an end face plane or its
+    edge (where the self-similar tail runs on fewer patches); exponents
+    whose full table holds a non-integrable plane are skipped."""
+    grid = AREA_GRIDS[name]()
+    for w_exp, axis in itertools.product((-0.6, -1.9, -15 / 7, 0.7, 0.0),
+                                         range(3)):
+        try:
+            full = full_face_area_weights(grid, w_exp, axis)
+        except GridError:
+            continue
+        ends = full[(slice(None),) * axis + ([0, -1],)]
+        assert np.array_equal(box_face_area_weights(grid, w_exp, axis),
+                              ends), (w_exp, axis)
+
+
 def test_box_tables_reject_nonintegrable_weights():
     """Also at w = -d exactly, where the self-similar tail's ratio
     2^{-(d+w)} is 1: the check comes before the series."""
@@ -482,7 +541,7 @@ def test_box_tables_reject_nonintegrable_weights():
         tables = [lambda: box_cell_weights(grid, w),
                   lambda: box_face_dual_weights(grid, w, 0)]
         if m % 2 == 0:  # a face plane through the origin
-            tables.append(lambda: box_face_area_weights(grid, w + 1.0, 0))
+            tables.append(lambda: full_face_area_weights(grid, w + 1.0, 0))
         for table in tables:
             with pytest.raises(GridError) as exc:
                 table()
@@ -491,6 +550,11 @@ def test_box_tables_reject_nonintegrable_weights():
         with pytest.raises(GridError) as exc:
             _refined_weights(np.zeros((1, d)), np.ones(d), -float(d))
         assert exc.value.code == "nonintegrable_weight"
+    # the end-layer areas read the plane x_0 = 0 when it is their first
+    end_at_origin = BoxGrid((-0.5, -1.0, -1.0), (1.5, 1.0, 1.0), (4, 16, 16))
+    with pytest.raises(GridError) as exc:
+        box_face_area_weights(end_at_origin, -2.5, 0)
+    assert exc.value.code == "nonintegrable_weight"
     # away from the origin the same exponents are integrable
     far = BoxGrid((1.0, 1.0, 1.0), (2.0, 2.0, 2.0), (4, 4, 4))
     assert np.all(np.isfinite(box_cell_weights(far, -3.5)))
@@ -539,8 +603,8 @@ def test_weight_tables_are_built_once_per_grid():
 
 def test_box_stiffness_is_read_only():
     A = raw_stiffness(P303, BoxGrid((-1.0,) * 3, (1.0,) * 3, (6,) * 3))
-    assert len(A.coef) == 7
-    for arr in A.coef:
+    assert A.T.shape == (3, len(A.D))
+    for arr in (A.D, *A.T):
         with pytest.raises(ValueError, match="read-only"):
             arr[0] = arr[0]
 
@@ -574,6 +638,19 @@ COVERAGE_BALLS = [BallSpec((0.0, 0.0, 0.0), 0.8),     # centred
                   BallSpec((0.33, -0.17, 0.41), 0.37),
                   BallSpec((0.9, -0.8, 0.7), 0.6),    # crossing the box edge
                   BallSpec((-1.0, 0.3, 0.2), 0.4)]
+
+
+@pytest.mark.parametrize("block", [1, 7, fields._RIM_BLOCK, None])
+def test_coverage_fractions_by_blocks_equal_the_whole_rim(block, monkeypatch):
+    """Rim blocks of one row, an odd size, the default and every row at
+    once give the pointwise formula's fractions bit for bit."""
+    for make in (lambda: cube(32), lambda: BoxGrid(
+            (-0.7, -0.9, -0.55), (1.3, 1.1, 1.45), (9, 8, 10))):
+        grid = make()  # a fresh grid: the fractions are memoised on it
+        monkeypatch.setattr(fields, "_RIM_BLOCK", block or grid.n_nodes)
+        for ball in COVERAGE_BALLS:
+            assert np.array_equal(_ball_coverage_fractions(grid, ball),
+                                  coverage_by_points(grid, ball)), (block, ball)
 
 
 @pytest.mark.parametrize("grid", [cube(32), BoxGrid((-0.7, -0.9, -0.55),

@@ -91,8 +91,9 @@ def test_holder_quotient_examples():
 
 def test_holder_quotient_sampled_pairs_deterministic(monkeypatch):
     rng = np.random.default_rng(3)
-    grid = RadialGrid(0.0, 1.0, 3000)  # > 2000 nodes: sampled path
-    u = DiscreteField(grid=grid, values=np.cumsum(rng.normal(size=3000)) * 1e-3)
+    grid = RadialGrid(0.0, 1.0, 4500)  # 4050 > 3600 nodes: sampled path
+    u = DiscreteField(grid=grid, values=np.cumsum(rng.normal(size=4500)) * 1e-3)
+    assert int(grid.interior_mask(0.05).sum()) == 4050
     a = holder_quotient(u, 0.05, 0.5, seed=9, n_pairs=200_000)
     b = holder_quotient(u, 0.05, 0.5, seed=9, n_pairs=200_000)
     assert a == b
@@ -104,6 +105,16 @@ def test_holder_quotient_sampled_pairs_deterministic(monkeypatch):
             monkeypatch.setattr(regularity, "_PAIR_BLOCK", block)
             got = holder_quotient(u, 0.05, 0.5, seed=seed, n_pairs=200_000)
             assert got == want, (seed, block)
+
+
+def test_holder_quotient_takes_all_pairs_up_to_3600_nodes():
+    """3276 kept nodes (grid.n = 4096) take all 5.4 million pairs, which
+    cost no more than the sample and find the max the sample misses."""
+    u = DiscreteField.from_function(RadialGrid(0.0, 1.0, 4096), np.sqrt)
+    assert int(u.grid.interior_mask(0.1).sum()) == 3276
+    got = holder_quotient(u, 0.1, 0.5, seed=1)["seminorm"]
+    sampled = holder_quotient(u, 0.1, 0.5, seed=1, max_exact=0)["seminorm"]
+    assert got == 0.7067832364227635 > sampled
 
 
 def _reference_holder_quotient(field, subdomain_margin, alpha, seed=0,

@@ -391,21 +391,90 @@ def coo_stiffness(grid: BoxGrid, w_exp: float) -> sp.csr_matrix:
                          shape=(n, n))
 
 
+def slot_offsets(shape) -> tuple[int, ...]:
+    """Flat offsets of the 7 slots of a cell in CSR column order."""
+    s = (shape[1] * shape[2], shape[2], 1)
+    return (-s[0], -s[1], -s[2], 0, s[2], s[1], s[0])
+
+
+def seven_slots(A: Stencil) -> np.ndarray:
+    """A stencil over a whole box in the layout it had before: coef[k]
+    couples each cell to its neighbour at flat offset `slot_offsets[k]`,
+    0 where there is none."""
+    n, offsets = len(A.D), slot_offsets(A.shape)
+    coef = np.zeros((7, n))
+    coef[3] = A.D
+    for axis in range(3):
+        o = offsets[6 - axis]
+        coef[6 - axis] = -A.T[axis]
+        coef[axis, o:] = -A.T[axis, :n - o]
+    return coef
+
+
 def stencil_csr(A: Stencil) -> sp.csr_matrix:
     """The CSR matrix of a stencil over a whole box: each row's slots in
     column order, stored where the neighbour exists.  Asserts that every
     coefficient of a missing neighbour is 0, so the CSR holds all of A."""
-    n = A.coef.shape[1]
+    coef = seven_slots(A)
+    n = coef.shape[1]
     idx = np.indices(A.shape).reshape(3, n)
     exists = np.ones((7, n), dtype=bool)
     for axis in range(3):
         exists[axis] = idx[axis] > 0
         exists[6 - axis] = idx[axis] < A.shape[axis] - 1
-    assert A.nodes is ... and np.all(A.coef[~exists] == 0.0)
-    cols = np.arange(n) + np.array(A.offsets)[:, None]
+    assert A.nodes is ... and np.all(coef[~exists] == 0.0)
+    cols = np.arange(n) + np.array(slot_offsets(A.shape))[:, None]
     indptr = np.concatenate([[0], np.cumsum(exists.sum(axis=0))])
-    return sp.csr_matrix((A.coef.T[exists.T], cols.T[exists.T], indptr),
+    return sp.csr_matrix((coef.T[exists.T], cols.T[exists.T], indptr),
                          shape=(n, n))
+
+
+# The 7-slot stencil code that the four-array `Stencil` replaced, kept as
+# the reference that its operators must equal.
+
+def slot_stiffness(grid: BoxGrid, w_exp: float) -> np.ndarray:
+    coef = np.zeros((7,) + grid.shape)
+    for axis in range(3):
+        T = np.zeros(grid.shape)  # the face above each cell; 0 on the last
+        T[(slice(None),) * axis + (slice(-1),)] = (
+            box_face_dual_weights(grid, w_exp, axis) / grid.h[axis] ** 2)
+        below = np.roll(T, 1, axis)  # the face below each cell
+        coef[3] += T
+        coef[3] += below
+        coef[6 - axis] = -T
+        coef[axis] = -below
+    return coef.reshape(7, -1)
+
+
+def slot_matvec(coef, shape, nodes, x) -> np.ndarray:
+    offsets = slot_offsets(shape)
+    n, pad = coef.shape[1], offsets[-1]
+    xp = np.zeros(n + 2 * pad)  # a neighbour past either end reads 0
+    xp[pad:pad + n][nodes] = x
+    y = coef[0] * xp[:n]  # slot 0: offset -pad
+    tmp = np.empty(n)
+    for c, o in zip(coef[1:], offsets[1:]):
+        y += np.multiply(c, xp[pad + o:pad + o + n], out=tmp)
+    return y[nodes]
+
+
+def slot_eliminate(coef, shape, rhs, mask, gvals):
+    x_b = np.zeros(len(rhs))
+    x_b[mask] = gvals
+    rhs = rhs - slot_matvec(coef, shape, ..., x_b)
+    rhs[mask] = gvals
+    coef = coef * ~np.array([np.roll(mask, -o) for o in slot_offsets(shape)])
+    coef[:, mask] = 0.0
+    coef[3][mask] = 1.0
+    return coef, rhs
+
+
+def slot_principal(coef, shape, mask):
+    cells = mask.reshape(shape)
+    box = tuple(slice(max(int(i.min()) - 1, 0), int(i.max()) + 2)
+                for i in np.nonzero(cells))
+    coef = coef.reshape((7,) + shape)[(slice(None),) + box]
+    return coef.reshape(7, -1), coef.shape[1:], np.flatnonzero(cells[box])
 
 
 BOX_GRIDS = [BoxGrid((-1.0,) * 3, (1.0,) * 3, (16,) * 3),
@@ -417,7 +486,7 @@ def test_box_stiffness_equals_the_coo_assembly(grid):
     A = raw_stiffness(P335, grid)
     ref = coo_stiffness(grid, -2.0 * P335.a)
     assert A is raw_stiffness(P335, grid)
-    assert isinstance(A, Stencil) and A.coef.dtype == ref.data.dtype
+    assert isinstance(A, Stencil) and A.D.dtype == A.T.dtype == ref.data.dtype
     csr = stencil_csr(A)
     for got, want in ((csr.indptr, ref.indptr), (csr.indices, ref.indices),
                       (csr.data, ref.data)):
@@ -480,7 +549,7 @@ def test_pcg_matches_scipy_cg():
 def test_read_only_box_stiffness_serves_every_solve_path():
     grid = BoxGrid((-1.0,) * 3, (1.0,) * 3, (8,) * 3)
     A = raw_stiffness(P335, grid)
-    coef = A.coef.copy()
+    D, T = A.D.copy(), A.T.copy()
     mask = grid.boundary_layer()
     K, rhs = _eliminate_dirichlet(A, np.ones(grid.n_nodes), mask,
                                   np.zeros(int(mask.sum())))
@@ -490,4 +559,44 @@ def test_read_only_box_stiffness_serves_every_solve_path():
     A_II = A.principal(~mask)
     columns = np.column_stack([A_II @ e for e in np.eye(len(I))])
     assert np.array_equal(columns, stencil_csr(A).toarray()[np.ix_(I, I)])
-    assert not A.coef.flags.writeable and np.array_equal(A.coef, coef)
+    for got, want in ((A.D, D), (A.T, T)):
+        assert not got.flags.writeable and np.array_equal(got, want)
+
+
+SLOT_GRIDS = BOX_GRIDS + [BoxGrid((-1.0,) * 3, (1.0,) * 3, (3, 4, 3)),
+                          BoxGrid((0.1, -1.0, -0.3), (1.0, 0.4, 0.6), (5, 7, 3))]
+
+
+@pytest.mark.parametrize("grid", SLOT_GRIDS,
+                         ids=["cube16", "9x8x10", "3x4x3", "5x7x3"])
+def test_four_arrays_equal_the_seven_slot_stencil(grid):
+    """The raw stiffness, its Dirichlet elimination (on the outer layer
+    and on a scattered mask), its principal submatrices and every product
+    equal the 7-slot code's, bit for bit."""
+    w_exp = -2.0 * P335.a
+    A = raw_stiffness(P335, grid)
+    coef = slot_stiffness(grid, w_exp)
+    assert np.array_equal(seven_slots(A), coef)
+    rng = np.random.default_rng(5)
+    x = rng.standard_normal(grid.n_nodes)
+    x[::3] = 0.0
+    scattered = rng.random(grid.n_nodes) < 0.3
+    for mask in (grid.boundary_layer(), scattered):
+        gvals = rng.standard_normal(int(mask.sum()))
+        rhs = rng.standard_normal(grid.n_nodes)
+        K, K_rhs = _eliminate_dirichlet(A, rhs, mask, gvals)
+        want, want_rhs = slot_eliminate(coef, grid.shape, rhs, mask, gvals)
+        assert np.array_equal(seven_slots(K), want)
+        assert np.array_equal(K_rhs, want_rhs)
+        for v in (x, -x, np.ones_like(x)):
+            assert np.array_equal(A @ v, slot_matvec(coef, grid.shape, ..., v))
+            assert np.array_equal(K @ v, slot_matvec(want, grid.shape, ..., v))
+        keep = ~mask
+        A_II = A.principal(keep)
+        c_II, shape, nodes = slot_principal(coef, grid.shape, keep)
+        assert A_II.shape == shape and np.array_equal(A_II.nodes, nodes)
+        assert np.array_equal(A_II.D, c_II[3])
+        assert np.array_equal(A_II.T, -c_II[6:3:-1])
+        I = np.nonzero(keep)[0]
+        for v in (x, -x):
+            assert np.array_equal(A_II @ v[I], slot_matvec(c_II, shape, nodes, v[I]))
