@@ -126,15 +126,16 @@ class BoxGrid:
         h = self.h[axis]
         return self.lower[axis] + (np.arange(n) + 0.5) * h
 
-    @cached_property
-    def _node_coords(self) -> np.ndarray:
-        pts = np.stack(np.meshgrid(*_box_coords(self), indexing="ij"),
-                       axis=-1).reshape(-1, 3)
-        pts.setflags(write=False)
-        return pts
-
     def node_coords(self) -> np.ndarray:
-        return self._node_coords
+        """The (n, 3) cell centres, built on each call: the box code reads
+        `axis_centers` and `cell_centers` instead."""
+        return np.stack(np.meshgrid(*_box_coords(self), indexing="ij"),
+                        axis=-1).reshape(-1, 3)
+
+    def cell_centers(self, cells: np.ndarray) -> np.ndarray:
+        """The centres of the cells at flat indices `cells`, one row each."""
+        return np.stack([self.axis_centers(k)[i] for k, i in
+                         enumerate(np.unravel_index(cells, self.shape))], axis=1)
 
     def distance_to(self, center) -> np.ndarray:
         """Euclidean distance of each node to the point `center`."""
@@ -143,10 +144,10 @@ class BoxGrid:
 
     def interior_mask(self, margin: float) -> np.ndarray:
         """Nodes at least `margin` inside every face of the box."""
-        lo = np.array(self.lower) + margin
-        hi = np.array(self.upper) - margin
-        coords = self.node_coords()
-        return np.all((coords >= lo) & (coords <= hi), axis=1)
+        inside = [(c >= lo + margin) & (c <= hi - margin) for c, lo, hi in
+                  zip(_box_coords(self), self.lower, self.upper)]
+        return (inside[0][:, None, None] & inside[1][None, :, None]
+                & inside[2]).reshape(-1)
 
     def boundary_layer(self) -> np.ndarray:
         """The outer layer of cells (the box's Dirichlet nodes), flattened."""
@@ -403,17 +404,17 @@ def _ball_coverage_fractions(grid: BoxGrid, ball: BallSpec) -> np.ndarray:
     change a bit.  Memoised per ball, read-only: the Campanato and
     gradient profiles use the same balls.
     """
-    centers = grid.node_coords()
     h = np.array(grid.h)
     half_diag = 0.5 * float(np.linalg.norm(h))
     d = grid.distance_to(ball.center)
-    frac = np.zeros(len(centers))
+    frac = np.zeros(grid.n_nodes)
     frac[d <= ball.radius - half_diag] = 1.0
     rim = np.nonzero((d > ball.radius - half_diag) & (d < ball.radius + half_diag))[0]
     offs = (np.arange(4) + 0.5) / 4 - 0.5
     for s in range(0, len(rim), _RIM_BLOCK):
         rows = rim[s:s + _RIM_BLOCK]
-        sq = [((centers[rows, k, None] + offs * h[k]) - ball.center[k]) ** 2
+        centers = grid.cell_centers(rows)
+        sq = [((centers[:, k, None] + offs * h[k]) - ball.center[k]) ** 2
               for k in range(3)]
         r2 = (sq[0][:, :, None, None] + sq[1][:, None, :, None]
               + sq[2][:, None, None, :])

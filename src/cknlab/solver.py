@@ -18,12 +18,16 @@ Two stiffness variants are used:
 A radial operator is a `Tridiagonal` chain of face conductances and end
 caps, solved directly by its closed-form LDL^T; a box operator is a
 symmetric 7-point `Stencil`, its diagonal and one conductance per face
-(four cell-sized arrays), solved by Jacobi-preconditioned CG from zero
-(`_pcg`, on reused buffers) to relative residual `_CG_RTOL` within
-`_CG_MAX_ITER` iterations.  Every SPD solve (solve, residual, harmonic
-replacement) goes through `_spd_solve`, needs numpy alone, and raises
-`SolverError` on failure.  `raw_stiffness` is memoised read-only on its
-grid.
+(four cell-sized arrays).  A box cell with i+j+k even (red) couples to
+cells with i+j+k odd (black) alone, so a box solve eliminates the red
+cells exactly (`RedBlack`), runs Jacobi-preconditioned CG from zero
+(`_pcg`, on reused buffers) on the Schur complement over the black cells,
+in about half the iterations that CG takes on the whole box, until the
+whole system's residual is below `_CG_RTOL` |b|, within `_CG_MAX_ITER`
+iterations, and then recovers the red cells.  Every SPD solve (solve,
+residual, harmonic replacement) goes through `_spd_solve`, needs numpy
+alone, and raises `SolverError` on failure.  `raw_stiffness` is memoised
+read-only on its grid.
 """
 from __future__ import annotations
 
@@ -135,6 +139,161 @@ class Stencil:
         return Stencil(D.reshape(-1), T.reshape(3, -1), D.shape,
                        np.flatnonzero(cells[box]))
 
+    def isolated(self, mask: np.ndarray) -> "Stencil":
+        """This stencil over its whole box with every cell of `mask` an
+        identity cell with no faces, on copies of the four arrays."""
+        cells = mask.reshape(self.shape)
+        T = self.T.reshape((3,) + self.shape).copy()
+        for axis, face in enumerate(T):  # zero every face of a `mask` cell
+            lead = (slice(None),) * axis
+            face[cells] = 0.0  # the face above it
+            face[lead + (slice(-1),)][cells[lead + (slice(1, None),)]] = 0.0  # below
+        D = self.D.copy()
+        D[mask] = 1.0
+        return Stencil(D, T.reshape(3, -1), self.shape)
+
+
+def _row_classes(shape):
+    """The red-black layout of a box, per class of rows (i, j) of one
+    parity of i and of j: the cells of the class's red cells, the slots
+    they fill, then the same for its black cells.  In row (i, j), slot kk
+    holds the red cell k = 2kk + (i+j)%2 and the black cell
+    k = 2kk + 1 - (i+j)%2; a slot past the row's end holds no cell."""
+    m2 = shape[2]
+    for i0 in (0, 1):
+        for j0 in (0, 1):
+            p = (i0 + j0) % 2
+            rows = (slice(i0, None, 2), slice(j0, None, 2))
+            yield (rows + (slice(p, None, 2),), rows + (slice((m2 - p + 1) // 2),),
+                   rows + (slice(1 - p, None, 2),), rows + (slice((m2 + p) // 2),))
+
+
+def _halves(cells: np.ndarray, fill: float):
+    """The red and the black cells of a (m0, m1, m2) cell array as two
+    (m0, m1, ceil(m2/2)) slot arrays, `fill` in a slot with no cell."""
+    m0, m1, m2 = cells.shape
+    red, black = (np.full((m0, m1, (m2 + 1) // 2), fill) for _ in range(2))
+    for red_cells, red_slots, black_cells, black_slots in _row_classes(cells.shape):
+        red[red_slots] = cells[red_cells]
+        black[black_slots] = cells[black_cells]
+    return red, black
+
+
+class RedBlack:
+    """A `Stencil` A in red-black order, its red cells (i+j+k even)
+    eliminated exactly: the Schur complement S = D_b - C^T D_r^{-1} C on
+    the black cells, where each red cell couples to black cells alone
+    (Hageman & Young, Applied Iterative Methods, 1981, ch. 9; Saad 2003).
+
+    Red and black cells are each held as flat (m0, m1, K) slot arrays,
+    K = ceil(m2/2), laid out as in `_row_classes`, so that each of a red
+    cell's six black neighbours is a flat shift: +-m1 K along axis 0,
+    +-K along axis 1, and along axis 2 the same slot and the one before
+    (rows with i+j even) or after (odd).  With C~ = D_r^{-1/2} C, held as
+    one coefficient array per shift (0 where there is no neighbour),
+    S x = D_b x - C~^T (C~ x).  A slot with no cell, and with `nodes` a
+    cell outside them, is an identity cell with no faces, so its value is
+    0 and S acts on the principal submatrix's black cells as its own
+    Schur complement.  Red cells are recovered from the black solution:
+    x_r = D_r^{-1/2} (D_r^{-1/2} b_r + C~ x_b).  Raises SolverError when a
+    red diagonal entry is not positive.
+    """
+
+    def __init__(self, A: Stencil):
+        self.shape, self.nodes = A.shape, A.nodes
+        if A.nodes is not ...:
+            outside = np.ones(len(A.D), dtype=bool)
+            outside[A.nodes] = False
+            A = A.isolated(outside)
+        m0, m1, m2 = A.shape
+        K = (m2 + 1) // 2
+        D_red, D_black = _halves(A.D.reshape(A.shape), 1.0)
+        if not np.all(D_red > 0):
+            raise SolverError("not_spd", "nonpositive diagonal entry in stiffness")
+        T = A.T.reshape((3,) + A.shape)
+        C = np.zeros((7, m0, m1, K))
+        # the face above a red cell, then the face above the black cell below it
+        for axis, up, down in ((0, 1, 2), (1, 3, 4)):
+            red, black = _halves(T[axis], 0.0)
+            lead = (slice(None),) * axis
+            C[up] = red
+            C[down][lead + (slice(1, None),)] = black[lead + (slice(-1),)]
+        # along axis 2, a red cell k = 2kk couples to the black cells k + 1
+        # in slot kk and k - 1 in kk - 1; a red cell k = 2kk + 1 (odd rows)
+        # to k - 1 in slot kk and k + 1 in kk + 1
+        red, black = _halves(T[2], 0.0)
+        even = (np.add.outer(np.arange(m0), np.arange(m1)) % 2 == 0)[..., None]
+        C[0] = np.where(even, red, black)
+        C[5][..., 1:] = np.where(even, black[..., :-1], 0.0)
+        C[6] = np.where(even, 0.0, red)
+        self.red_scale = 1.0 / np.sqrt(D_red.reshape(-1))
+        self.C = C.reshape(7, -1)
+        self.C *= self.red_scale
+        self.D_black = D_black.reshape(-1)
+        M, L = len(self.D_black), m1 * K
+        self._y, self._tmp = np.empty(M), np.empty(M)
+        # per nonzero shift o: the coefficients of the red slots whose black
+        # slot s + o is in range, a scratch view of their length, the red
+        # slots and the black ones
+        self._terms = []
+        for c, o in zip(self.C[1:], (L, -L, K, -K, -1, 1)):
+            red = slice(max(-o, 0), M - max(o, 0))
+            self._terms.append((c[red], self._tmp[red], red,
+                                slice(max(o, 0), M - max(-o, 0))))
+
+    @property
+    def diag(self) -> np.ndarray:
+        d = self.D_black - self.C[0] ** 2
+        for c, _, _, black in self._terms:
+            d[black] -= c ** 2
+        return d
+
+    def _forward(self, x: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """C~ x, from black slots to red."""
+        np.multiply(self.C[0], x, out=out)
+        for c, tmp, red, black in self._terms:
+            out[red] += np.multiply(c, x[black], out=tmp)
+        return out
+
+    def _adjoint(self, y: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """C~^T y, from red slots to black."""
+        np.multiply(self.C[0], y, out=out)
+        for c, tmp, red, black in self._terms:
+            out[black] += np.multiply(c, y[red], out=tmp)
+        return out
+
+    def __matmul__(self, x) -> np.ndarray:
+        z = self._adjoint(self._forward(x, self._y), np.empty(len(x)))
+        return np.subtract(np.multiply(self.D_black, x, out=self._tmp), z, out=z)
+
+    def _split(self, b: np.ndarray):
+        """D_r^{-1/2} b_r and b_b, the halves of b over `nodes`."""
+        cells = np.zeros(math.prod(self.shape))
+        cells[self.nodes] = b
+        red, black = _halves(cells.reshape(self.shape), 0.0)
+        red = red.reshape(-1)
+        red *= self.red_scale
+        return red, black.reshape(-1)
+
+    def rhs(self, b: np.ndarray) -> np.ndarray:
+        """The reduced right-hand side b_b + C~^T D_r^{-1/2} b_r."""
+        red, black = self._split(b)
+        black += self._adjoint(red, np.empty(len(red)))
+        return black
+
+    def solution(self, b: np.ndarray, x_black: np.ndarray) -> np.ndarray:
+        """The solution of A x = b over `nodes`, from that of S."""
+        red, _ = self._split(b)
+        red += self._forward(x_black, self._y)
+        red *= self.red_scale
+        slots = self.shape[:2] + (-1,)
+        red, black = red.reshape(slots), x_black.reshape(slots)
+        cells = np.empty(self.shape)
+        for red_cells, red_slots, black_cells, black_slots in _row_classes(self.shape):
+            cells[red_cells] = red[red_slots]
+            cells[black_cells] = black[black_slots]
+        return cells.reshape(-1)[self.nodes]
+
 
 @dataclass
 class LinearSystem:
@@ -145,7 +304,7 @@ class LinearSystem:
 
 @dataclass
 class SolveReport:
-    iterations: int  # CG iterations; 0 for the direct chain solve
+    iterations: int  # CG iterations on a box's black cells; 0 for a chain
     relative_residual: float
     converged: bool = True  # always: a failed solve raises SolverError
 
@@ -195,15 +354,7 @@ def _eliminate_dirichlet(A: Stencil, rhs: np.ndarray, mask: np.ndarray,
     x_b[mask] = gvals
     rhs = rhs - A @ x_b
     rhs[mask] = gvals
-    cells = mask.reshape(A.shape)
-    T = A.T.reshape((3,) + A.shape).copy()
-    for axis, face in enumerate(T):  # zero every face of a `mask` cell
-        lead = (slice(None),) * axis
-        face[cells] = 0.0  # the face above it
-        face[lead + (slice(-1),)][cells[lead + (slice(1, None),)]] = 0.0  # below
-    D = A.D.copy()
-    D[mask] = 1.0
-    return Stencil(D, T.reshape(3, -1), A.shape), rhs
+    return A.isolated(mask), rhs
 
 
 def _cap_transmissibility(params: WeightParams, lo: float, hi: float) -> float:
@@ -247,7 +398,7 @@ def assemble(params: WeightParams, grid, f: DiscreteField | None = None,
             rhs[0] += t_in * float(inner)
         return LinearSystem(Tridiagonal(T, t_in, t_out), rhs, grid)
     mask = grid.boundary_layer()
-    pts = grid.node_coords()[mask]
+    pts = grid.cell_centers(np.flatnonzero(mask))
     gvals = (np.asarray(dirichlet(pts), float) if callable(dirichlet)
              else np.full(len(pts), float(dirichlet)))
     A, rhs = _eliminate_dirichlet(raw_stiffness(params, grid), rhs, mask, gvals)
@@ -257,12 +408,13 @@ def assemble(params: WeightParams, grid, f: DiscreteField | None = None,
 # ---------------------------------------------------------------------------
 # solve
 
-def _pcg(A: Stencil, b: np.ndarray):
+def _pcg(A: Stencil | RedBlack, b: np.ndarray, b_norm: float | None = None):
     """Jacobi-preconditioned CG from x = 0; returns (x, iterations).
 
     The steps and stop test of `scipy.sparse.linalg.cg` 1.17, operation
     for operation: stop when |r| < `_CG_RTOL` |b| at the top of an
-    iteration; raise SolverError after `_CG_MAX_ITER` iterations.
+    iteration, where `b_norm`, when given, stands for |b| (scipy's `atol`
+    with `rtol` 0); raise SolverError after `_CG_MAX_ITER` iterations.
     """
     d = A.diag
     if not np.all(d > 0):
@@ -270,8 +422,8 @@ def _pcg(A: Stencil, b: np.ndarray):
     inv_d = 1.0 / d
     x = np.zeros(len(b))
     r = np.array(b, float)
-    z, step = np.empty_like(r), np.empty_like(r)
-    atol = _CG_RTOL * float(np.linalg.norm(b))
+    z = np.empty_like(r)  # also the step buffer, once z has updated p
+    atol = _CG_RTOL * (float(np.linalg.norm(b)) if b_norm is None else b_norm)
     if atol == 0.0:
         return x, 0
     for iteration in range(_CG_MAX_ITER):
@@ -286,8 +438,8 @@ def _pcg(A: Stencil, b: np.ndarray):
             p = z.copy()
         q = A @ p
         alpha = rho / np.dot(p, q)
-        x += np.multiply(alpha, p, out=step)
-        r -= np.multiply(alpha, q, out=step)
+        x += np.multiply(alpha, p, out=z)
+        r -= np.multiply(alpha, q, out=z)
         rho_prev = rho
     raise SolverError("no_convergence",
                       f"CG stopped after {_CG_MAX_ITER} iterations")
@@ -296,16 +448,22 @@ def _pcg(A: Stencil, b: np.ndarray):
 def _spd_solve(A: Tridiagonal | Stencil, b: np.ndarray):
     """Solve the SPD system A x = b; returns (x, CG iterations).
 
-    A `Stencil` gets `_pcg`, a `Tridiagonal` the closed-form LDL^T of its
-    chain: q_i = 1 + cap_lo sum_{k<i} 1/T_k solves the homogeneous equation
-    from the first cell and, with T_{n-1} := cap_hi, S_j = sum_{k<=j} q_k b_k,
+    A `Stencil` is reduced to its black cells (`RedBlack`), whose system
+    gets `_pcg` with the stop test |r| < `_CG_RTOL` |b| of the whole
+    system, since the whole residual is r on the black cells and 0 on the
+    red ones; the red cells follow from the black.  A `Tridiagonal` gets
+    the closed-form LDL^T of its chain: q_i = 1 + cap_lo sum_{k<i} 1/T_k
+    solves the homogeneous equation from the first cell and, with
+    T_{n-1} := cap_hi, S_j = sum_{k<=j} q_k b_k,
     x_i = q_i sum_{j>=i} S_j / (q_j (T_j q_j + cap_lo)).  Its pivots are
     sums of positive terms (Higham, SIAM J. Matrix Anal. Appl. 11, 1990:
     elimination without pivoting is stable on such chains).  Raises
     SolverError when A is not positive definite or CG does not converge.
     """
     if isinstance(A, Stencil):
-        return _pcg(A, b)
+        S = RedBlack(A)
+        x_black, iterations = _pcg(S, S.rhs(b), float(np.linalg.norm(b)))
+        return S.solution(b, x_black), iterations
     T, lo, hi = A.T, A.cap_lo, A.cap_hi
     if not (np.all(T > 0) and lo >= 0 and hi >= 0 and lo + hi > 0):
         raise SolverError("not_spd", "a chain needs conductances > 0, caps "

@@ -600,3 +600,144 @@ def test_four_arrays_equal_the_seven_slot_stencil(grid):
         I = np.nonzero(keep)[0]
         for v in (x, -x):
             assert np.array_equal(A_II @ v[I], slot_matvec(c_II, shape, nodes, v[I]))
+
+
+# The red-black reduction of every box solve
+
+def black_slot_cells(shape) -> np.ndarray:
+    """The flat cell of each black slot of the red-black layout, -1 where
+    the slot holds no cell: in row (i, j), slot kk holds the black cell
+    k = 2kk + 1 - (i+j)%2."""
+    m0, m1, m2 = shape
+    i, j, kk = np.indices((m0, m1, (m2 + 1) // 2)).reshape(3, -1)
+    k = 2 * kk + 1 - (i + j) % 2
+    return np.where(k < m2, (i * m1 + j) * m2 + k, -1)
+
+
+def schur_reference(A: Stencil, K: sp.csr_matrix, cells) -> sp.csc_matrix:
+    """K_bb - K_br K_rr^{-1} K_rb of the CSR matrix K on A's nodes, where
+    `cells` are the rows of K of A's box cells, the red cells (i+j+k
+    even in the box) eliminated, over the black slots of the layout; the
+    identity in a slot that holds no node."""
+    K = K[cells][:, cells]
+    live = np.zeros(len(A.D), dtype=bool)
+    live[A.nodes] = True
+    red = np.flatnonzero(live & (np.indices(A.shape).sum(axis=0).ravel() % 2 == 0))
+    slots = black_slot_cells(A.shape)
+    on = np.flatnonzero(slots >= 0)
+    on = on[live[slots[on]]]
+    black = slots[on]
+    K_rr = K[red][:, red]
+    assert (K_rr != sp.diags(K_rr.diagonal())).nnz == 0  # red couples to black alone
+    S = (K[black][:, black]
+         - K[black][:, red] @ sp.diags(1.0 / K_rr.diagonal()) @ K[red][:, black])
+    put = sp.csr_matrix((np.ones(len(on)), (on, np.arange(len(on)))),
+                        shape=(len(slots), len(on)))
+    empty = np.ones(len(slots))
+    empty[on] = 0.0
+    return (put @ S @ put.T + sp.diags(empty)).tocsc()
+
+
+def principal_box_cells(grid: BoxGrid, keep: np.ndarray) -> np.ndarray:
+    """The grid cell of each cell of `Stencil.principal(keep)`'s box: the
+    bounding box of `keep` grown by one cell."""
+    box = tuple(slice(max(int(i.min()) - 1, 0), int(i.max()) + 2)
+                for i in np.nonzero(keep.reshape(grid.shape)))
+    return np.arange(grid.n_nodes).reshape(grid.shape)[box].ravel()
+
+
+SCHUR_GRIDS = [BoxGrid((-1.0,) * 3, (1.0,) * 3, (16,) * 3),
+               BoxGrid((0.1, -1.0, -0.3), (1.0, 0.4, 0.6), (5, 7, 3)),
+               BoxGrid((-0.7, -0.9, -0.55), (1.3, 1.1, 1.45), (9, 8, 10)),
+               BoxGrid((-1.0,) * 3, (1.0,) * 3, (3, 4, 3)),
+               BoxGrid((-1.0,) * 3, (1.0,) * 3, (2, 3, 2))]
+
+
+@pytest.mark.parametrize("grid", SCHUR_GRIDS,
+                         ids=["cube16", "5x7x3", "9x8x10", "3x4x3", "2x3x2"])
+def test_red_black_operator_is_the_schur_complement(grid):
+    """The reduced operator of the raw stiffness, of its Dirichlet
+    elimination and of principal submatrices (the interior, a ball's
+    cells and a scattered set) is the Schur complement of the CSR matrix
+    to round-off, column by column, with its diagonal."""
+    A = raw_stiffness(P335, grid)
+    mask = grid.boundary_layer()
+    K, _ = _eliminate_dirichlet(A, np.zeros(grid.n_nodes), mask,
+                                np.zeros(int(mask.sum())))
+    rng = np.random.default_rng(8)
+    keeps = [~mask, grid.distance_to((0.2, 0.1, 0.3)) <= 0.7,
+             rng.random(grid.n_nodes) < 0.4]
+    everything, raw_csr = np.arange(grid.n_nodes), stencil_csr(A)
+    ops = [(A, raw_csr, everything), (K, stencil_csr(K), everything)]
+    for keep in keeps:
+        if keep.any():
+            cells = principal_box_cells(grid, keep)
+            op = A.principal(keep)
+            assert np.array_equal(cells[op.nodes], np.flatnonzero(keep))
+            ops.append((op, raw_csr, cells))
+    for op, csr, cells in ops:
+        S, ref = solver.RedBlack(op), schur_reference(op, csr, cells)
+        tol = 1e-13 * float(np.max(op.D))
+        assert np.max(np.abs(S.diag - ref.diagonal())) <= tol
+        e = np.zeros(ref.shape[0])
+        for j in range(ref.shape[0]):
+            e[j] = 1.0
+            assert np.max(np.abs(S @ e - ref[:, [j]].toarray().ravel())) <= tol
+            e[j] = 0.0
+
+
+def box_study_system(m: int):
+    """The `box_singular` benchmark's system on [-1,1]^3 at m^3 cells: load
+    f = 1 and the radial manufactured solution as Dirichlet trace."""
+    grid = BoxGrid((-1.0,) * 3, (1.0,) * 3, (m,) * 3)
+    u_fn, f_fn = exact_radial_mms(P335, 0.0, 2.0)
+    f = DiscreteField.from_function(grid, lambda p: f_fn(np.linalg.norm(p, axis=1)))
+    return assemble(P335, grid, f, dirichlet=lambda p: u_fn(np.linalg.norm(p, axis=1)))
+
+
+@pytest.mark.parametrize("m, iterations", [(16, 24), (32, 46)])
+def test_reduced_box_solves_meet_the_full_tolerance(monkeypatch, m, iterations):
+    """The box study's solve and its harmonic replacement: each reduced
+    solve leaves a full-system residual within `_CG_RTOL` |b|, agrees with
+    `_pcg` on the unreduced stencil, and takes the pinned iterations
+    (the unreduced Jacobi-PCG takes 40 and 88)."""
+    real, calls = solver._spd_solve, []
+
+    def spy(A, b):
+        out = real(A, b)
+        calls.append((A, b, out))
+        return out
+
+    monkeypatch.setattr(solver, "_spd_solve", spy)
+    u, rep = solve(box_study_system(m))
+    harmonic_replacement(P335, u, BallSpec((0.2, 0.1, 0.0), 0.5))
+    assert rep.iterations == iterations == calls[0][2][1]
+    assert len(calls) == 2 and calls[1][0].nodes is not ...
+    for A, b, (x, its) in calls:
+        bnorm = np.linalg.norm(b)
+        assert np.linalg.norm(b - A @ x) <= solver._CG_RTOL * bnorm
+        x_full, its_full = _pcg(A, b)
+        assert np.linalg.norm(x - x_full) <= 1e-9 * np.linalg.norm(x_full)
+        assert its <= 0.6 * its_full
+
+
+def test_stencil_spd_failures_raise_through_the_reduction():
+    """A nonpositive or nan diagonal entry on a red or a black cell, and a
+    positive diagonal whose Schur complement is not, raise not_spd."""
+    grid = BoxGrid((-1.0,) * 3, (1.0,) * 3, (4, 5, 3))
+    A = raw_stiffness(P335, grid)
+    mask = grid.boundary_layer()
+    K, rhs = _eliminate_dirichlet(A, np.ones(grid.n_nodes), mask,
+                                  np.zeros(int(mask.sum())))
+    red, black = (np.ravel_multi_index(c, grid.shape) for c in ((1, 2, 1), (1, 1, 1)))
+    bad = []
+    for cell in (red, black):
+        for value in (0.0, -1.0, np.nan):
+            D = K.D.copy()
+            D[cell] = value
+            bad.append(Stencil(D, K.T, K.shape))
+    bad.append(Stencil(np.ones(grid.n_nodes), (A.T > 0).astype(float), A.shape))
+    for op in bad:
+        with pytest.raises(SolverError) as exc:
+            _spd_solve(op, rhs)
+        assert exc.value.code == "not_spd"
