@@ -6,12 +6,11 @@ Exit codes: 0 pass, 1 usage or config error, 2 scientific failure.
 """
 from __future__ import annotations
 
-import argparse
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from pathlib import Path
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -53,7 +52,11 @@ def parse_config(path: str) -> dict:
         if "=" not in line:
             raise UsageError(f"invalid_config: line {lineno} has no '=': {line!r}")
         key, _, val = line.partition("=")
-        cfg[key.strip()] = val.strip()
+        key = key.strip()
+        if key in cfg:  # a second value would silently replace the first
+            raise UsageError(f"invalid_config: line {lineno} gives key "
+                             f"`{key}` a second time")
+        cfg[key] = val.strip()
     return cfg
 
 
@@ -268,8 +271,7 @@ def _real(text: str, inf_ok: bool = False) -> float:
     return value
 
 
-@dataclass(frozen=True)
-class Key:
+class Key(NamedTuple):
     """One config key: the cast of its text, its default (`...`: required;
     None: accepted and echoed, not read) and the condition its value must
     meet in the typed config, with its wording for the error message."""
@@ -298,8 +300,7 @@ _PARAMS = {"params.N": Key(int), "params.a": Key(_real),
 _SPACING = {"grid.spacing": Key(str, "uniform")}
 
 
-@dataclass(frozen=True)
-class Experiment:
+class Experiment(NamedTuple):
     run: Callable  # typed config -> (passed, {report file: rows})
     description: str
     reports: dict[str, str | None]  # file -> CSV header; None: key=value text
@@ -468,6 +469,7 @@ def run(config_path: str, dump_trials: bool = False) -> int:
 
 
 def main(argv=None) -> int:
+    import argparse  # only the command line parses arguments, not `run`
     parser = argparse.ArgumentParser(prog="ckn-lab")
     sub = parser.add_subparsers(dest="cmd")
     runp = sub.add_parser("run", help="run an experiment from a config file")

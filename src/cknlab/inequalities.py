@@ -7,30 +7,26 @@ suite maxima, never assumed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import GridError, ParameterError
 from .fields import (DiscreteField, RadialGrid, ball_cell_weights,
                      dirichlet_energy, lq_norm, oscillation)
-from .measure import BallSpec, sphere_area, weighted_mean
+from .measure import BallSpec, weighted_mean
 from .params import WeightParams
 from .solver import raw_stiffness
 
-_QUAD_TOL = 1e-11  # epsabs and epsrel of `ckn_ratio_radial_quad`
 
-
-@dataclass
-class RatioSample:
+class RatioSample(NamedTuple):
     lhs: float
     rhs_core: float
     ratio: float
     descriptor: str = ""
 
 
-@dataclass
-class AlphaHEstimate:
+class AlphaHEstimate(NamedTuple):
     alpha_h: float
     fit_residual: float
     n_samples: int
@@ -49,19 +45,6 @@ def ckn_ratio(params: WeightParams, field: DiscreteField,
     return RatioSample(lhs=lhs, rhs_core=rhs,
                        ratio=lhs / rhs if rhs > 0 else math.inf,
                        descriptor=descriptor)
-
-
-def ckn_ratio_radial_quad(params: WeightParams, u, du, r_max: float) -> float:
-    """Exact-quadrature CKN ratio for a radial profile with derivative du."""
-    # imported here so that importing the package never loads scipy.integrate
-    from scipy.integrate import quad
-    sigma = sphere_area(params.N)
-    p, N, a, bp = params.p, params.N, params.a, params.bp
-    num = quad(lambda t: sigma * t ** (N - 1 - bp) * abs(u(t)) ** p,
-               0.0, r_max, epsabs=_QUAD_TOL, epsrel=_QUAD_TOL, limit=400)[0]
-    den = quad(lambda t: sigma * t ** (N - 1 - 2 * a) * du(t) ** 2,
-               0.0, r_max, epsabs=_QUAD_TOL, epsrel=_QUAD_TOL, limit=400)[0]
-    return num ** (1.0 / p) / math.sqrt(den)
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from .errors import GridError, QuadratureError
 from .params import WeightParams
@@ -159,6 +158,8 @@ def centered_weight_quadrature(N, w_exp, radius) -> np.ndarray:
     e >= 1 that 64 nodes reach round-off (Golub & Welsch, Math. Comp. 23,
     1969, for the rule).
     """
+    # imported here: no other run loads numpy.polynomial's six modules
+    from numpy.polynomial.legendre import leggauss
     x, wts = leggauss(64)
     u = 0.5 * (x + 1.0)
     N = np.asarray(N, int).reshape(-1)

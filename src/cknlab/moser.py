@@ -5,7 +5,7 @@ lemma with its proof constants as a property-checked engine.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -19,16 +19,14 @@ _RESIDUAL_TOL = 1e-3  # dual-residual gate of `run_ladder`, times max(1, sup|u|)
 _TABLE_SIZE = 120  # geometric radii of a `MeasureTable`
 
 
-@dataclass
-class PotentialSplit:
+class PotentialSplit(NamedTuple):
     ell: float
     tail_mass: float
     bound_required: float
     satisfied: bool
 
 
-@dataclass
-class LadderState:
+class LadderState(NamedTuple):
     k: int
     q_k: float
     norm_q: float

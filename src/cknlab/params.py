@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import ParameterError
 
@@ -57,8 +57,7 @@ class WeightParams:
         return INF if self.p <= 2.0 else self.p / (self.p - 2.0)
 
 
-@dataclass(frozen=True)
-class HolderBound:
+class HolderBound(NamedTuple):
     alpha_sup: float
     limiting_branch: LimitingBranch
 
@@ -133,23 +132,21 @@ def holder_bound(params: WeightParams, alpha_h_estimate: float) -> HolderBound:
 
 
 def moser_ladder(params: WeightParams, k_max: int) -> list[float]:
-    """Exponents q_k = p^{k+1}/2^k for k = 0..k_max, correctly rounded."""
+    """Exponents q_k = p^{k+1}/2^k for k = 0..k_max, correctly rounded:
+    with p = n/d exactly, q_k is one int true division, which rounds once."""
     if k_max < 0:
         raise ParameterError("invalid_k_max", f"k_max must be >= 0, got {k_max}")
-    p = Fraction(params.p)
-    return [float(p ** (k + 1) / 2 ** k) for k in range(k_max + 1)]
+    n, d = params.p.as_integer_ratio()
+    return [n ** (k + 1) / (d ** (k + 1) << k) for k in range(k_max + 1)]
 
 
 def k0_threshold(params: WeightParams) -> int:
-    """Smallest k with (p/2)^k >= 2(p-1)/(p-2), by direct search."""
-    p = Fraction(params.p)
-    if p <= 2:
+    """Smallest k with (p/2)^k >= 2(p-1)/(p-2), by direct search in exact
+    integers: with p = n/d, n^k (n - 2d) >= 2(n - d)(2d)^k."""
+    n, d = params.p.as_integer_ratio()
+    if n <= 2 * d:
         raise ParameterError("invalid_p", f"need p > 2, got p={params.p}")
-    threshold = 2 * (p - 1) / (p - 2)
-    ratio = p / 2
-    power = Fraction(1)
-    k = 0
-    while power < threshold:
-        power *= ratio
-        k += 1
+    lhs, rhs, k = n - 2 * d, 2 * (n - d), 0
+    while lhs < rhs:
+        lhs, rhs, k = lhs * n, rhs * 2 * d, k + 1
     return k

@@ -7,6 +7,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -42,16 +43,14 @@ class GrowthProfile:
             raise ParameterError("nonfinite_profile", "profile values must be finite")
 
 
-@dataclass
-class FitResult:
+class FitResult(NamedTuple):
     exponent: float
     log_constant: float
     rms_residual: float
     clamped: bool = False
 
 
-@dataclass
-class RegularityReport:
+class RegularityReport(NamedTuple):
     alpha_measured: float
     alpha_predicted_sup: float
     limiting_branch: str

@@ -34,6 +34,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -295,15 +296,13 @@ class RedBlack:
         return cells.reshape(-1)[self.nodes]
 
 
-@dataclass
-class LinearSystem:
+class LinearSystem(NamedTuple):
     matrix: Tridiagonal | Stencil
     rhs: np.ndarray
     grid: object
 
 
-@dataclass
-class SolveReport:
+class SolveReport(NamedTuple):
     iterations: int  # CG iterations on a box's black cells; 0 for a chain
     relative_residual: float
     converged: bool = True  # always: a failed solve raises SolverError
@@ -542,8 +541,7 @@ def dilate_radial(params: WeightParams, u, lam: float):
 # ---------------------------------------------------------------------------
 # residual in the energy-dual norm
 
-@dataclass
-class ResidualReport:
+class ResidualReport(NamedTuple):
     nodal: DiscreteField
     dual_norm: float
 

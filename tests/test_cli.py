@@ -43,6 +43,17 @@ def test_bad_config_line(tmp_path):
     assert main(["run", str(p)]) == 1
 
 
+def test_repeated_key_exit_1(tmp_path, capsys):
+    """A key given twice is a config error naming its line: no run takes
+    one of the values and echoes the other."""
+    cfg = write_cfg(tmp_path, "measure_identities",
+                    "seed=1\nn_combos=0\nn_combos=3\n")
+    assert main(["run", cfg]) == 1
+    assert ("error: invalid_config: line 5 gives key `n_combos` a second time"
+            in capsys.readouterr().err)
+    assert not any(tmp_path.glob("*.csv"))
+
+
 def test_missing_config_file():
     assert main(["run", "/nonexistent/x.cfg"]) == 1
 

@@ -261,31 +261,80 @@ def test_module_level_scipy_imports_are_solver_modules(path):
             if found.split(": ")[1] not in SCIPY_AT_IMPORT] == []
 
 
-def test_run_path_loads_no_scipy():
-    """A fresh interpreter that imports the modules a benchmark worker
-    imports and runs a radial solve, a box solve and a box harmonic
-    replacement loads no scipy module: the run path is numpy alone."""
+# `argparse` is for `cli.main` alone and `numpy.polynomial` for
+# `measure_identities` alone; the package uses no `fractions` (nor the
+# `decimal` that it imports)
+NOT_ON_RUN_PATH = ("scipy", "argparse", "fractions", "decimal",
+                   "numpy.polynomial")
+
+
+def fresh_modules(script: str) -> list[str]:
+    """`sys.modules` after a fresh interpreter, with the package on its
+    path, runs `script`."""
     src = str(Path(solver.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
     out = subprocess.run(
-        [sys.executable, "-c",
-         "import sys\n"
-         "from cknlab import (cli, fields, inequalities, measure, moser,\n"
-         "                    regularity, solver)\n"
-         "from cknlab.params import validate\n"
-         "P = validate(3, 0.3, 0.5)\n"
-         "radial = fields.RadialGrid(0.0, 1.0, 64)\n"
-         "solver.solve(solver.assemble(P, radial, dirichlet=1.0))\n"
-         "box = fields.BoxGrid((-1.0,) * 3, (1.0,) * 3, (8,) * 3)\n"
-         "u, rep = solver.solve(solver.assemble(P, box,\n"
-         "                      dirichlet=lambda p: p[:, 0]))\n"
-         "assert rep.iterations > 0\n"
-         "solver.harmonic_replacement(P, u, measure.BallSpec((0.0,) * 3, 0.6))\n"
-         "print(*sorted(sys.modules))"],
-        env=env, capture_output=True, text=True, check=True).stdout.split()
+        [sys.executable, "-c", script + "\nimport sys\nprint(*sorted(sys.modules))"],
+        env=env, capture_output=True, text=True, check=True).stdout
+    out = out.splitlines()[-1].split()  # the script may print lines of its own
     assert "cknlab.solver" in out
-    assert [name for name in out if name.split(".")[0] == "scipy"] == []
+    return out
+
+
+def off_run_path(modules: list[str]) -> list[str]:
+    return [name for name in modules
+            if any(name == top or name.startswith(top + ".")
+                   for top in NOT_ON_RUN_PATH)]
+
+
+def test_off_run_path_detected():
+    assert off_run_path(["numpy", "numpy.polynomial.legendre", "scipy",
+                         "decimal", "_decimal", "argparse", "fractions",
+                         "numpy.polynomialx"]) == [
+        "numpy.polynomial.legendre", "scipy", "decimal", "argparse",
+        "fractions"]
+
+
+def test_run_path_loads_no_scipy():
+    """A fresh interpreter that imports the modules a benchmark worker
+    imports and runs a radial solve, a box solve and a box harmonic
+    replacement loads no scipy module: the run path is numpy alone.  Nor
+    does it load the modules of `NOT_ON_RUN_PATH`."""
+    out = fresh_modules(
+        "from cknlab import (cli, fields, inequalities, measure, moser,\n"
+        "                    regularity, solver)\n"
+        "from cknlab.params import validate\n"
+        "P = validate(3, 0.3, 0.5)\n"
+        "radial = fields.RadialGrid(0.0, 1.0, 64)\n"
+        "solver.solve(solver.assemble(P, radial, dirichlet=1.0))\n"
+        "box = fields.BoxGrid((-1.0,) * 3, (1.0,) * 3, (8,) * 3)\n"
+        "u, rep = solver.solve(solver.assemble(P, box,\n"
+        "                      dirichlet=lambda p: p[:, 0]))\n"
+        "assert rep.iterations > 0\n"
+        "solver.harmonic_replacement(P, u, measure.BallSpec((0.0,) * 3, 0.6))")
+    assert off_run_path(out) == []
+
+
+def test_cli_runs_load_only_what_they_execute(tmp_path):
+    """One fresh interpreter runs `cli.run` on every experiment but
+    `measure_identities`, at its defaults, and loads none of the modules
+    of `NOT_ON_RUN_PATH`: each runs as a `ckn-lab run` process would."""
+    out = fresh_modules(
+        "from pathlib import Path\n"
+        "from cknlab import cli\n"
+        f"tmp = Path({str(tmp_path)!r})\n"
+        "for name in cli.EXPERIMENTS:\n"
+        "    if name == 'measure_identities':\n"
+        "        continue\n"
+        "    cfg = tmp / f'{name}.cfg'\n"
+        "    cfg.write_text(f'experiment={name}\\noutput_dir={tmp}\\n'\n"
+        "                   'params.N=3\\nparams.a=0.3\\nparams.b=0.5\\n'\n"
+        "                   'seed=1\\n')\n"
+        "    assert cli.run(str(cfg)) in (0, 2), name  # 1: not run")
+    assert "cknlab.moser" in out
+    assert off_run_path(out) == []
+    assert len(list(tmp_path.glob("*.cfg"))) == 9
 
 
 def experiment_grid_constructions(source: str) -> list[str]:

@@ -7,13 +7,13 @@ from scipy.integrate import quad
 from cknlab.errors import GridError, ParameterError
 from cknlab.fields import BoxGrid, DiscreteField, RadialGrid
 from cknlab.inequalities import (build_test_suite, ckn_ratio,
-                                 ckn_ratio_radial_quad,
                                  estimate_alpha_h, poincare_ratio,
                                  sup_bound_ratio, weak_harnack_check)
 from cknlab.measure import BallSpec
 from cknlab.params import INF, validate
 from cknlab.regularity import gradient_profile
 from cknlab.solver import dilate_radial
+from radial_quad import ckn_ratio_radial_quad
 
 P300 = validate(3, 0.0, 0.0, INF)
 P335 = validate(3, 0.3, 0.5, INF)

@@ -114,6 +114,31 @@ def test_k0_threshold_slow_ladder():
     assert k0_threshold(params) == k == 9
 
 
+def fraction_ladder(params, k_max):
+    """The ladder and k0 in `Fraction` arithmetic: the reference for
+    params.py's exact integer arithmetic."""
+    p = Fraction(params.p)
+    ladder = [float(p ** (k + 1) / 2 ** k) for k in range(k_max + 1)]
+    threshold = 2 * (p - 1) / (p - 2)
+    k, power = 0, Fraction(1)
+    while power < threshold:
+        power *= p / 2
+        k += 1
+    return ladder, k
+
+
+# p rounds 30/7, 50/19, 8/3, 3 and 12/5: p = n/d with n of 53, 50, 53, 2
+# and 53 bits, so q_k's numerator has up to 53 (k+1) bits
+@pytest.mark.parametrize("N,a,b", [(3, 0.3, 0.5), (5, 0.5, 0.9),
+                                   (4, -0.5, 0.0), (3, -1.0, -0.5),
+                                   (6, 0.7, 1.2)])
+def test_ladder_and_k0_match_fraction_reference(N, a, b):
+    params = validate(N, a, b)
+    ladder, k0 = fraction_ladder(params, 60)
+    assert [q.hex() for q in moser_ladder(params, 60)] == [q.hex() for q in ladder]
+    assert k0_threshold(params) == k0
+
+
 valid_tuples = st.tuples(
     st.integers(min_value=3, max_value=8),
     st.floats(min_value=-3.0, max_value=2.9, allow_nan=False),
