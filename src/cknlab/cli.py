@@ -104,7 +104,7 @@ def exp_mms_convergence(cfg):
         err = float(np.max(np.abs(uh.values - u_exact(grid.centers))))
         order = math.log2(errs[-1] / err) if errs else float("nan")
         errs.append(err)
-        rows.append([lev, (r_max - r_min) / n, err, order])
+        rows.append([lev, coarse.width / n, err, order])
         if lev > 0:
             ok &= 1.8 <= order <= 2.5
     return ok, {"mms_report.csv": rows}
@@ -119,9 +119,8 @@ def exp_harmonic_replacement(cfg):
     for i in range(cfg["n_cases"]):
         vals = np.cumsum(rng.standard_normal(grid.n_cells)) * 0.02
         u = DiscreteField(grid=grid, values=vals)
-        rho = float(rng.uniform(0.3, 0.8)) * (grid.r_max - grid.r_min)
-        ball = BallSpec((0.0,), max(rho, 20 * (grid.r_max - grid.r_min)
-                                    / grid.n_cells))
+        rho = float(rng.uniform(0.3, 0.8)) * grid.width
+        ball = BallSpec((0.0,), max(rho, 20 * grid.width / grid.n_cells))
         w = harmonic_replacement(params, u, ball)
         qu, qw, qv = (float(v @ (A @ v))
                       for v in (u.values, w.values, u.values - w.values))
@@ -139,7 +138,7 @@ def exp_inequality_suite(cfg):
     rows = []
     ckn_max = 0.0
     poin_max = 0.0
-    ball = BallSpec((0.0,), 0.9 * (grid.r_max - grid.r_min))
+    ball = BallSpec((0.0,), 0.9 * grid.width)
     ok = True
     for desc, f in suite:
         c = ckn_ratio(params, f, desc)
@@ -348,7 +347,10 @@ EXPERIMENTS = {
          "regularity_profile.csv": "radius,value"},
         {**_SEEDED, **_PARAMS,
          "alpha_h": Key(_real, 1.0, "in (0, 1]", lambda x, cfg: 0.0 < x <= 1.0),
-         **_extent(0.0, 1.0, 512), **_SPACING}, for_regularity=True),
+         **_extent(0.0, 1.0, 512), **_SPACING,
+         "grid.r_min": Key(_real, 0.0, "0: the report's balls are centred "
+                           "at the origin", lambda r, cfg: r == 0.0)},
+        for_regularity=True),
     "dilation_symmetry": Experiment(
         exp_dilation_symmetry, "invariant dilation residual refinement study",
         {"dilation_report.csv": "n,dual_residual,observed_order"},

@@ -1,16 +1,16 @@
-"""Grids, discrete scalar fields, and weighted integral/energy reductions.
+"""Grids and their operators, discrete fields, weighted integrals and energy.
 
-Two grid kinds: a 1D radial grid (any dimension N via the surface-area
-factor) and a 3D tensor box grid.  Values live at cell centers.  Radial
-cell and face weights use the exact antiderivative of t^{N-1+w}; box
-weights use the cell-centroid value, except on cells near the coordinate
-origin, where the weight may be singular: those are refined together, one
-level of 2^d-way splits at a time, each level held as its sub-box centres
-and the one size they share, until the near set repeats exactly halved;
-the rest of the octree is then a geometric series, summed in closed form
-(see `_refined_weights`).  Distances over a box grid are formed per axis.
-Weight tables, the stiffness and each ball's rim coverage are memoised on
-their grid (`_per_grid`), read-only, as are a grid's edges and centres.
+Two grid kinds, a 1D radial grid (any dimension N via the surface-area
+factor) with a `Tridiagonal` chain operator and a 3D tensor box grid with
+a 7-point `Stencil`, hold what differs between them as members, so that
+generic code never asks which kind it has.  Values live at cell centers.
+Radial cell and face weights use the exact antiderivative of t^{N-1+w};
+box weights use the cell-centroid value, except on the cells near the
+origin, where the weight may be singular, which are refined as one octree
+with a closed-form self-similar tail (`_refined_weights`).  Distances over
+a box grid are formed per axis.  Weight tables, the stiffness and each
+ball's rim coverage are memoised on their grid (`_per_grid`), read-only,
+as are a grid's edges and centres.
 """
 from __future__ import annotations
 
@@ -30,8 +30,160 @@ _MAX_REFINE_DEPTH = 24
 _RIM_BLOCK = 512  # rim cells whose 4^3 subsample is formed at once
 
 
+def _memoised_in(slot: str):
+    """A decorator that memoises a function's value in the `__dict__` of its
+    first argument, under `slot` (as `cached_property` does), so that the
+    value lives exactly as long as that object.  Every later caller shares
+    it, so the value, or each array field of it, is made read-only."""
+    def decorate(build):
+        @wraps(build)
+        def cached(owner, *args, **kwargs):
+            memo = owner.__dict__.setdefault(slot, {})
+            key = (build.__name__, args, tuple(sorted(kwargs.items())))
+            if key not in memo:
+                value = memo[key] = build(owner, *args, **kwargs)
+                for a in (value, *getattr(value, "__dict__", {}).values()):
+                    if isinstance(a, np.ndarray):
+                        a.setflags(write=False)
+            return memo[key]
+        return cached
+    return decorate
+
+
+# a weight table or operator, memoised on its grid
+_per_grid = _memoised_in("_weight_tables")
+
+
 # ---------------------------------------------------------------------------
-# grids
+# grids and their operators
+
+@dataclass(eq=False)
+class Tridiagonal:
+    """Stiffness of a chain of cells: face conductances T and end caps.
+
+    A cell's diagonal adds its face above, its face below, then its cap;
+    `A @ x` sums each row in the column order of a CSR matvec, from 0, so
+    products are bit-identical to those of the equivalent sparse matrix.
+    The chain solve reads T and the caps alone; `diag` is lazy.
+    """
+    T: np.ndarray
+    cap_lo: float = 0.0
+    cap_hi: float = 0.0
+
+    @property
+    def off(self) -> np.ndarray:
+        return -self.T
+
+    @cached_property
+    def diag(self) -> np.ndarray:
+        diag = np.concatenate((self.T, [self.cap_hi]))  # the face above
+        diag[1:] += self.T  # the face below
+        diag[0] += self.cap_lo
+        diag.setflags(write=False)
+        return diag
+
+    def __matmul__(self, x) -> np.ndarray:
+        x = np.asarray(x, float)
+        y = np.zeros(len(self.diag))
+        y[1:] -= self.T * x[:-1]
+        y += self.diag * x
+        y[:-1] -= self.T * x[1:]
+        return y
+
+    def principal(self, mask: np.ndarray) -> "Tridiagonal":
+        """The principal submatrix on the cells of `mask`, one run lo..hi-1:
+        the sub-chain capped by the faces that cut it out (or the old caps)."""
+        cells = np.flatnonzero(mask)
+        lo, hi = int(cells[0]), int(cells[-1]) + 1
+        if hi - lo != len(cells):
+            raise GridError("not_one_run", "a chain's principal cells must be one run")
+        T = self.T
+        return Tridiagonal(T[lo:hi - 1], T[lo - 1] if lo > 0 else self.cap_lo,
+                           T[hi - 1] if hi <= len(T) else self.cap_hi)
+
+
+@dataclass(eq=False)
+class Stencil:
+    """Symmetric 7-point operator on a box of cells, flat in C order over
+    `shape`: the diagonal `D` and, per axis k, the conductance `T[k]` of
+    the face above each cell, 0 on the last layer (Saad, Iterative Methods
+    for Sparse Linear Systems, 2003, 3.4).  A cell's coupling to its
+    neighbour below along k is that neighbour's `T[k]`; a flat shift past
+    a row's end meets a 0 conductance, or a cell outside `nodes`.  `A @ x`
+    sums each row in CSR column order, so it equals the CSR matvec bit for
+    bit.  With `nodes`, A acts on vectors over those cells alone: a
+    principal submatrix.
+    """
+    D: np.ndarray  # (cells,)
+    T: np.ndarray  # (3, cells)
+    shape: tuple[int, int, int]
+    nodes: object = ...  # flat indices of the unknowns; `...`: every cell
+
+    @property
+    def diag(self) -> np.ndarray:
+        return self.D[self.nodes]
+
+    def __matmul__(self, x) -> np.ndarray:
+        n = len(self.D)
+        xs, y, tmp = np.zeros(n), np.empty(n), np.empty(n)
+        xs[self.nodes] = x  # a cell outside `nodes` reads 0
+        o = [math.prod(self.shape[k + 1:]) for k in range(3)]
+        # CSR sums 0 - p0 - p1 - p2 below the diagonal: -(p0 + p1 + p2)
+        y[:o[0]] = 0.0
+        np.multiply(self.T[0, :n - o[0]], xs[:n - o[0]], out=y[o[0]:])
+        for k in (1, 2):
+            y[o[k]:] += np.multiply(self.T[k, :n - o[k]], xs[:n - o[k]],
+                                    out=tmp[o[k]:])
+        np.subtract(np.multiply(self.D, xs, out=tmp), y, out=y)
+        for k in (2, 1, 0):
+            y[:n - o[k]] -= np.multiply(self.T[k, :n - o[k]], xs[o[k]:],
+                                        out=tmp[o[k]:])
+        return y[self.nodes]
+
+    def principal(self, mask: np.ndarray) -> "Stencil":
+        """The principal submatrix on the cells of `mask`: the stencil on
+        their bounding box grown by one cell, which holds every neighbour
+        of a `mask` cell, acting on the `mask` cells alone."""
+        cells = mask.reshape(self.shape)
+        box = tuple(slice(max(int(i.min()) - 1, 0), int(i.max()) + 2)
+                    for i in np.nonzero(cells))
+        D = self.D.reshape(self.shape)[box]
+        T = self.T.reshape((3,) + self.shape)[(slice(None),) + box]
+        return Stencil(D.reshape(-1), T.reshape(3, -1), D.shape,
+                       np.flatnonzero(cells[box]))
+
+    def isolated(self, mask: np.ndarray) -> "Stencil":
+        """This stencil over its whole box with every cell of `mask` an
+        identity cell with no faces, on copies of the four arrays."""
+        cells = mask.reshape(self.shape)
+        T = self.T.reshape((3,) + self.shape).copy()
+        for axis, face in enumerate(T):  # zero every face of a `mask` cell
+            lead = (slice(None),) * axis
+            face[cells] = 0.0  # the face above it
+            face[lead + (slice(-1),)][cells[lead + (slice(1, None),)]] = 0.0  # below
+        D = self.D.copy()
+        D[mask] = 1.0
+        return Stencil(D, T.reshape(3, -1), self.shape)
+
+
+def _eliminate_dirichlet(A: Stencil, rhs: np.ndarray, mask: np.ndarray,
+                         gvals: np.ndarray):
+    """Identity rows/columns on `mask`; couplings moved to the RHS."""
+    x_b = np.zeros(len(rhs))
+    x_b[mask] = gvals
+    rhs = rhs - A @ x_b
+    rhs[mask] = gvals
+    return A.isolated(mask), rhs
+
+
+def _cap_transmissibility(params: WeightParams, lo: float, hi: float) -> float:
+    """Boundary coupling sigma / int t^{-(N-1-2a)} dt over [lo, hi].
+
+    Exact for constant-flux (homogeneous-equation) profiles, so the flux
+    at the domain edge is reproduced to second order.
+    """
+    expo = 2.0 - params.N + 2.0 * params.a
+    return sphere_area(params.N) / float(_power_antiderivative(expo, lo, hi))
 
 
 @dataclass(frozen=True)
@@ -71,6 +223,10 @@ class RadialGrid:
     def n_nodes(self) -> int:
         return self.n_cells
 
+    @property
+    def width(self) -> float:
+        return self.r_max - self.r_min
+
     def node_coords(self) -> np.ndarray:
         return self.centers.reshape(-1, 1)
 
@@ -89,6 +245,69 @@ class RadialGrid:
         layer = np.zeros(self.n_cells, dtype=bool)
         layer[[0, -1]] = True
         return layer
+
+    def edge_rows(self) -> list[int]:
+        """The end cells, whose stencil is one-sided, and their neighbours,
+        which read the end faces' edge-extended dual weights."""
+        return [0, 1, -2, -1]
+
+    def room(self, center) -> tuple[float, float]:
+        """The distance from |x| = |center| to the nearer end (to r_max
+        alone when r_min = 0, which is no edge), and the mean cell size."""
+        d = float(np.abs(center[0]))
+        top = min(self.r_max - d, d - self.r_min if self.r_min > 0 else self.r_max - d)
+        return top, (self.r_max - self.r_min) / self.n_cells
+
+    @_per_grid
+    def cell_weights(self, N: int, w_exp: float) -> np.ndarray:
+        """sigma_{N-1} * integral of t^{N-1+w} over each cell."""
+        return _radial_shell_weights(N, w_exp, self.edges[:-1], self.edges[1:])
+
+    def ball_cell_weights(self, N: int, w_exp: float, ball: BallSpec) -> np.ndarray:
+        """The cell integrals clipped exactly to `ball`, centred at 0."""
+        return _radial_shell_weights(N, w_exp, self.edges[:-1], self.edges[1:],
+                                     ball)
+
+    def dirichlet_energy(self, params, values, ball=None) -> float:
+        """Face gradients over the duals that tile [r_min, r_max]
+        (`_radial_duals`), clipped exactly to `ball`."""
+        w_exp = -2.0 * params.a
+        grads = np.diff(values) / np.diff(self.centers)
+        if ball is None:
+            w = radial_face_dual_weights(self, params.N, w_exp)
+        else:
+            w = _radial_shell_weights(params.N, w_exp, *_radial_duals(self),
+                                      ball, floor=1e-300)
+        return float(grads ** 2 @ w)
+
+    @_per_grid
+    def stiffness(self, N: int, w_exp: float) -> Tridiagonal:
+        """The raw stiffness: the chain over the edge-extended duals."""
+        return Tridiagonal(radial_face_dual_weights(self, N, w_exp)
+                           / np.diff(self.centers) ** 2)
+
+    def dirichlet_system(self, params, rhs, dirichlet, inner) -> tuple:
+        """The chain over pure inter-centre duals, with half-cell caps that
+        couple the end cells to `dirichlet` at r_max and `inner` at r_min > 0
+        (r_min = 0 is no-flux by symmetry), folded into `rhs` in place."""
+        if inner is not None and self.r_min <= 0.0:
+            raise GridError("invalid_boundary", "inner Dirichlet needs r_min > 0")
+        c, e = self.centers, self.edges
+        w_faces = _radial_shell_weights(params.N, -2.0 * params.a, c[:-1], c[1:],
+                                        floor=1e-300)
+        t_out = _cap_transmissibility(params, c[-1], e[-1])
+        rhs[-1] += t_out * float(dirichlet)
+        t_in = 0.0
+        if inner is not None:
+            t_in = _cap_transmissibility(params, e[0], c[0])
+            rhs[0] += t_in * float(inner)
+        return Tridiagonal(w_faces / np.diff(c) ** 2, t_in, t_out), rhs
+
+    def own_trace(self, values: np.ndarray):
+        """`values` as their own Dirichlet data (dirichlet, inner, rows)."""
+        if self.r_min > 0.0:
+            return values[-1], values[0], [self.n_cells - 1, 0]
+        return values[-1], None, [self.n_cells - 1]
 
 
 @dataclass(frozen=True)
@@ -121,6 +340,10 @@ class BoxGrid:
     def cell_volume(self) -> float:
         return math.prod(self.h)
 
+    @property
+    def width(self) -> float:
+        return min(hi - lo for lo, hi in zip(self.lower, self.upper))
+
     def axis_centers(self, axis: int) -> np.ndarray:
         n = self.shape[axis]
         h = self.h[axis]
@@ -131,6 +354,8 @@ class BoxGrid:
         `axis_centers` and `cell_centers` instead."""
         return np.stack(np.meshgrid(*_box_coords(self), indexing="ij"),
                         axis=-1).reshape(-1, 3)
+
+    centers = property(node_coords)
 
     def cell_centers(self, cells: np.ndarray) -> np.ndarray:
         """The centres of the cells at flat indices `cells`, one row each."""
@@ -155,10 +380,87 @@ class BoxGrid:
         layer[1:-1, 1:-1, 1:-1] = False
         return layer.ravel()
 
+    edge_rows = boundary_layer  # the rows whose stencil is one-sided
+
+    def room(self, center) -> tuple[float, float]:
+        """The distance from `center` to the nearest face, and the longest side."""
+        c = np.array(center)
+        top = float(min(np.min(c - np.array(self.lower)),
+                        np.min(np.array(self.upper) - c)))
+        return top, max(self.h)
+
+    @_per_grid
+    def cell_weights(self, N: int, w_exp: float) -> np.ndarray:
+        if N != 3:
+            raise GridError("unsupported_dimension", "box grids support N = 3 only")
+        return _box_volume_weights(self, w_exp, _box_coords(self)).reshape(-1)
+
+    def ball_cell_weights(self, N: int, w_exp: float, ball: BallSpec) -> np.ndarray:
+        """The cell integrals times each cell's coverage by `ball`."""
+        return self.cell_weights(N, w_exp) * _ball_coverage_fractions(self, ball)
+
+    def dirichlet_energy(self, params, values, ball=None) -> float:
+        """Face gradients over their h^3 dual boxes, plus the boundary
+        half-cells; with `ball`, weighted by the cells' coverage instead."""
+        w_exp = -2.0 * params.a
+        v = values.reshape(self.shape)
+        h = self.h
+        total = 0.0
+        frac_cells = (None if ball is None
+                      else _ball_coverage_fractions(self, ball).reshape(self.shape))
+        for axis in range(3):
+            grads = np.diff(v, axis=axis) / h[axis]
+            w = np.asarray(box_face_dual_weights(self, w_exp, axis))
+            lead = (slice(None),) * axis  # indexes along `axis` after these
+            if frac_cells is not None:
+                # approximate the dual-box clipping by the mean coverage of the
+                # two cells sharing the face
+                w = w * 0.5 * (frac_cells[lead + (slice(None, -1),)]
+                               + frac_cells[lead + (slice(1, None),)])
+            total += float(np.sum(grads ** 2 * w))
+            if frac_cells is None:
+                # boundary half-cells: reuse the adjacent interior gradient so a
+                # linear field reproduces its exact energy
+                area_w = np.asarray(box_face_area_weights(self, w_exp, axis))
+                for end in (slice(0, 1), slice(-1, None)):
+                    cap = area_w[lead + (end,)] * 0.5 * h[axis]
+                    total += float(np.sum(grads[lead + (end,)] ** 2 * cap))
+        return total
+
+    @_per_grid
+    def stiffness(self, N: int, w_exp: float) -> Stencil:
+        """The raw stiffness, whose diagonal adds the face transmissibilities
+        axis by axis, the face above the cell before the face below, so it
+        equals the COO assembly's duplicate sum bit for bit."""
+        D = np.zeros(self.shape)
+        T = np.zeros((3,) + self.shape)  # the face above each cell; 0 on the last
+        for axis, face in enumerate(T):
+            lead = (slice(None),) * axis  # indexes along `axis` after these
+            face[lead + (slice(-1),)] = (box_face_dual_weights(self, w_exp, axis)
+                                         / self.h[axis] ** 2)
+            D += face
+            D[lead + (slice(1, None),)] += face[lead + (slice(-1),)]  # the face below
+        return Stencil(D.reshape(-1), T.reshape(3, -1), self.shape)
+
+    def dirichlet_system(self, params, rhs, dirichlet, inner) -> tuple:
+        """The raw stiffness with `dirichlet`, a constant or g(points),
+        imposed on the outer layer of cells (`inner` is not read): their rows
+        become identity rows and their couplings move to `rhs`."""
+        mask = self.boundary_layer()
+        pts = self.cell_centers(np.flatnonzero(mask))
+        gvals = (np.asarray(dirichlet(pts), float) if callable(dirichlet)
+                 else np.full(len(pts), float(dirichlet)))
+        return _eliminate_dirichlet(self.stiffness(params.N, -2.0 * params.a),
+                                    rhs, mask, gvals)
+
+    def own_trace(self, values: np.ndarray):
+        """`values` as their own Dirichlet data (g, None, the outer layer)."""
+        rows = self.boundary_layer()
+        return (lambda pts: values[rows]), None, rows
+
 
 # ---------------------------------------------------------------------------
 # fields
-
 
 @dataclass
 class DiscreteField:
@@ -179,8 +481,7 @@ class DiscreteField:
 
     @classmethod
     def from_function(cls, grid, fn, name: str = "") -> "DiscreteField":
-        coords = grid.node_coords()
-        vals = fn(coords[:, 0] if isinstance(grid, RadialGrid) else coords)
+        vals = fn(grid.centers)
         return cls(grid=grid, values=np.broadcast_to(np.asarray(vals, float),
                                                     (grid.n_nodes,)).copy(), name=name)
 
@@ -190,31 +491,7 @@ class DiscreteField:
 
 
 # ---------------------------------------------------------------------------
-# weight integrals over cells
-
-def _memoised_in(slot: str):
-    """A decorator that memoises a function's value in the `__dict__` of its
-    first argument, under `slot` (as `cached_property` does), so that the
-    value lives exactly as long as that object.  Every later caller shares
-    it, so the value, or each array field of it, is made read-only."""
-    def decorate(build):
-        @wraps(build)
-        def cached(owner, *args, **kwargs):
-            memo = owner.__dict__.setdefault(slot, {})
-            key = (build.__name__, args, tuple(sorted(kwargs.items())))
-            if key not in memo:
-                value = memo[key] = build(owner, *args, **kwargs)
-                for a in (value, *getattr(value, "__dict__", {}).values()):
-                    if isinstance(a, np.ndarray):
-                        a.setflags(write=False)
-            return memo[key]
-        return cached
-    return decorate
-
-
-# a weight table or operator, memoised on its grid
-_per_grid = _memoised_in("_weight_tables")
-
+# weight integrals over cells and faces
 
 def _power_antiderivative(expo: float, lo: np.ndarray, hi: np.ndarray):
     """Integral of t^{expo-1} over [lo, hi] (elementwise)."""
@@ -256,9 +533,11 @@ def _radial_duals(grid: RadialGrid) -> tuple[np.ndarray, np.ndarray]:
 
 
 @_per_grid
-def radial_cell_weights(grid: RadialGrid, N: int, w_exp: float) -> np.ndarray:
-    """sigma_{N-1} * integral of t^{N-1+w} over each cell."""
-    return _radial_shell_weights(N, w_exp, grid.edges[:-1], grid.edges[1:])
+def radial_face_dual_weights(grid: RadialGrid, N: int, w_exp: float) -> np.ndarray:
+    """Weight integral over each interior face's dual interval (`_radial_duals`),
+    so a piecewise-constant-gradient field has exactly reproduced energy."""
+    lo, hi = _radial_duals(grid)
+    return _radial_shell_weights(N, w_exp, lo, hi, floor=1e-300)
 
 
 def _ball_equiv_weight(vol: np.ndarray, w_exp: float) -> np.ndarray:
@@ -378,20 +657,31 @@ def _box_volume_weights(grid: BoxGrid, w_exp: float,
 
 
 @_per_grid
-def box_cell_weights(grid: BoxGrid, w_exp: float) -> np.ndarray:
-    return _box_volume_weights(grid, w_exp, _box_coords(grid)).reshape(-1)
+def box_face_dual_weights(grid: BoxGrid, w_exp: float, axis: int) -> np.ndarray:
+    """Weight integral over the h^3 dual box of each interior face along axis."""
+    return _box_volume_weights(grid, w_exp, _box_coords(grid, axis))
 
 
-def cell_weights(grid, N: int, w_exp: float) -> np.ndarray:
-    if isinstance(grid, RadialGrid):
-        return radial_cell_weights(grid, N, w_exp)
-    if N != 3:
-        raise GridError("unsupported_dimension", "box grids support N = 3 only")
-    return box_cell_weights(grid, w_exp)
+@_per_grid
+def box_face_area_weights(grid: BoxGrid, w_exp: float, axis: int) -> np.ndarray:
+    """2D weight integral over the first and the last layer of interior
+    faces orthogonal to `axis` (2 long along it), the boundary caps of
+    `dirichlet_energy`; no other face area is read."""
+    h = np.array(grid.h)
+    coords = _box_coords(grid, axis)
+    coords[axis] = coords[axis][[0, -1]]
+    dist = _tensor_norm(coords)
+    tang = [i for i in range(3) if i != axis]
+    area = h[tang[0]] * h[tang[1]]
+    w = np.where(dist > 0, dist, 1.0) ** w_exp * area
+    if w_exp != 0.0:
+        diag = float(np.linalg.norm(h[tang])) * 2.0
+        near = dist <= _ORIGIN_REFINE_FACTOR * diag
+        c = np.stack([x[i] for x, i in zip(coords, np.nonzero(near))], axis=1)
+        w[near] = _refined_weights(c[:, tang], h[tang], w_exp,
+                                   np.abs(c[:, axis]))
+    return w
 
-
-# ---------------------------------------------------------------------------
-# ball-restricted cell weights
 
 @_per_grid
 def _ball_coverage_fractions(grid: BoxGrid, ball: BallSpec) -> np.ndarray:
@@ -422,17 +712,18 @@ def _ball_coverage_fractions(grid: BoxGrid, ball: BallSpec) -> np.ndarray:
     return frac
 
 
-def ball_cell_weights(grid, N: int, w_exp: float, ball: BallSpec) -> np.ndarray:
-    """Cell weight integrals clipped to the ball."""
-    if isinstance(grid, RadialGrid):
-        return _radial_shell_weights(N, w_exp, grid.edges[:-1], grid.edges[1:],
-                                     ball)
-    frac = _ball_coverage_fractions(grid, ball)
-    return cell_weights(grid, N, w_exp) * frac
-
-
 # ---------------------------------------------------------------------------
-# whole-domain reductions
+# reductions over either grid
+
+def cell_weights(grid, N: int, w_exp: float) -> np.ndarray:
+    """Integral of |x|^{w} over each cell, memoised (`grid.cell_weights`)."""
+    return grid.cell_weights(N, w_exp)
+
+
+def ball_cell_weights(grid, N: int, w_exp: float, ball: BallSpec) -> np.ndarray:
+    """Cell weight integrals clipped to the ball (`grid.ball_cell_weights`)."""
+    return grid.ball_cell_weights(N, w_exp, ball)
+
 
 def lq_norm(params: WeightParams, field: DiscreteField, q: float,
             w_exp: float | None = None) -> float:
@@ -452,85 +743,8 @@ def oscillation(field: DiscreteField, ball: BallSpec) -> float:
     return float(vals.max() - vals.min())
 
 
-# ---------------------------------------------------------------------------
-# gradients / Dirichlet energy
-
-@_per_grid
-def radial_face_dual_weights(grid: RadialGrid, N: int, w_exp: float) -> np.ndarray:
-    """Weight integral over the dual interval of each interior face.
-
-    The duals tile [r_min, r_max] exactly (see `_radial_duals`), so a
-    piecewise-constant-gradient field has exactly reproduced energy.
-    """
-    lo, hi = _radial_duals(grid)
-    return _radial_shell_weights(N, w_exp, lo, hi, floor=1e-300)
-
-
-@_per_grid
-def box_face_dual_weights(grid: BoxGrid, w_exp: float, axis: int) -> np.ndarray:
-    """Weight integral over the h^3 dual box of each interior face along axis."""
-    return _box_volume_weights(grid, w_exp, _box_coords(grid, axis))
-
-
-@_per_grid
-def box_face_area_weights(grid: BoxGrid, w_exp: float, axis: int) -> np.ndarray:
-    """2D weight integral over the first and the last layer of interior
-    faces orthogonal to `axis` (2 long along it), the boundary caps of
-    `dirichlet_energy`; no other face area is read."""
-    h = np.array(grid.h)
-    coords = _box_coords(grid, axis)
-    coords[axis] = coords[axis][[0, -1]]
-    dist = _tensor_norm(coords)
-    tang = [i for i in range(3) if i != axis]
-    area = h[tang[0]] * h[tang[1]]
-    w = np.where(dist > 0, dist, 1.0) ** w_exp * area
-    if w_exp != 0.0:
-        diag = float(np.linalg.norm(h[tang])) * 2.0
-        near = dist <= _ORIGIN_REFINE_FACTOR * diag
-        c = np.stack([x[i] for x, i in zip(coords, np.nonzero(near))], axis=1)
-        w[near] = _refined_weights(c[:, tang], h[tang], w_exp,
-                                   np.abs(c[:, axis]))
-    return w
-
-
 def dirichlet_energy(params: WeightParams, field: DiscreteField,
                      ball: BallSpec | None = None) -> float:
-    """Integral of |grad u_h|^2 |x|^{-2a}, face-based gradients.
-
-    With `ball` given, only the part of the dual tiling inside the ball is
-    counted (radial grids clip exactly; box grids use coverage fractions).
-    """
-    w_exp = -2.0 * params.a
-    grid = field.grid
-    if isinstance(grid, RadialGrid):
-        grads = np.diff(field.values) / np.diff(grid.centers)
-        if ball is None:
-            w = radial_face_dual_weights(grid, params.N, w_exp)
-        else:
-            w = _radial_shell_weights(params.N, w_exp, *_radial_duals(grid),
-                                      ball, floor=1e-300)
-        return float(grads ** 2 @ w)
-    v = field.values.reshape(grid.shape)
-    h = grid.h
-    total = 0.0
-    frac_cells = (None if ball is None
-                  else _ball_coverage_fractions(grid, ball).reshape(grid.shape))
-    for axis in range(3):
-        grads = np.diff(v, axis=axis) / h[axis]
-        w = np.asarray(box_face_dual_weights(grid, w_exp, axis))
-        lead = (slice(None),) * axis  # indexes along `axis` after these
-        if frac_cells is not None:
-            # approximate the dual-box clipping by the mean coverage of the
-            # two cells sharing the face
-            w = w * 0.5 * (frac_cells[lead + (slice(None, -1),)]
-                           + frac_cells[lead + (slice(1, None),)])
-        total += float(np.sum(grads ** 2 * w))
-        if frac_cells is None:
-            # boundary half-cells: reuse the adjacent interior gradient so a
-            # linear field reproduces its exact energy
-            area_w = np.asarray(box_face_area_weights(grid, w_exp, axis))
-            for end in (slice(0, 1), slice(-1, None)):
-                cap = area_w[lead + (end,)] * 0.5 * h[axis]
-                total += float(np.sum(grads[lead + (end,)] ** 2 * cap))
-    return total
-
+    """Integral of |grad u_h|^2 |x|^{-2a}, face-based gradients; with
+    `ball`, over the part of the dual tiling inside it (`grid.dirichlet_energy`)."""
+    return field.grid.dirichlet_energy(params, field.values, ball)

@@ -18,6 +18,9 @@ from .measure import BallSpec, weighted_mean
 from .params import WeightParams
 from .solver import raw_stiffness
 
+_HARNACK_S = 1.0  # the exponent s of the weak Harnack mean
+_SUPPORT = 0.8  # the test-field suite vanishes for r >= this
+
 
 class RatioSample(NamedTuple):
     lhs: float
@@ -91,8 +94,7 @@ def estimate_alpha_h(params: WeightParams, field: DiscreteField, center,
 # weak Harnack
 
 def weak_harnack_check(params: WeightParams, field: DiscreteField,
-                       ball: BallSpec, s_exp: float = 1.0,
-                       superharmonic_tol: float = 1e-10,
+                       ball: BallSpec, superharmonic_tol: float = 1e-10,
                        descriptor: str = "") -> RatioSample:
     """(mean of u^s over B_r wrt mu_a)^{1/s} against inf over B_{r/2}.
 
@@ -109,18 +111,13 @@ def weak_harnack_check(params: WeightParams, field: DiscreteField,
     res = A @ u
     scale = max(float(np.abs(u).max()), 1.0) * np.maximum(A.diag, 1e-300)
     check = dist <= 2.0 * ball.radius
-    # rows touching the domain edge see a one-sided stencil, and the two
-    # end faces carry edge-extended dual weights; skip those rows
-    if isinstance(grid, RadialGrid):
-        check[[0, 1, -2, -1]] = False
-    else:
-        check &= ~grid.boundary_layer()
+    check[grid.edge_rows()] = False  # their stencil reaches the domain edge
     if np.any(res[check] < -superharmonic_tol * scale[check]):
         worst = float(np.min(res[check] / scale[check]))
         raise ParameterError("not_superharmonic",
                              f"weak residual {worst} below -{superharmonic_tol}")
     w = ball_cell_weights(grid, params.N, -2.0 * params.a, ball)
-    lhs = weighted_mean(u ** s_exp, w) ** (1.0 / s_exp)
+    lhs = weighted_mean(u ** _HARNACK_S, w) ** (1.0 / _HARNACK_S)
     half = BallSpec(ball.center, 0.5 * ball.radius)
     in_half = dist <= half.radius
     rhs = float(u[in_half].min()) if np.any(in_half) else 0.0
@@ -155,9 +152,9 @@ def _radial_cutoff(r, r0: float, r1: float):
     return (1.0 - t) ** 2 * (1.0 + 2.0 * t)
 
 
-def build_test_suite(grid: RadialGrid, seed: int, n_fields: int = 50,
-                     support: float = 0.8):
-    """Deterministic list of (descriptor, field) compactly supported in r < support.
+def build_test_suite(grid: RadialGrid, seed: int, n_fields: int = 50):
+    """Deterministic list of (descriptor, field) compactly supported in
+    r < `_SUPPORT`.
 
     Mix of polynomial bumps, radial power profiles and seeded Fourier
     combinations; spans smooth and mildly singular behavior.
@@ -165,13 +162,13 @@ def build_test_suite(grid: RadialGrid, seed: int, n_fields: int = 50,
     rng = np.random.default_rng(seed)
     r = grid.centers
     out = []
-    cut = _radial_cutoff(r, 0.6 * support, support)
+    cut = _radial_cutoff(r, 0.6 * _SUPPORT, _SUPPORT)
     kinds = ["bump", "poly", "power", "fourier"]
     for i in range(n_fields):
         kind = kinds[i % 4]
         if kind == "bump":
             m = 1 + (i // 4) % 4
-            vals = np.clip(1.0 - (r / support) ** 2, 0.0, None) ** m
+            vals = np.clip(1.0 - (r / _SUPPORT) ** 2, 0.0, None) ** m
             desc = f"bump_m{m}"
         elif kind == "poly":
             coeffs = rng.uniform(-1.0, 1.0, size=4)
@@ -184,11 +181,11 @@ def build_test_suite(grid: RadialGrid, seed: int, n_fields: int = 50,
         else:
             ks = rng.integers(1, 6, size=3)
             amps = rng.uniform(-1.0, 1.0, size=3)
-            vals = sum(a * np.sin(k * math.pi * r / support)
+            vals = sum(a * np.sin(k * math.pi * r / _SUPPORT)
                        for a, k in zip(amps, ks)) * cut
             desc = f"fourier_{i}"
         if not np.any(vals):
-            vals = np.clip(1.0 - (r / support) ** 2, 0.0, None)
+            vals = np.clip(1.0 - (r / _SUPPORT) ** 2, 0.0, None)
             desc += "_fallback"
         out.append((desc, DiscreteField(grid=grid, values=vals, name=desc)))
     return out

@@ -37,7 +37,7 @@ class LadderState(NamedTuple):
 # smallness condition for the potential
 
 def smallness_check(params: WeightParams, V: DiscreteField, ell: float,
-                    ckn_constant: float, q: float | None = None) -> PotentialSplit:
+                    ckn_constant: float) -> PotentialSplit:
     """Tail mass of |V|^{p/(p-2)} against the smallness threshold.
 
     tail_mass integrates |x|^{-bp}|V|^{p/(p-2)} over {|V| >= ell} and over
@@ -46,8 +46,6 @@ def smallness_check(params: WeightParams, V: DiscreteField, ell: float,
     """
     if ell <= 0:
         raise ParameterError("nonpositive_ell", f"ell={ell}")
-    if q is None:
-        q = params.p
     p = params.p
     expo = p / (p - 2.0)
     w = np.asarray(cell_weights(V.grid, params.N, -params.bp))
@@ -56,18 +54,17 @@ def smallness_check(params: WeightParams, V: DiscreteField, ell: float,
     mask_far = V.grid.distance_to((0.0, 0.0, 0.0)) > ell
     tail = float(w[mask_big] @ dens[mask_big] + w[mask_far] @ dens[mask_far])
     bound = min(1.0 / (8.0 * ckn_constant),
-                2.0 / ((q + 4.0) * ckn_constant)) ** expo
+                2.0 / ((p + 4.0) * ckn_constant)) ** expo
     return PotentialSplit(ell=ell, tail_mass=tail, bound_required=bound,
                           satisfied=tail <= bound)
 
 
-def find_ell(params: WeightParams, V: DiscreteField, ckn_constant: float,
-             q: float | None = None, start: float = 1e-3,
-             n_steps: int = 40) -> float | None:
-    """Smallest ell on the geometric search grid making the check pass."""
-    ell = start
-    for _ in range(n_steps):
-        if smallness_check(params, V, ell, ckn_constant, q).satisfied:
+def find_ell(params: WeightParams, V: DiscreteField,
+             ckn_constant: float) -> float | None:
+    """Smallest ell = 1e-3 * 2^k, k < 40, making the check pass."""
+    ell = 1e-3
+    for _ in range(40):
+        if smallness_check(params, V, ell, ckn_constant).satisfied:
             return ell
         ell *= 2.0
     return None

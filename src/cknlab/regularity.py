@@ -12,14 +12,14 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import GridError, ParameterError
-from .fields import (DiscreteField, RadialGrid, ball_cell_weights,
-                     dirichlet_energy)
+from .fields import DiscreteField, ball_cell_weights, dirichlet_energy
 from .measure import BallSpec, ball_measure, weighted_mean
 from .params import HolderBound, WeightParams, holder_bound, validate
 
 # Node pairs `holder_quotient` evaluates at once: its working memory is
 # O(n + _PAIR_BLOCK) for n nodes, not one array entry per pair.
 _PAIR_BLOCK = 1 << 14
+_ALPHA_SLACK = 0.1  # how far below the predicted sup a measured alpha passes
 
 
 class ProfileKind(enum.Enum):
@@ -203,22 +203,15 @@ def holder_quotient(field: DiscreteField, subdomain_margin: float,
 # ---------------------------------------------------------------------------
 # report
 
-def default_radii(grid, center, min_cells: float = 8.0, ratio: float = 0.5):
-    """Geometric radii ladder from dist(center, boundary)/2 down to 8h."""
-    if isinstance(grid, RadialGrid):
-        d = float(np.abs(center[0]))
-        top = min(grid.r_max - d, d - grid.r_min if grid.r_min > 0 else grid.r_max - d)
-        h = (grid.r_max - grid.r_min) / grid.n_cells
-    else:
-        c = np.array(center)
-        top = float(min(np.min(c - np.array(grid.lower)),
-                        np.min(np.array(grid.upper) - c)))
-        h = max(grid.h)
+def default_radii(grid, center):
+    """Geometric radii ladder halving from dist(center, boundary)/2 down
+    to 8 cells (`grid.room`)."""
+    top, h = grid.room(center)
     r = top / 2.0
     out = []
-    while r >= min_cells * h:
+    while r >= 8.0 * h:
         out.append(r)
-        r *= ratio
+        r *= 0.5
     if len(out) < 3:
         raise GridError("ball_too_small",
                         f"radii ladder has {len(out)} rungs; refine the grid")
@@ -227,8 +220,7 @@ def default_radii(grid, center, min_cells: float = 8.0, ratio: float = 0.5):
 
 def regularity_report(params: WeightParams, u: DiscreteField,
                       f: DiscreteField | None, s_used: float, center, radii,
-                      alpha_h_est: float, slack: float = 0.1,
-                      seed: int = 0) -> RegularityReport:
+                      alpha_h_est: float, seed: int = 0) -> RegularityReport:
     """Measured Campanato growth of u vs the predicted Hölder exponent sup."""
     prof = gradient_profile(params, u, center, radii)
     fit = fit_growth(prof, params, "measure_normalized")
@@ -236,13 +228,8 @@ def regularity_report(params: WeightParams, u: DiscreteField,
     p_reg = validate(params.N, params.a, params.b, s_used, for_regularity=True)
     hb: HolderBound = holder_bound(p_reg, alpha_h_est)
     alpha_q = max(min(alpha_measured, hb.alpha_sup) * 0.95, 1e-6)
-    grid = u.grid
-    if isinstance(grid, RadialGrid):
-        margin = 0.1 * (grid.r_max - grid.r_min)
-    else:
-        margin = 0.1 * float(min(np.array(grid.upper) - np.array(grid.lower)))
-    hq = holder_quotient(u, margin, alpha_q, seed=seed)
-    passed = alpha_measured >= hb.alpha_sup - slack
+    hq = holder_quotient(u, 0.1 * u.grid.width, alpha_q, seed=seed)
+    passed = alpha_measured >= hb.alpha_sup - _ALPHA_SLACK
     return RegularityReport(alpha_measured=alpha_measured,
                             alpha_predicted_sup=hb.alpha_sup,
                             limiting_branch=hb.limiting_branch.name,

@@ -1,157 +1,37 @@
 """Finite-volume solver for -div(|x|^{-2a} grad u) = |x|^{-bp} f.
 
 Cell-centered unknowns; transmissibilities come from the exact weight
-integral over each face's dual interval (radial) or dual box (box grid).
-Two stiffness variants are used:
+integral over each face's dual cell.  What differs between grid kinds
+lives on the grids and operators of `fields`; this module holds the
+solves and the functions generic over them.  Two stiffness variants:
 
 * `raw_stiffness` extends the end duals to the domain edges so that its
   quadratic form coincides with `fields.dirichlet_energy` exactly; this
   is what harmonic replacement minimizes.
 * `assemble` uses pure inter-center duals plus half-cell caps coupling to
-  the Dirichlet data, the standard consistent second-order scheme.
-  Radial grids have no boundary unknowns: the caps' couplings to the
-  boundary values are folded into the right-hand side.  Box grids impose
-  the data on the outer layer of cells, whose rows become identity rows:
-  their couplings move to the right-hand side, and copies of the face
-  conductances drop the faces that touch that layer.
+  the Dirichlet data (`grid.dirichlet_system`), the standard consistent
+  second-order scheme.
 
-A radial operator is a `Tridiagonal` chain of face conductances and end
-caps, solved directly by its closed-form LDL^T; a box operator is a
-symmetric 7-point `Stencil`, its diagonal and one conductance per face
-(four cell-sized arrays).  A box cell with i+j+k even (red) couples to
-cells with i+j+k odd (black) alone, so a box solve eliminates the red
-cells exactly (`RedBlack`), runs Jacobi-preconditioned CG from zero
-(`_pcg`, on reused buffers) on the Schur complement over the black cells,
-in about half the iterations that CG takes on the whole box, until the
-whole system's residual is below `_CG_RTOL` |b|, within `_CG_MAX_ITER`
-iterations, and then recovers the red cells.  Every SPD solve (solve,
+A `Tridiagonal` chain is solved directly by its closed-form LDL^T, a
+`Stencil` by Jacobi-preconditioned CG on the Schur complement of its
+red-black reduction (`RedBlack`, `_pcg`).  Every SPD solve (solve,
 residual, harmonic replacement) goes through `_spd_solve`, needs numpy
-alone, and raises `SolverError` on failure.  `raw_stiffness` is memoised
-read-only on its grid.
+alone, and raises `SolverError` on failure.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import GridError, ParameterError, SolverError
-from .fields import (DiscreteField, RadialGrid, _per_grid,
-                     _power_antiderivative, box_face_dual_weights, cell_weights,
-                     radial_face_dual_weights)
-from .measure import BallSpec, sphere_area
+from .fields import DiscreteField, Stencil, Tridiagonal, cell_weights
+from .measure import BallSpec
 from .params import WeightParams
 
 _CG_RTOL = 1e-11
 _CG_MAX_ITER = 100000
-
-
-@dataclass(eq=False)
-class Tridiagonal:
-    """Stiffness of a chain of cells: face conductances T and end caps.
-
-    A cell's diagonal adds its face above, its face below, then its cap;
-    `A @ x` sums each row in the column order of a CSR matvec, from 0, so
-    products are bit-identical to those of the equivalent sparse matrix.
-    The chain solve reads T and the caps alone; `diag` is lazy.
-    """
-    T: np.ndarray
-    cap_lo: float = 0.0
-    cap_hi: float = 0.0
-
-    @property
-    def off(self) -> np.ndarray:
-        return -self.T
-
-    @cached_property
-    def diag(self) -> np.ndarray:
-        diag = np.concatenate((self.T, [self.cap_hi]))  # the face above
-        diag[1:] += self.T  # the face below
-        diag[0] += self.cap_lo
-        diag.setflags(write=False)
-        return diag
-
-    def __matmul__(self, x) -> np.ndarray:
-        x = np.asarray(x, float)
-        y = np.zeros(len(self.diag))
-        y[1:] -= self.T * x[:-1]
-        y += self.diag * x
-        y[:-1] -= self.T * x[1:]
-        return y
-
-    def principal(self, lo: int, hi: int) -> "Tridiagonal":
-        """The principal submatrix on cells lo..hi-1: the sub-chain capped
-        by the faces that cut it out (at the ends, by the old caps)."""
-        T = self.T
-        return Tridiagonal(T[lo:hi - 1], T[lo - 1] if lo > 0 else self.cap_lo,
-                           T[hi - 1] if hi <= len(T) else self.cap_hi)
-
-
-@dataclass(eq=False)
-class Stencil:
-    """Symmetric 7-point operator on a box of cells, flat in C order over
-    `shape`: the diagonal `D` and, per axis k, the conductance `T[k]` of
-    the face above each cell, 0 on the last layer (Saad, Iterative Methods
-    for Sparse Linear Systems, 2003, 3.4).  A cell's coupling to its
-    neighbour below along k is that neighbour's `T[k]`; a flat shift past
-    a row's end meets a 0 conductance, or a cell outside `nodes`.  `A @ x`
-    sums each row in CSR column order, so it equals the CSR matvec bit for
-    bit.  With `nodes`, A acts on vectors over those cells alone: a
-    principal submatrix.
-    """
-    D: np.ndarray  # (cells,)
-    T: np.ndarray  # (3, cells)
-    shape: tuple[int, int, int]
-    nodes: object = ...  # flat indices of the unknowns; `...`: every cell
-
-    @property
-    def diag(self) -> np.ndarray:
-        return self.D[self.nodes]
-
-    def __matmul__(self, x) -> np.ndarray:
-        n = len(self.D)
-        xs, y, tmp = np.zeros(n), np.empty(n), np.empty(n)
-        xs[self.nodes] = x  # a cell outside `nodes` reads 0
-        o = [math.prod(self.shape[k + 1:]) for k in range(3)]
-        # CSR sums 0 - p0 - p1 - p2 below the diagonal: -(p0 + p1 + p2)
-        y[:o[0]] = 0.0
-        np.multiply(self.T[0, :n - o[0]], xs[:n - o[0]], out=y[o[0]:])
-        for k in (1, 2):
-            y[o[k]:] += np.multiply(self.T[k, :n - o[k]], xs[:n - o[k]],
-                                    out=tmp[o[k]:])
-        np.subtract(np.multiply(self.D, xs, out=tmp), y, out=y)
-        for k in (2, 1, 0):
-            y[:n - o[k]] -= np.multiply(self.T[k, :n - o[k]], xs[o[k]:],
-                                        out=tmp[o[k]:])
-        return y[self.nodes]
-
-    def principal(self, mask: np.ndarray) -> "Stencil":
-        """The principal submatrix on the cells of `mask`: the stencil on
-        their bounding box grown by one cell, which holds every neighbour
-        of a `mask` cell, acting on the `mask` cells alone."""
-        cells = mask.reshape(self.shape)
-        box = tuple(slice(max(int(i.min()) - 1, 0), int(i.max()) + 2)
-                    for i in np.nonzero(cells))
-        D = self.D.reshape(self.shape)[box]
-        T = self.T.reshape((3,) + self.shape)[(slice(None),) + box]
-        return Stencil(D.reshape(-1), T.reshape(3, -1), D.shape,
-                       np.flatnonzero(cells[box]))
-
-    def isolated(self, mask: np.ndarray) -> "Stencil":
-        """This stencil over its whole box with every cell of `mask` an
-        identity cell with no faces, on copies of the four arrays."""
-        cells = mask.reshape(self.shape)
-        T = self.T.reshape((3,) + self.shape).copy()
-        for axis, face in enumerate(T):  # zero every face of a `mask` cell
-            lead = (slice(None),) * axis
-            face[cells] = 0.0  # the face above it
-            face[lead + (slice(-1),)][cells[lead + (slice(1, None),)]] = 0.0  # below
-        D = self.D.copy()
-        D[mask] = 1.0
-        return Stencil(D, T.reshape(3, -1), self.shape)
 
 
 def _row_classes(shape):
@@ -196,8 +76,9 @@ class RedBlack:
     cell outside them, is an identity cell with no faces, so its value is
     0 and S acts on the principal submatrix's black cells as its own
     Schur complement.  Red cells are recovered from the black solution:
-    x_r = D_r^{-1/2} (D_r^{-1/2} b_r + C~ x_b).  Raises SolverError when a
-    red diagonal entry is not positive.
+    x_r = D_r^{-1/2} (D_r^{-1/2} b_r + C~ x_b).  CG from zero takes about
+    half the iterations on S that it takes on A.  Raises SolverError when
+    a red diagonal entry is not positive.
     """
 
     def __init__(self, A: Stencil):
@@ -312,31 +193,10 @@ class SolveReport(NamedTuple):
 # stiffness assembly helpers
 
 def raw_stiffness(params: WeightParams, grid) -> Tridiagonal | Stencil:
-    """Symmetric stiffness over all cells, natural (no-flux) at the domain edge.
-
-    Its quadratic form u^T A u equals `fields.dirichlet_energy` exactly.
-    """
-    return _stiffness(grid, params.N, -2.0 * params.a)
-
-
-@_per_grid
-def _stiffness(grid, N: int, w_exp: float) -> Tridiagonal | Stencil:
-    """The `raw_stiffness`, built once per grid: the radial chain, or the
-    box stencil, whose diagonal adds the face transmissibilities axis by
-    axis, the face above the cell before the face below, so it equals the
-    COO assembly's duplicate sum bit for bit."""
-    if isinstance(grid, RadialGrid):
-        return Tridiagonal(radial_face_dual_weights(grid, N, w_exp)
-                           / np.diff(grid.centers) ** 2)
-    D = np.zeros(grid.shape)
-    T = np.zeros((3,) + grid.shape)  # the face above each cell; 0 on the last
-    for axis, face in enumerate(T):
-        lead = (slice(None),) * axis  # indexes along `axis` after these
-        face[lead + (slice(-1),)] = (box_face_dual_weights(grid, w_exp, axis)
-                                     / grid.h[axis] ** 2)
-        D += face
-        D[lead + (slice(1, None),)] += face[lead + (slice(-1),)]  # the face below
-    return Stencil(D.reshape(-1), T.reshape(3, -1), grid.shape)
+    """Symmetric stiffness over all cells, natural (no-flux) at the domain
+    edge, built once per grid (`grid.stiffness`); its quadratic form
+    u^T A u equals `fields.dirichlet_energy` exactly."""
+    return grid.stiffness(params.N, -2.0 * params.a)
 
 
 def stiffness_quadratic_form(params: WeightParams, grid, values) -> float:
@@ -346,61 +206,14 @@ def stiffness_quadratic_form(params: WeightParams, grid, values) -> float:
     return float(v @ (A @ v))
 
 
-def _eliminate_dirichlet(A: Stencil, rhs: np.ndarray, mask: np.ndarray,
-                         gvals: np.ndarray):
-    """Identity rows/columns on `mask`; couplings moved to the RHS."""
-    x_b = np.zeros(len(rhs))
-    x_b[mask] = gvals
-    rhs = rhs - A @ x_b
-    rhs[mask] = gvals
-    return A.isolated(mask), rhs
-
-
-def _cap_transmissibility(params: WeightParams, lo: float, hi: float) -> float:
-    """Boundary coupling sigma / int t^{-(N-1-2a)} dt over [lo, hi].
-
-    Exact for constant-flux (homogeneous-equation) profiles, so the flux
-    at the domain edge is reproduced to second order.
-    """
-    expo = 2.0 - params.N + 2.0 * params.a
-    return sphere_area(params.N) / float(_power_antiderivative(expo, lo, hi))
-
-
 def assemble(params: WeightParams, grid, f: DiscreteField | None = None,
              dirichlet=0.0, inner=None) -> LinearSystem:
-    """Assemble the weighted stiffness with load |x|^{-bp} f.
-
-    Radial grids: `dirichlet` is the value at r_max; `inner` (optional)
-    the value at r_min, which requires r_min > 0 (r_min = 0 is always
-    no-flux by symmetry).  The unknowns are the cells alone.  Box grids:
-    `dirichlet` is a constant or a callable g(points) imposed on the outer
-    layer of cells.
-    """
+    """Assemble the weighted stiffness with load |x|^{-bp} f and the
+    boundary data of `grid.dirichlet_system`: `dirichlet` on the outer
+    edge, and `inner` on a radial grid's inner edge when given."""
     load_w = np.asarray(cell_weights(grid, params.N, -params.bp))
     fvals = np.zeros(grid.n_nodes) if f is None else f.values
-    rhs = load_w * fvals
-    if isinstance(grid, RadialGrid):
-        if inner is not None and grid.r_min <= 0.0:
-            raise GridError("invalid_boundary", "inner Dirichlet needs r_min > 0")
-        c = grid.centers
-        e = grid.edges
-        expo = params.N - 2.0 * params.a
-        w_faces = sphere_area(params.N) * _power_antiderivative(
-            expo, np.maximum(c[:-1], 1e-300), c[1:])
-        T = w_faces / np.diff(c) ** 2
-        # the half-cell caps couple the end cells to the boundary values
-        t_out = _cap_transmissibility(params, c[-1], e[-1])
-        rhs[-1] += t_out * float(dirichlet)
-        t_in = 0.0
-        if inner is not None:
-            t_in = _cap_transmissibility(params, e[0], c[0])
-            rhs[0] += t_in * float(inner)
-        return LinearSystem(Tridiagonal(T, t_in, t_out), rhs, grid)
-    mask = grid.boundary_layer()
-    pts = grid.cell_centers(np.flatnonzero(mask))
-    gvals = (np.asarray(dirichlet(pts), float) if callable(dirichlet)
-             else np.full(len(pts), float(dirichlet)))
-    A, rhs = _eliminate_dirichlet(raw_stiffness(params, grid), rhs, mask, gvals)
+    A, rhs = grid.dirichlet_system(params, load_w * fvals, dirichlet, inner)
     return LinearSystem(matrix=A, rhs=rhs, grid=grid)
 
 
@@ -550,22 +363,15 @@ def residual(params: WeightParams, u: DiscreteField,
              f: DiscreteField) -> ResidualReport:
     """Weak residual A u - rhs of the assembled system at the sampled u.
 
-    The Dirichlet data is u's own trace, so the residual isolates the
-    interior equation error.  The trace rows are excluded, since their
-    balance mixes in the prescribed trace: on a radial grid the last
-    cell, and the first cell when r_min > 0; on a box grid the outer
-    layer of cells.  The scalar summary is sqrt(r^T A^{-1} r), the
-    energy-dual norm of the residual functional.
+    The Dirichlet data is u's own trace (`grid.own_trace`), so the
+    residual isolates the interior equation error.  The trace rows are
+    excluded, since their balance mixes in the prescribed trace.  The
+    scalar summary is sqrt(r^T A^{-1} r), the energy-dual norm of the
+    residual functional.
     """
     grid = u.grid
-    if isinstance(grid, RadialGrid):
-        inner = u.values[0] if grid.r_min > 0.0 else None
-        system = assemble(params, grid, f, dirichlet=u.values[-1], inner=inner)
-        trace_rows = [grid.n_cells - 1] if inner is None else [grid.n_cells - 1, 0]
-    else:
-        trace_rows = grid.boundary_layer()
-        system = assemble(params, grid, f,
-                          dirichlet=lambda pts: u.values[trace_rows])
+    dirichlet, inner, trace_rows = grid.own_trace(u.values)
+    system = assemble(params, grid, f, dirichlet=dirichlet, inner=inner)
     r = system.matrix @ u.values - system.rhs
     r[trace_rows] = 0.0
     z, _ = _spd_solve(system.matrix, r)
@@ -596,11 +402,8 @@ def harmonic_replacement(params: WeightParams, u: DiscreteField,
     if interior.sum() < 2:
         raise GridError("ball_too_small",
                         f"only {int(interior.sum())} relaxable nodes in the ball")
-    I = np.nonzero(interior)[0]
-    b = -(A @ np.where(interior, 0.0, u.values))[I]
-    # radial: I is one run of cells
-    x, _ = _spd_solve(A.principal(I[0], I[-1] + 1) if isinstance(A, Tridiagonal)
-                      else A.principal(interior), b)
+    b = -(A @ np.where(interior, 0.0, u.values))[interior]
+    x, _ = _spd_solve(A.principal(interior), b)
     w = u.values.copy()
-    w[I] = x
+    w[interior] = x
     return u.with_values(w, name="harmonic_replacement")

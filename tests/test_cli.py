@@ -174,6 +174,9 @@ REJECTED_VALUES = {
     ("dilation_symmetry", "lambda=nan"): "bad value for `lambda`: 'nan'",
     ("harmonic_replacement", "params.s=nan"): "bad value for `params.s`: 'nan'",
     ("regularity_report", "params.s=1"): "s_too_small: ",
+    ("regularity_report", "grid.r_min=0.1"):
+        "`grid.r_min` must be 0: the report's balls are centred at the "
+        "origin, got '0.1'",
     ("alpha_h_estimation", "center=5"):
         "`center` must be in [grid.r_min, grid.r_max], got '5'",
     ("measure_identities", "tol=0"): "`tol` must be > 0, got '0'",

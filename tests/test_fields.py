@@ -12,10 +12,9 @@ from cknlab import fields
 from cknlab.errors import GridError
 from cknlab.fields import (BoxGrid, DiscreteField, RadialGrid,
                            _ball_coverage_fractions, _refined_weights,
-                           ball_cell_weights, box_cell_weights,
-                           box_face_area_weights, box_face_dual_weights,
-                           cell_weights, dirichlet_energy, lq_norm, oscillation,
-                           radial_cell_weights, radial_face_dual_weights)
+                           ball_cell_weights, box_face_area_weights,
+                           box_face_dual_weights, cell_weights, dirichlet_energy,
+                           lq_norm, oscillation, radial_face_dual_weights)
 from cknlab.measure import BallSpec, ball_measure, centered_weight_integral, weighted_mean
 from cknlab.params import INF, validate
 from cknlab.solver import raw_stiffness
@@ -278,7 +277,7 @@ def box_tables(grid, w_exp, areas=True):
     """Cell, face-dual and (with `areas`) full face-area tables, each as
     an (nx, ny, nz) array (the cell table reshaped, the face tables one
     shorter along their axis)."""
-    out = {"cell": np.asarray(box_cell_weights(grid, w_exp)).reshape(grid.shape)}
+    out = {"cell": np.asarray(grid.cell_weights(3, w_exp)).reshape(grid.shape)}
     for axis in range(3):
         out[f"dual{axis}"] = np.asarray(box_face_dual_weights(grid, w_exp, axis))
         if areas:
@@ -306,7 +305,7 @@ RECURSION_VALUES = {
 def test_box_tables_match_the_recursion(m, w_exp):
     origin, cell_total, dual_total, area_total = RECURSION_VALUES[(m, w_exp)]
     grid = cube(m)
-    cells = np.asarray(box_cell_weights(grid, w_exp)).reshape(grid.shape)
+    cells = np.asarray(grid.cell_weights(3, w_exp)).reshape(grid.shape)
     at_origin = cells[7:9, 7:9, 7:9] if m == 16 else cells[8, 8, 8]
     assert np.allclose(at_origin, origin, rtol=1e-12, atol=0)
     assert cells.sum() == pytest.approx(cell_total, rel=1e-12)
@@ -499,7 +498,7 @@ def test_box_tables_off_the_dyadic_lattice_are_frozen(name):
         (-0.7, -0.9, -0.55), (1.3, 1.1, 1.45), (9, 8, 10))}[name]
     p = validate(3, 0.3, 0.5, INF)
     tables = box_tables(grid, -2.0 * p.a)
-    tables["cell@-bp"] = box_cell_weights(grid, -p.bp)
+    tables["cell@-bp"] = grid.cell_weights(3, -p.bp)
     for key, want in FROZEN_BOX_TABLES[name].items():
         table = np.asarray(tables[key]).astype("<f8")
         assert hashlib.sha256(table.tobytes()).hexdigest()[:32] == want, key
@@ -538,7 +537,7 @@ def test_box_tables_reject_nonintegrable_weights():
     2^{-(d+w)} is 1: the check comes before the series."""
     for m, w in itertools.product((4, 5, 16), (-3.5, -3.0)):
         grid = cube(m)
-        tables = [lambda: box_cell_weights(grid, w),
+        tables = [lambda: grid.cell_weights(3, w),
                   lambda: box_face_dual_weights(grid, w, 0)]
         if m % 2 == 0:  # a face plane through the origin
             tables.append(lambda: full_face_area_weights(grid, w + 1.0, 0))
@@ -557,7 +556,7 @@ def test_box_tables_reject_nonintegrable_weights():
     assert exc.value.code == "nonintegrable_weight"
     # away from the origin the same exponents are integrable
     far = BoxGrid((1.0, 1.0, 1.0), (2.0, 2.0, 2.0), (4, 4, 4))
-    assert np.all(np.isfinite(box_cell_weights(far, -3.5)))
+    assert np.all(np.isfinite(far.cell_weights(3, -3.5)))
     # a face plane that misses the origin keeps |x|^{-2.5} integrable
     assert np.all(np.isfinite(box_face_area_weights(cube(5), -2.5, 0)))
 
@@ -573,8 +572,8 @@ def test_radial_ball_weights_reject_nonintegrable_weights():
 
 
 def _all_weight_tables(box: BoxGrid, radial: RadialGrid) -> list:
-    tables = [box_cell_weights(box, -0.6), radial_face_dual_weights(radial, 3, -0.6),
-              radial_cell_weights(radial, 3, -0.6), radial.centers,
+    tables = [box.cell_weights(3, -0.6), radial_face_dual_weights(radial, 3, -0.6),
+              radial.cell_weights(3, -0.6), radial.centers,
               raw_stiffness(P303, box), raw_stiffness(P303, radial),
               _ball_coverage_fractions(box, BallSpec((0.1, 0.0, -0.2), 0.5))]
     for axis in range(3):

@@ -157,6 +157,62 @@ def test_cg_is_called_only_in_spd_solve():
     assert sites == {("solver.py", "_spd_solve")}
 
 
+KINDS = {"RadialGrid", "BoxGrid", "Tridiagonal", "Stencil"}
+
+
+def kind_branches(source: str) -> list[str]:
+    """Enclosing function of every `isinstance` call whose class argument
+    names a grid or operator kind of `KINDS`, by name or as `<mod>.<Kind>`,
+    alone, in a tuple or in a `|` union."""
+    sites = []
+
+    def kinds(node) -> set:
+        if isinstance(node, ast.Name):
+            return {node.id}
+        if isinstance(node, ast.Attribute):
+            return {node.attr}
+        if isinstance(node, ast.Tuple):
+            return set().union(*map(kinds, node.elts))
+        if isinstance(node, ast.BinOp):
+            return kinds(node.left) | kinds(node.right)
+        return set()
+
+    def visit(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = node.name
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == "isinstance" and len(node.args) == 2
+                and kinds(node.args[1]) & KINDS):
+            sites.append(where)
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    visit(ast.parse(source), "<module>")
+    return sites
+
+
+def test_kind_branches_detected():
+    src = ("def f(A):\n"
+           "    return isinstance(A, Stencil)\n"
+           "def g(grid, A):\n"
+           "    isinstance(grid, fields.RadialGrid)\n"
+           "    isinstance(A, (int, Tridiagonal))\n"
+           "    isinstance(grid, float | BoxGrid)\n"
+           "    isinstance(grid, DiscreteField)\n"
+           "    isinstance(A, np.ndarray)\n"
+           "isinstance(x, RadialGrid)\n")
+    assert kind_branches(src) == ["f", "g", "g", "g", "<module>"]
+
+
+def test_one_kind_branch_in_the_package():
+    """What differs between a radial and a box grid, or a chain and a
+    stencil, is a member of those classes; the generic code calls it.
+    The one branch left is `_spd_solve`'s choice of solve."""
+    sites = [(path.name, where) for path in SRC
+             for where in kind_branches(path.read_text())]
+    assert sites == [("solver.py", "_spd_solve")]
+
+
 ACCURACY_OPTIONS = {"tol", "rtol", "max_iter", "maxiter", "x0"}
 
 
@@ -371,13 +427,20 @@ def test_experiments_build_no_grid():
 
 
 def per_grid_tables(source: str) -> list[str]:
-    """Every module-level function decorated with `_per_grid`, by name or
+    """Every module-level function, and every method of a module-level
+    class (as `<Class>.<method>`), decorated with `_per_grid`, by name or
     as `<mod>._per_grid`."""
-    return [fn.name for fn in ast.parse(source).body
-            if isinstance(fn, ast.FunctionDef)
-            and any((isinstance(d, ast.Name) and d.id == "_per_grid")
-                    or (isinstance(d, ast.Attribute) and d.attr == "_per_grid")
-                    for d in fn.decorator_list)]
+    defs = []
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.FunctionDef):
+            defs.append((node.name, node))
+        elif isinstance(node, ast.ClassDef):
+            defs += [(f"{node.name}.{fn.name}", fn) for fn in node.body
+                     if isinstance(fn, ast.FunctionDef)]
+    return [name for name, fn in defs
+            if any((isinstance(d, ast.Name) and d.id == "_per_grid")
+                   or (isinstance(d, ast.Attribute) and d.attr == "_per_grid")
+                   for d in fn.decorator_list)]
 
 
 def test_per_grid_tables_detected():
@@ -387,8 +450,13 @@ def test_per_grid_tables_detected():
            "def b(grid, w): pass\n"
            "@cached_property\n"
            "def c(self): pass\n"
-           "def d(grid): pass\n")
-    assert per_grid_tables(src) == ["a", "b"]
+           "def d(grid): pass\n"
+           "class G:\n"
+           "    @_per_grid\n"
+           "    def e(self, w): pass\n"
+           "    @property\n"
+           "    def f(self): pass\n")
+    assert per_grid_tables(src) == ["a", "b", "G.e"]
 
 
 def shared_arrays(value) -> list:
@@ -413,21 +481,22 @@ def test_memoised_tables_are_read_only():
     radial = RadialGrid(0.0, 1.0, 16)
     box = BoxGrid((-1.0,) * 3, (1.0,) * 3, (6,) * 3)
     calls = [
-        ("fields.radial_cell_weights", (radial, 3, -0.6)),
+        ("fields.RadialGrid.cell_weights", (radial, 3, -0.6)),
         ("fields.radial_face_dual_weights", (radial, 3, -0.6)),
-        ("fields.box_cell_weights", (box, -0.6)),
+        ("fields.BoxGrid.cell_weights", (box, 3, -0.6)),
         ("fields._ball_coverage_fractions", (box, BallSpec((0.1, 0.0, 0.2), 0.7))),
         ("fields.box_face_dual_weights", (box, -0.6, 1)),
         ("fields.box_face_area_weights", (box, -0.6, 2)),
-        ("solver._stiffness", (radial, 3, -0.6)),
-        ("solver._stiffness", (box, 3, -0.6)),
+        ("fields.RadialGrid.stiffness", (radial, 3, -0.6)),
+        ("fields.BoxGrid.stiffness", (box, 3, -0.6)),
     ]
     tables = {f"{path.stem}.{name}" for path in SRC
               for name in per_grid_tables(path.read_text())}
     assert tables == {key for key, _ in calls}
     for key, args in calls:
-        mod, name = key.split(".")
-        table = getattr(importlib.import_module(f"cknlab.{mod}"), name)
+        mod, *names = key.split(".")
+        table = functools.reduce(getattr, names,
+                                 importlib.import_module(f"cknlab.{mod}"))
         arrays = shared_arrays(table(*args))
         assert arrays, key
         assert not any(a.flags.writeable for a in arrays), key

@@ -8,10 +8,11 @@ from scipy.sparse.linalg import cg, spsolve
 
 from cknlab import solver
 from cknlab.errors import GridError, ParameterError, SolverError
-from cknlab.fields import BoxGrid, DiscreteField, RadialGrid, box_face_dual_weights
+from cknlab.fields import (BoxGrid, DiscreteField, RadialGrid,
+                           _eliminate_dirichlet, box_face_dual_weights)
 from cknlab.measure import BallSpec
 from cknlab.params import INF, validate
-from cknlab.solver import (Stencil, Tridiagonal, _eliminate_dirichlet, _pcg,
+from cknlab.solver import (Stencil, Tridiagonal, _pcg,
                            _spd_solve, assemble, ckn_bubble,
                            dilate_radial, exact_radial_mms, harmonic_replacement,
                            raw_stiffness, residual, solve,
@@ -84,6 +85,11 @@ def thomas_long_double(A: Tridiagonal, b: np.ndarray) -> np.ndarray:
 CHAIN_TOL = 1e-11
 
 
+def cell_run(n: int, lo: int, hi: int) -> np.ndarray:
+    """The mask of cells lo..hi-1 of n."""
+    return (np.arange(n) >= lo) & (np.arange(n) < hi)
+
+
 @pytest.mark.parametrize("n", [64, 256, 1024, 4096])
 @pytest.mark.parametrize("r_min", [0.0, 0.1], ids=["ball", "annulus"])
 def test_chain_solve_matches_long_double_elimination(r_min, n):
@@ -94,7 +100,7 @@ def test_chain_solve_matches_long_double_elimination(r_min, n):
                     inner=1.0 if r_min > 0 else None)
     lo, hi = n // 5, n - n // 7
     cases = [(sys_.matrix, sys_.rhs),
-             (raw_stiffness(P335, grid).principal(lo, hi),
+             (raw_stiffness(P335, grid).principal(cell_run(n, lo, hi)),
               np.random.default_rng(n).standard_normal(hi - lo))]
     for A, b in cases:
         ref = thomas_long_double(A, b)
@@ -106,9 +112,16 @@ def test_chain_solve_matches_long_double_elimination(r_min, n):
 def test_principal_chain_has_the_diagonal_of_the_slice():
     A = raw_stiffness(P335, RadialGrid(0.1, 1.0, 40))
     for lo, hi in [(0, 40), (0, 7), (5, 40), (5, 17), (3, 5)]:
-        sub = A.principal(lo, hi)
+        sub = A.principal(cell_run(40, lo, hi))
         assert np.array_equal(sub.diag, A.diag[lo:hi])
         assert np.array_equal(sub.off, A.off[lo:hi - 1])
+
+
+def test_principal_chain_rejects_cells_of_two_runs():
+    A = raw_stiffness(P335, RadialGrid(0.1, 1.0, 40))
+    with pytest.raises(GridError) as exc:
+        A.principal(cell_run(40, 3, 5) | cell_run(40, 9, 12))
+    assert exc.value.code == "not_one_run"
 
 
 @pytest.mark.parametrize("grid", [RadialGrid(0.0, 1.0, 97),
