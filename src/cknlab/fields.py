@@ -8,9 +8,10 @@ Radial cell and face weights use the exact antiderivative of t^{N-1+w};
 box weights use the cell-centroid value, except on the cells near the
 origin, where the weight may be singular, which are refined as one octree
 with a closed-form self-similar tail (`_refined_weights`).  Distances over
-a box grid are formed per axis.  Weight tables, the stiffness and each
-ball's rim coverage are memoised on their grid (`_per_grid`), read-only,
-as are a grid's edges and centres.
+a box grid are formed per axis.  Weight tables, the stiffness, a radial
+ball's clipped cell and dual weights and a box ball's rim coverage are
+memoised on their grid (`_per_grid`), read-only, as are a grid's edges
+and centres.
 """
 from __future__ import annotations
 
@@ -263,10 +264,17 @@ class RadialGrid:
         """sigma_{N-1} * integral of t^{N-1+w} over each cell."""
         return _radial_shell_weights(N, w_exp, self.edges[:-1], self.edges[1:])
 
+    @_per_grid
     def ball_cell_weights(self, N: int, w_exp: float, ball: BallSpec) -> np.ndarray:
         """The cell integrals clipped exactly to `ball`, centred at 0."""
         return _radial_shell_weights(N, w_exp, self.edges[:-1], self.edges[1:],
                                      ball)
+
+    @_per_grid
+    def ball_dual_weights(self, N: int, w_exp: float, ball: BallSpec) -> np.ndarray:
+        """`radial_face_dual_weights` clipped exactly to `ball`, centred at 0."""
+        return _radial_shell_weights(N, w_exp, *_radial_duals(self), ball,
+                                     floor=1e-300)
 
     def dirichlet_energy(self, params, values, ball=None) -> float:
         """Face gradients over the duals that tile [r_min, r_max]
@@ -276,8 +284,7 @@ class RadialGrid:
         if ball is None:
             w = radial_face_dual_weights(self, params.N, w_exp)
         else:
-            w = _radial_shell_weights(params.N, w_exp, *_radial_duals(self),
-                                      ball, floor=1e-300)
+            w = self.ball_dual_weights(params.N, w_exp, ball)
         return float(grads ** 2 @ w)
 
     @_per_grid
@@ -444,8 +451,11 @@ class BoxGrid:
 
     def dirichlet_system(self, params, rhs, dirichlet, inner) -> tuple:
         """The raw stiffness with `dirichlet`, a constant or g(points),
-        imposed on the outer layer of cells (`inner` is not read): their rows
-        become identity rows and their couplings move to `rhs`."""
+        imposed on the outer layer of cells: their rows become identity
+        rows and their couplings move to `rhs`.  A box has no inner
+        boundary, so `inner` must be None."""
+        if inner is not None:
+            raise GridError("invalid_boundary", "a box grid has no inner boundary")
         mask = self.boundary_layer()
         pts = self.cell_centers(np.flatnonzero(mask))
         gvals = (np.asarray(dirichlet(pts), float) if callable(dirichlet)

@@ -14,7 +14,7 @@ import numpy as np
 from .errors import GridError, ParameterError
 from .fields import (DiscreteField, RadialGrid, ball_cell_weights,
                      dirichlet_energy, lq_norm, oscillation)
-from .measure import BallSpec, weighted_mean
+from .measure import BallSpec, _line_fit, weighted_mean
 from .params import WeightParams
 from .solver import raw_stiffness
 
@@ -83,9 +83,9 @@ def estimate_alpha_h(params: WeightParams, field: DiscreteField, center,
         oscs.append(o)
     x = np.log(np.asarray(radii, float))
     y = np.log(np.asarray(oscs))
-    slope, intercept = np.polyfit(x, y, 1)
+    slope, intercept = _line_fit(x, y)
     resid = float(np.sqrt(np.mean((y - (slope * x + intercept)) ** 2)))
-    alpha = min(max(float(slope), 1e-12), 1.0)
+    alpha = min(max(slope, 1e-12), 1.0)
     return AlphaHEstimate(alpha_h=alpha, fit_residual=resid,
                           n_samples=len(radii))
 

@@ -10,6 +10,9 @@ level is one Simpson pass over every shell segment not yet converged,
 split by rows once it would exceed `_LEVEL_POINTS` nodes. Each segment
 keeps its own stop rule, so a ball's value does not depend on the batch
 it is in; `ball_weight_integral` is the one-ball call into it.
+
+The module also holds the closed-form least-squares line (`_line_fit`)
+behind the growth and oscillation-decay exponents.
 """
 from __future__ import annotations
 
@@ -18,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GridError, QuadratureError
+from .errors import GridError, ParameterError, QuadratureError
 from .params import WeightParams
 
 
@@ -148,6 +151,54 @@ def centered_weight_integrals(N: int, w_exp: float, radii) -> list[float]:
     return [area * r ** expo / expo for r in radii]
 
 
+# The positive half of the 64-point Gauss-Legendre rule on [-1, 1] as
+# (node, weight), ascending: `numpy.polynomial.legendre.leggauss(64)`
+# (numpy 2.4.6) bit for bit, frozen so that the rule neither loads LAPACK
+# nor depends on the CPU that solves for it.
+_GAUSS_LEGENDRE_64 = (
+    (0.02435029266342443, 0.048690957009139814),
+    (0.07299312178779904, 0.04857546744150351),
+    (0.12146281929612054, 0.048344762234802996),
+    (0.16964442042399283, 0.04799938859645842),
+    (0.21742364374000708, 0.04754016571483042),
+    (0.2646871622087674, 0.046968182816210076),
+    (0.31132287199021097, 0.04628479658131447),
+    (0.3572201583376681, 0.045491627927418184),
+    (0.4022701579639916, 0.044590558163756566),
+    (0.4463660172534641, 0.04358372452932355),
+    (0.48940314570705296, 0.04247351512365361),
+    (0.5312794640198946, 0.041262563242623576),
+    (0.571895646202634, 0.039953741132720544),
+    (0.6111553551723933, 0.03855015317861564),
+    (0.6489654712546573, 0.03705512854024009),
+    (0.6852363130542333, 0.0354722132568823),
+    (0.7198818501716109, 0.033805161837141794),
+    (0.7528199072605319, 0.032057928354851495),
+    (0.7839723589433414, 0.030234657072402554),
+    (0.8132653151227975, 0.028339672614259535),
+    (0.8406292962525803, 0.02637746971505491),
+    (0.8659993981540928, 0.0243527025687112),
+    (0.8893154459951141, 0.02227017380838297),
+    (0.9105221370785028, 0.020134823153530088),
+    (0.9295691721319396, 0.017951715775697284),
+    (0.9464113748584028, 0.01572603047602503),
+    (0.9610087996520538, 0.01346304789671786),
+    (0.973326827789911, 0.011168139460131028),
+    (0.983336253884626, 0.008846759826363397),
+    (0.9910133714767443, 0.006504457968978502),
+    (0.9963401167719552, 0.004147033260564499),
+    (0.9993050417357722, 0.00178328072169414),
+)
+
+
+def _gauss_legendre_64() -> tuple[np.ndarray, np.ndarray]:
+    """The frozen 64-point rule, nodes ascending on [-1, 1], mirrored from
+    its positive half as `leggauss` symmetrises them."""
+    half = np.array(_GAUSS_LEGENDRE_64)
+    return (np.concatenate([-half[::-1, 0], half[:, 0]]),
+            np.concatenate([half[::-1, 1], half[:, 1]]))
+
+
 def centered_weight_quadrature(N, w_exp, radius) -> np.ndarray:
     """Integrals of |x|^{w_exp} over B_radius(0), one per entry of the
     equal-length arrays, by a Gauss-Legendre rule in u = sqrt(t / radius):
@@ -156,11 +207,9 @@ def centered_weight_quadrature(N, w_exp, radius) -> np.ndarray:
     After t = radius u^2 the shell integrand sigma_N t^e (e = N - 1 + w_exp)
     becomes sigma_N radius^{e+1} 2 u^{2e+1} on [0, 1], smooth enough for
     e >= 1 that 64 nodes reach round-off (Golub & Welsch, Math. Comp. 23,
-    1969, for the rule).
+    1969, for the rule; its nodes and weights are frozen literals).
     """
-    # imported here: no other run loads numpy.polynomial's six modules
-    from numpy.polynomial.legendre import leggauss
-    x, wts = leggauss(64)
+    x, wts = _gauss_legendre_64()
     u = 0.5 * (x + 1.0)
     N = np.asarray(N, int).reshape(-1)
     e = N - 1 + np.asarray(w_exp, float).reshape(-1)
@@ -244,6 +293,25 @@ def weighted_mean(values: np.ndarray, w: np.ndarray) -> float:
         raise GridError("ball_outside_domain",
                         "ball does not intersect the field's grid")
     return num / den
+
+
+def _line_fit(x, y) -> tuple[float, float]:
+    """Least-squares line y ~ slope x + intercept, in closed form about the
+    means: slope = sum (x - xm)(y - ym) / sum (x - xm)^2 and intercept =
+    ym - slope xm (Higham, Accuracy and Stability of Numerical Algorithms,
+    ch. 20).  Every sum is exactly rounded (`math.fsum`), so the fit needs
+    no LAPACK and does not depend on the CPU's BLAS kernels.  It serves
+    `regularity.fit_growth` and `inequalities.estimate_alpha_h`, which
+    both import this module already."""
+    x, y = np.asarray(x, float), np.asarray(y, float)
+    xm, ym = math.fsum(x) / len(x), math.fsum(y) / len(y)
+    dx = x - xm
+    sxx = math.fsum(dx * dx)
+    if not sxx > 0.0:
+        raise ParameterError("degenerate_fit",
+                             "a line fit needs at least two distinct abscissae")
+    slope = math.fsum(dx * (y - ym)) / sxx
+    return slope, ym - slope * xm
 
 
 def lemma_a1_ratio(params: WeightParams, ball: BallSpec, eps: float) -> dict:

@@ -13,7 +13,7 @@ import numpy as np
 
 from .errors import GridError, ParameterError
 from .fields import DiscreteField, ball_cell_weights, dirichlet_energy
-from .measure import BallSpec, ball_measure, weighted_mean
+from .measure import BallSpec, _line_fit, ball_measure, weighted_mean
 from .params import HolderBound, WeightParams, holder_bound, validate
 
 # Node pairs `holder_quotient` evaluates at once: its working memory is
@@ -119,20 +119,20 @@ def fit_growth(profile: GrowthProfile, params: WeightParams | None = None,
         raise ParameterError("insufficient_points",
                              f"{len(radii)} positive profile points; need 3")
     x, y = np.log(radii), np.log(vals)
-    slope, intercept = np.polyfit(x, y, 1)
+    slope, intercept = _line_fit(x, y)
     rms = float(np.sqrt(np.mean((y - (slope * x + intercept)) ** 2)))
     if normalization == "raw":
-        expo = float(slope)
+        expo = slope
         clamped = False
     elif profile.kind is ProfileKind.campanato:
-        expo = float(slope) / 2.0
+        expo = slope / 2.0
         clamped = expo > 1.0
         expo = min(expo, 1.0) if clamped else expo
     else:
-        expo = (float(slope) + 2.0) / 2.0
+        expo = (slope + 2.0) / 2.0
         clamped = expo > 1.0
         expo = min(expo, 1.0) if clamped else expo
-    return FitResult(exponent=expo, log_constant=float(intercept),
+    return FitResult(exponent=expo, log_constant=intercept,
                      rms_residual=rms, clamped=clamped)
 
 

@@ -317,9 +317,8 @@ def test_module_level_scipy_imports_are_solver_modules(path):
             if found.split(": ")[1] not in SCIPY_AT_IMPORT] == []
 
 
-# `argparse` is for `cli.main` alone and `numpy.polynomial` for
-# `measure_identities` alone; the package uses no `fractions` (nor the
-# `decimal` that it imports)
+# `argparse` is for `cli.main` alone; the package uses no `fractions` (nor
+# the `decimal` that it imports) and no `numpy.polynomial`
 NOT_ON_RUN_PATH = ("scipy", "argparse", "fractions", "decimal",
                    "numpy.polynomial")
 
@@ -373,16 +372,14 @@ def test_run_path_loads_no_scipy():
 
 
 def test_cli_runs_load_only_what_they_execute(tmp_path):
-    """One fresh interpreter runs `cli.run` on every experiment but
-    `measure_identities`, at its defaults, and loads none of the modules
-    of `NOT_ON_RUN_PATH`: each runs as a `ckn-lab run` process would."""
+    """One fresh interpreter runs `cli.run` on every experiment, at its
+    defaults, and loads none of the modules of `NOT_ON_RUN_PATH`: each
+    runs as a `ckn-lab run` process would."""
     out = fresh_modules(
         "from pathlib import Path\n"
         "from cknlab import cli\n"
         f"tmp = Path({str(tmp_path)!r})\n"
         "for name in cli.EXPERIMENTS:\n"
-        "    if name == 'measure_identities':\n"
-        "        continue\n"
         "    cfg = tmp / f'{name}.cfg'\n"
         "    cfg.write_text(f'experiment={name}\\noutput_dir={tmp}\\n'\n"
         "                   'params.N=3\\nparams.a=0.3\\nparams.b=0.5\\n'\n"
@@ -390,7 +387,69 @@ def test_cli_runs_load_only_what_they_execute(tmp_path):
         "    assert cli.run(str(cfg)) in (0, 2), name  # 1: not run")
     assert "cknlab.moser" in out
     assert off_run_path(out) == []
-    assert len(list(tmp_path.glob("*.cfg"))) == 9
+    assert len(list(tmp_path.glob("*.cfg"))) == 10
+
+
+LINALG_ALLOWED = {"norm"}
+
+
+def lapack_and_polynomial_uses(source: str) -> list[str]:
+    """Every `numpy.linalg` routine but those of `LINALG_ALLOWED`, every
+    `polyfit` and every `numpy.polynomial`, named in an import or read as
+    an attribute (`np.linalg.solve`, `numpy.polynomial.legendre`, ...)."""
+    found = []
+
+    def dotted(node) -> str:
+        if isinstance(node, ast.Attribute):
+            return f"{dotted(node.value)}.{node.attr}"
+        return node.id if isinstance(node, ast.Name) else "?"
+
+    def flagged(name: str) -> bool:
+        parts = name.split(".")
+        if "polyfit" in parts or "polynomial" in parts:
+            return True
+        if "linalg" in parts[:-1]:
+            return parts[parts.index("linalg") + 1] not in LINALG_ALLOWED
+        return False
+
+    for node in ast.walk(ast.parse(source)):
+        names = []
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            names = [f"{node.module}.{alias.name}" for alias in node.names]
+        elif isinstance(node, ast.Attribute):
+            names = [dotted(node)]
+        elif isinstance(node, ast.Name):
+            names = [node.id]
+        found += [(node.lineno, name) for name in names if flagged(name)]
+    return [f"line {line}: {name}" for line, name in sorted(set(found))]
+
+
+def test_lapack_and_polynomial_uses_detected():
+    src = ("import numpy as np\n"
+           "from numpy.linalg import eigvalsh, norm\n"
+           "from numpy.polynomial.legendre import leggauss\n"
+           "import numpy.polynomial\n"
+           "def f(x, y):\n"
+           "    np.linalg.norm(x)\n"
+           "    np.linalg.lstsq(x, y)\n"
+           "    return np.polyfit(x, y, 1), polyfit\n")
+    assert lapack_and_polynomial_uses(src) == [
+        "line 2: numpy.linalg.eigvalsh",
+        "line 3: numpy.polynomial.legendre.leggauss",
+        "line 4: numpy.polynomial",
+        "line 7: np.linalg.lstsq",
+        "line 8: np.polyfit",
+        "line 8: polyfit"]
+
+
+@pytest.mark.parametrize("path", SRC, ids=[p.name for p in SRC])
+def test_no_lapack_or_polynomial_in_the_package(path):
+    """What the package computes needs no LAPACK and no `numpy.polynomial`:
+    its Gauss-Legendre rule is frozen and its line fits are closed-form, so
+    no run touches OpenBLAS's LAPACK buffers or its CPU-dependent kernels."""
+    assert lapack_and_polynomial_uses(path.read_text()) == []
 
 
 def experiment_grid_constructions(source: str) -> list[str]:
@@ -482,6 +541,8 @@ def test_memoised_tables_are_read_only():
     box = BoxGrid((-1.0,) * 3, (1.0,) * 3, (6,) * 3)
     calls = [
         ("fields.RadialGrid.cell_weights", (radial, 3, -0.6)),
+        ("fields.RadialGrid.ball_cell_weights", (radial, 3, -0.6, BallSpec((0.0,), 0.7))),
+        ("fields.RadialGrid.ball_dual_weights", (radial, 3, -0.6, BallSpec((0.0,), 0.7))),
         ("fields.radial_face_dual_weights", (radial, 3, -0.6)),
         ("fields.BoxGrid.cell_weights", (box, 3, -0.6)),
         ("fields._ball_coverage_fractions", (box, BallSpec((0.1, 0.0, 0.2), 0.7))),

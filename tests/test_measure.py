@@ -81,6 +81,28 @@ def test_shell_quadrature_matches_the_closed_form():
             assert np.max(np.abs(quadr - closed) / closed) <= 1e-13
 
 
+def test_frozen_gauss_legendre_rule_is_leggauss():
+    """The frozen rule is `leggauss(64)`, whose eigenvalue solve moves its
+    last bits with the CPU: nodes to 1e-15, weights to 2e-12 relative."""
+    from numpy.polynomial.legendre import leggauss
+    x, w = measure._gauss_legendre_64()
+    ref_x, ref_w = leggauss(64)
+    assert np.all(np.diff(x) > 0) and np.array_equal(x, -x[::-1])
+    assert np.array_equal(w, w[::-1])
+    assert np.max(np.abs(x - ref_x)) <= 1e-15
+    assert np.max(np.abs(w - ref_w) / ref_w) <= 2e-12
+
+
+def test_frozen_gauss_legendre_rule_integrates_odd_powers():
+    """On [0, 1], in u = (x + 1)/2, the rule gives the integral of
+    2 u^{2e+1}, 1/(e + 1), to round-off for e in [1, 8]."""
+    x, w = measure._gauss_legendre_64()
+    u = 0.5 * (x + 1.0)
+    for e in np.linspace(1.0, 8.0, 57).tolist():
+        got = float(0.5 * (2.0 * u ** (2.0 * e + 1.0)) @ w)
+        assert abs(got * (e + 1.0) - 1.0) <= 1e-14, e
+
+
 def test_offcenter_ball_interval_bounds():
     # weight between (|x0|-r)^{-2a} and (|x0|+r)^{-2a} on the ball
     ball = BallSpec((2.0, 0.0, 0.0), 0.5)

@@ -6,6 +6,7 @@ import pytest
 from cknlab import regularity
 from cknlab.errors import GridError, ParameterError
 from cknlab.fields import BoxGrid, DiscreteField, RadialGrid
+from cknlab.measure import _line_fit
 from cknlab.params import INF, validate
 from cknlab.regularity import (FitResult, GrowthProfile, ProfileKind,
                                campanato_profile, default_radii, fit_growth,
@@ -72,6 +73,27 @@ def test_fit_growth_insufficient_points():
     with pytest.raises(ParameterError) as exc:
         fit_growth(prof, P300, "measure_normalized")
     assert exc.value.code == "insufficient_points"
+
+
+def test_line_fit_matches_polyfit():
+    """The closed-form least-squares line of `fit_growth` and
+    `estimate_alpha_h` is `np.polyfit(x, y, 1)` to round-off on random
+    data, exact on exact lines, and refuses a constant abscissa, where
+    `polyfit` only warns."""
+    rng = np.random.default_rng(3)
+    for n in (2, 3, 7, 12, 40):
+        x = np.log(rng.uniform(0.01, 1.0, n))
+        y = rng.normal(size=n)
+        slope, intercept = _line_fit(x, y)
+        ref = np.polyfit(x, y, 1)
+        assert abs(slope - ref[0]) <= 1e-12 * max(1.0, abs(ref[0]))
+        assert abs(intercept - ref[1]) <= 1e-12 * max(1.0, abs(ref[1]))
+    x = np.array([-1.5, 0.0, 1.0, 2.0, 6.0])  # every step exact in floats
+    for slope, intercept in ((0.5, -2.0), (-1.25, 0.75), (0.0, 3.0)):
+        assert _line_fit(x, slope * x + intercept) == (slope, intercept)
+    with pytest.raises(ParameterError) as exc:
+        _line_fit(np.full(4, 0.3), [1.0, 2.0, 3.0, 4.0])
+    assert exc.value.code == "degenerate_fit"
 
 
 def test_holder_quotient_examples():

@@ -50,6 +50,15 @@ def test_radial_assemble_is_linear_in_n():
     assert rep.converged and np.all(np.isfinite(uh.values))
 
 
+def test_inner_dirichlet_needs_an_inner_edge():
+    """A box, like a radial grid with r_min = 0, has no inner boundary to
+    put `inner` on, and says so rather than ignoring it."""
+    for grid in (RadialGrid(0.0, 1.0, 8), BoxGrid((-1.0,) * 3, (1.0,) * 3, (6,) * 3)):
+        with pytest.raises(GridError) as exc:
+            assemble(P335, grid, inner=1.0)
+        assert exc.value.code == "invalid_boundary"
+
+
 def test_radial_solve_matches_sparse_direct():
     # Both are direct solves; on the full ball the origin weight makes the
     # system ill-conditioned, and they differ by ~1e-11 max|x| in float64.
