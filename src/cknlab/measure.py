@@ -2,14 +2,13 @@
 
 Centered balls use the closed form; off-center balls reduce to a 1D
 integral over spherical shells (the weight is radial, so the only
-geometric input is the area fraction of each shell inside the ball),
-refined by Richardson extrapolation of a composite Simpson rule.
+geometric input is the area fraction of each shell inside the ball).
 
-`ball_weight_integrals` integrates many balls at once: each refinement
-level is one Simpson pass over every shell segment not yet converged,
-split by rows once it would exceed `_LEVEL_POINTS` nodes. Each segment
-keeps its own stop rule, so a ball's value does not depend on the batch
-it is in; `ball_weight_integral` is the one-ball call into it.
+`ball_weight_integrals` integrates many balls at once: every shell
+segment takes the same fixed 64-node Gauss-Legendre rule after an
+endpoint substitution that smooths its square-root edges, so a ball's
+value does not depend on the batch it is in; `ball_weight_integral` is
+the one-ball call into it.
 
 The module also holds the closed-form least-squares line (`_line_fit`)
 behind the growth and oscillation-decay exponents.
@@ -54,7 +53,11 @@ def cap_fraction(N: int, cos_theta: np.ndarray) -> np.ndarray:
     G_k = G_{k-2} - s^{k-1} c / (k W_k), from G_1 = (1 - c)/2 or
     G_0 = arccos(c)/pi (S. Li, Asian J. Math. Stat. 4, 2011).  Every term
     is >= 0 for c <= 0, so the sum runs there and c > 0 is reflected,
-    F(c) = 1 - F(-c): no cancellation near the poles or the equator.
+    F(c) = 1 - F(-c), exact to round-off in absolute terms.  A small cap
+    (theta <= pi/4, where 1 - F(-c) would cancel) takes the positive series
+    int_0^theta sin^k = x^a / 2 sum_j (1/2)_j / j! x^j / (a + j), with
+    x = s^2 <= 1/2 and a = (k + 1)/2, the binomial series of (1 - y)^{-1/2}
+    integrated in y = sin^2: relative accuracy, a term per bit.
     """
     c = np.clip(cos_theta, -1.0, 1.0)
     m = -np.abs(c)
@@ -68,71 +71,14 @@ def cap_fraction(N: int, cos_theta: np.ndarray) -> np.ndarray:
         w *= (j - 1) / j
         g = g - pw * m / (j * w)
         pw = pw * s2
-    return np.where(c > 0.0, 1.0 - g, g)
-
-
-def _shell_integrand(N: int, w_exp: float, d, rho, t: np.ndarray) -> np.ndarray:
-    """sigma_{N-1} t^{N-1+w} times the shell fraction inside B_rho(|x0|=d).
-
-    `t` holds one row of nodes per ball; `d` and `rho` broadcast against it
-    (a column per ball).  The integrand is 0 at t = 0, a left end only when
-    d = rho.
-    """
-    pos = t > 0.0
-    tp = np.where(pos, t, 1.0)
-    cos_theta = (tp * tp + d * d - rho * rho) / (2.0 * tp * d)
-    frac = cap_fraction(N, cos_theta)
-    return np.where(pos, sphere_area(N) * tp ** (N - 1 + w_exp) * frac, 0.0)
-
-
-# Relative accuracy of every off-centre ball integral
-_QUAD_RTOL = 1e-8
-# Simpson panels a segment may double up to before it counts as unconverged
-_MAX_PANELS = 1 << 18
-# Nodes (rows x (n+1)) evaluated at once in a Simpson pass; a larger level
-# is split by rows, so one slow ball never makes a (rows x 2^19) array.
-_LEVEL_POINTS = 1 << 15
-
-
-def _simpson(N: int, w_exp: float, d: np.ndarray, rho: np.ndarray,
-             lo: np.ndarray, hi: np.ndarray, n: int) -> np.ndarray:
-    """Composite Simpson with n panels on each segment [lo, hi]."""
-    out = np.empty(len(lo))
-    rows = max(1, _LEVEL_POINTS // (n + 1))
-    for s in range(0, len(lo), rows):
-        k = slice(s, s + rows)
-        # rows contiguous, so each row sums pairwise as a 1D array does
-        t = np.ascontiguousarray(np.linspace(lo[k], hi[k], n + 1, axis=1))
-        y = _shell_integrand(N, w_exp, d[k, None], rho[k, None], t)
-        h = (hi[k] - lo[k]) / n
-        out[k] = h / 3.0 * (y[:, 0] + y[:, -1] + 4.0 * np.sum(y[:, 1:-1:2], axis=1)
-                            + 2.0 * np.sum(y[:, 2:-1:2], axis=1))
-    return out
-
-
-def _simpson_refine(N: int, w_exp: float, d: np.ndarray, rho: np.ndarray,
-                    lo: np.ndarray, hi: np.ndarray,
-                    scale: np.ndarray) -> np.ndarray:
-    """Composite Simpson with doubling on every segment at once; each
-    segment stops once its Richardson difference is within `_QUAD_RTOL`,
-    and only unconverged segments go to the next level."""
-    value = np.empty(len(lo))
-    todo = np.arange(len(lo))
-    n = 16
-    prev = _simpson(N, w_exp, d, rho, lo, hi, n)
-    while todo.size and n <= _MAX_PANELS:
-        n *= 2
-        cur = _simpson(N, w_exp, d[todo], rho[todo], lo[todo], hi[todo], n)
-        done = (np.abs(cur - prev) / 15.0
-                <= _QUAD_RTOL * np.maximum(scale[todo], np.abs(cur)))
-        value[todo[done]] = cur[done] + (cur[done] - prev[done]) / 15.0
-        todo, prev = todo[~done], cur[~done]
-    if todo.size:
-        k = todo[0]
-        raise QuadratureError("quadrature_nonconvergence",
-                              f"Simpson refinement exhausted {_MAX_PANELS} panels "
-                              f"on [{float(lo[k])}, {float(hi[k])}]")
-    return value
+    small = c >= math.sqrt(0.5)
+    x, a = np.where(small, s2, 0.5), 0.5 * (k + 1)
+    series, term = 0.0, 1.0
+    for j in range(54):  # term = (1/2)_j / j! x^j <= 2^-j
+        series = series + term / (a + j)
+        term = term * x * ((j + 0.5) / (j + 1))
+    return np.where(small, 0.5 * x ** a * series / w,
+                    np.where(c > 0.0, 1.0 - g, g))
 
 
 def centered_weight_integral(N: int, w_exp: float, radius: float) -> float:
@@ -215,7 +161,57 @@ def centered_weight_quadrature(N, w_exp, radius) -> np.ndarray:
     e = N - 1 + np.asarray(w_exp, float).reshape(-1)
     area = np.array([sphere_area(n) for n in N.tolist()])
     return (area * np.asarray(radius, float).reshape(-1) ** (e + 1.0)
-            * (u ** (2.0 * e[:, None] + 1.0) @ wts))
+            * (u ** (2.0 * e[:, None] + 1.0) * wts).sum(axis=1))
+
+
+def _phi_rows():
+    """The frozen rule on phi in [0, pi/2] as read-only rows of the two
+    segment substitutions: sin^2 phi and its weights dt / (t log(hi/lo)),
+    sin^4 phi and its weights dt / hi."""
+    x, wts = _gauss_legendre_64()
+    phi = [0.25 * math.pi * (xi + 1.0) for xi in x.tolist()]
+    s = np.array([math.sin(f) for f in phi])
+    c = np.array([math.cos(f) for f in phi])
+    wts = 0.25 * math.pi * wts
+    rows = (s * s, wts * 2.0 * s * c, s ** 4, wts * 4.0 * s ** 3 * c)
+    for row in rows:
+        row.setflags(write=False)
+    return rows
+
+
+_SIN2, _LOG_JAC, _SIN4, _ORIGIN_JAC = _phi_rows()
+
+
+def _shell_integrand(N: int, w_exp: float, d, rho, t: np.ndarray) -> np.ndarray:
+    """sigma_{N-1} t^{N-1+w} times the shell fraction inside B_rho(|x0|=d).
+
+    `t` holds one row of nodes per ball, all > 0; `d` and `rho` broadcast
+    against it (a column per ball).  The versine 1 - cos theta is formed
+    as (rho - t + d)(rho + t - d)/(2td), without cancellation; at N = 3
+    the fraction is exactly half of it.
+    """
+    vers = (rho - t + d) * (rho + t - d) / (2.0 * t * d)
+    frac = 0.5 * vers if N == 3 else cap_fraction(N, 1.0 - vers)
+    return sphere_area(N) * t ** (N - 1 + w_exp) * frac
+
+
+def _segment_integrals(N: int, w_exp: float, d: np.ndarray, rho: np.ndarray,
+                       lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """The shell integrand over each segment [lo, hi] of the ball (d, rho).
+
+    t = lo (hi/lo)^{sin^2 phi} puts the nodes quadratically at both
+    square-root edges and log-uniformly when lo << hi; a segment from
+    lo = 0 (the ball passes through the origin) takes t = hi sin^4 phi,
+    where t^{N-1+w} becomes phi^{4(N+w)-1} (Davis & Rabinowitz, Methods of
+    Numerical Integration, on endpoint substitutions).  Each row is summed
+    in a fixed order, so a segment's value does not depend on the batch.
+    """
+    d, rho, lo, hi = d[:, None], rho[:, None], lo[:, None], hi[:, None]
+    origin = lo == 0.0
+    span = np.log1p((hi - lo) / np.where(origin, 1.0, lo))  # log(hi / lo)
+    t = np.where(origin, hi * _SIN4, lo * np.exp(span * _SIN2))
+    jac = np.where(origin, hi * _ORIGIN_JAC, t * span * _LOG_JAC)
+    return (_shell_integrand(N, w_exp, d, rho, t) * jac).sum(axis=1)
 
 
 def ball_weight_integrals(N: int, w_exp: float, d, rho) -> np.ndarray:
@@ -223,17 +219,16 @@ def ball_weight_integrals(N: int, w_exp: float, d, rho) -> np.ndarray:
     entry of the arrays `d` and `rho`.
 
     Shells wholly inside a ball (t < rho - d) have a closed form; the rest
-    of [|d - rho|, d + rho] is integrated by `_simpson_refine`, all balls'
-    segments in one pass per level.  A ball with d = 0 has no segment and
+    of [|d - rho|, d + rho] is integrated by `_segment_integrals`, all
+    balls' segments in one pass.  A ball with d = 0 has no segment and
     gets the closed form.
     """
     d = np.asarray(d, float).reshape(-1)
     rho = np.asarray(rho, float).reshape(-1)
     values = np.zeros(len(d))
-    scales = centered_weight_integrals(N, w_exp, (d + rho).tolist())
     # Inner part of a ball with d < rho covers whole shells: closed form, exact.
     inner = centered_weight_integrals(N, w_exp, np.maximum(rho - d, 0.0).tolist())
-    segs = []  # (ball, lo, hi, scale)
+    segs = []  # (ball, lo, hi)
     for i, (di, ri) in enumerate(zip(d.tolist(), rho.tolist())):
         if di < ri:
             values[i] = inner[i]
@@ -242,20 +237,20 @@ def ball_weight_integrals(N: int, w_exp: float, d, rho) -> np.ndarray:
             lo = di - ri
         hi = di + ri
         # The cap fraction loses smoothness where the shell meets the ball
-        # boundary at a right angle; split there to keep Simpson at full order.
+        # boundary at a right angle; split there to keep the rule at full order.
         breaks = [lo]
         if di < ri:
             t_orth = math.sqrt(ri * ri - di * di)
             if lo < t_orth < hi:
                 breaks.append(t_orth)
         breaks.append(hi)
-        segs += [(i, left, right, scales[i])
+        segs += [(i, left, right)
                  for left, right in zip(breaks[:-1], breaks[1:]) if right > left]
     if segs:
-        ball, lo, hi, scale = (np.array(c) for c in zip(*segs))
+        ball, lo, hi = (np.array(c) for c in zip(*segs))
         # unbuffered and in segment order: the inner shell, then each segment
-        np.add.at(values, ball, _simpson_refine(N, w_exp, d[ball], rho[ball],
-                                                lo, hi, scale))
+        np.add.at(values, ball, _segment_integrals(N, w_exp, d[ball], rho[ball],
+                                                   lo, hi))
     return values
 
 

@@ -343,7 +343,7 @@ def test_lemma_a2_property_seed202_overflows(tmp_path, capsys):
     assert main(["run", cfg]) == 2
     assert capsys.readouterr().err == (
         "failure[constant_overflow]: C_d^3 overflows for doubling constant "
-        "2.6633671653587038e+110\n")
+        "2.6633669838224872e+110\n")
 
 
 @pytest.fixture

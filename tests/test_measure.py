@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from cknlab import measure
-from cknlab.errors import GridError, QuadratureError
+from cknlab.errors import GridError
 from cknlab.measure import (BallSpec, ball_measure,
                             ball_weight_integral, ball_weight_integrals,
                             cap_fraction, centered_weight_integral,
@@ -15,12 +15,6 @@ from cknlab.params import INF, epsilon_choice, validate
 
 P300 = validate(3, 0.0, 0.0, INF)
 P304 = validate(3, 0.4, 0.4, INF)
-
-
-@pytest.fixture
-def quad_rtol(monkeypatch):
-    """Set the off-centre quadrature's relative accuracy for one test."""
-    return lambda rtol: monkeypatch.setattr(measure, "_QUAD_RTOL", rtol)
 
 
 def test_sphere_area_low_dims():
@@ -56,7 +50,8 @@ def _cap_samples():
 @pytest.mark.parametrize("N", [3, 4, 5, 6, 7])
 def test_cap_fraction_exact_to_round_off(N):
     """Against 0.5 I_{1-c^2}((N-1)/2, 1/2) (c >= 0) in 40-digit arithmetic,
-    where 1 - c^2 is exact, and symmetric about the equator."""
+    where 1 - c^2 is exact, also relative to the small caps near the poles,
+    and symmetric about the equator."""
     mp = pytest.importorskip("mpmath")
     c = _cap_samples()
     got = cap_fraction(N, c)
@@ -67,6 +62,7 @@ def test_cap_fraction_exact_to_round_off(N):
                               regularized=True) / 2
             exact = half if ci >= 0 else 1 - half
             assert abs(fi - exact) <= 1e-15, ci
+            assert abs(fi - exact) <= 1e-14 * exact, ci
     assert np.max(np.abs(got + cap_fraction(N, -c) - 1.0)) <= 2.0 ** -52
 
 
@@ -208,41 +204,126 @@ def test_lemma_a1_random_family_under_envelope():
         assert out["ratio"] <= out["envelope"] * (1 + 1e-6)
 
 
-# (|x0|, rho, w, value) in R^3 at relative accuracy 1e-10, from the one-ball
-# Simpson refinement that the batched quadrature replaced.  The two tiny-rho
-# rows, pinned since the sin^k cap fraction, are 1.3e-8 from the exact
-# integral: 1 - cos(theta) cancels there.
+def _mp_ball_integral(mp, N, w, d, rho):
+    """Integral of |x|^w over B_rho(x0), |x0| = d, in 40-digit arithmetic:
+    the inner closed form plus the shell integral with the cap fraction
+    0.5 I_{1-c^2}((N-1)/2, 1/2), by `mpmath.quad` split where the quadrature
+    splits."""
+    with mp.workdps(40):
+        d, rho, w = mp.mpf(d), mp.mpf(rho), mp.mpf(w)
+        area = 2 * mp.pi ** (mp.mpf(N) / 2) / mp.gamma(mp.mpf(N) / 2)
+        total = area * (rho - d) ** (N + w) / (N + w) if d < rho else 0
+        breaks = [abs(d - rho), d + rho]
+        if d < rho and breaks[0] < mp.sqrt(rho ** 2 - d ** 2):
+            breaks.insert(1, mp.sqrt(rho ** 2 - d ** 2))
+
+        def shell(t):
+            c = (t * t + d * d - rho * rho) / (2 * t * d)
+            half = mp.betainc(mp.mpf(N - 1) / 2, mp.mpf(1) / 2, 0, 1 - c * c,
+                              regularized=True) / 2
+            return area * t ** (N - 1 + w) * (half if c >= 0 else 1 - half)
+
+        return total + mp.quad(shell, breaks)
+
+
+# (|x0|, rho, w, value) in R^3 from `_mp_ball_integral`, which agrees to
+# the last bit at 45 digits
 FROZEN_BALLS = [
-    (0.3, 1.0, -0.6, 5.123428321906905),  # d < rho, split at t_orth
-    (0.3, 1.0, -15 / 7, 14.247864864333557),
-    (1.0, 3.0, -0.6, 71.19038828243185),
-    (1e-20, 0.5, -0.6, 0.9920341729736275),  # d < rho, no segment left
+    (0.3, 1.0, -0.6, 5.123428321907011),  # d < rho, split at t_orth
+    (0.3, 1.0, -15 / 7, 14.247864864333362),
+    (1.0, 3.0, -0.6, 71.19038828243467),
+    (1e-20, 0.5, -0.6, 0.9920341729736274),  # d < rho, no segment left
     (1e-20, 0.5, -15 / 7, 8.09339884514741),
-    (1e-6, 0.5, -0.6, 0.9920341729726752),  # d < rho, thin segments
+    (1e-6, 0.5, -0.6, 0.992034172972675),  # d < rho, thin segments
     (1e-6, 0.5, -15 / 7, 8.0933988451375),
-    (2.0, 0.5, -0.6, 0.34492328739590844),  # d > rho
-    (2.0, 0.5, -15 / 7, 0.12042838078159653),
-    (0.7, 0.7, -0.6, 1.7266209083076383),  # d = rho: the shells start at 0
-    (0.9, 1e-4, -0.6, 4.462139031103913e-12),  # tiny rho
-    (0.9, 1e-4, -15 / 7, 5.249771132914711e-12),
+    (2.0, 0.5, -0.6, 0.34492328739574857),  # d > rho
+    (2.0, 0.5, -15 / 7, 0.12042838078383947),
+    (0.7, 0.7, -0.6, 1.7266209066712301),  # d = rho: the shells start at 0
+    (0.7, 0.7, -2.2, 5.711100528394944),  # ... under t^{N-1+w}, N-1+w < 0
+    (0.7, 0.7, -15 / 7, 5.2666438131344835),
+    (0.7, 0.7 + 1e-9, -2.2, 5.711102976787213),  # near-touching
+    (0.7, 0.7 - 1e-9, -15 / 7, 5.266642864359945),
+    (0.9, 0.005, -0.6, 5.577669731156647e-07),  # small rho
+    (0.9, 1e-4, -0.6, 4.462139088906575e-12),
+    (0.9, 1e-4, -15 / 7, 5.249771200921983e-12),
+]
+
+
+# (N, |x0|, rho, w, value) from `_mp_ball_integral`: far, small (rho =
+# 0.05 |x0| and rho = 0.005), containing, through-origin and near-touching
+# balls, at a weight with N - 1 + w < 0 for N = 4
+FROZEN_BALLS_HIGH_N = [
+    (4, 2.0, 0.5, -0.6, 0.20259171190161182),
+    (4, 2.0, 0.5, -3.1, 0.036630724188005136),
+    (4, 0.1, 0.005, -0.6, 1.2276476861584867e-08),
+    (4, 0.1, 0.005, -3.1, 3.885604281004021e-06),
+    (4, 0.9, 0.005, -0.6, 3.2855140075377265e-09),
+    (4, 0.9, 0.005, -3.1, 4.275646551644281e-09),
+    (4, 0.3, 1.0, -0.6, 5.674238308817542),
+    (4, 0.3, 1.0, -3.1, 21.228936156547483),
+    (4, 0.7, 0.7, -0.6, 1.358254122756627),
+    (4, 0.7, 0.7, -3.1, 6.726844661192097),
+    (4, 0.7, 0.7 + 1e-9, -0.6, 1.3582541301785154),
+    (4, 0.7, 0.7 + 1e-9, -3.1, 6.726845612281195),
+    (4, 0.7, 0.7 - 1e-9, -0.6, 1.3582541153347385),
+    (4, 0.7, 0.7 - 1e-9, -3.1, 6.726843710103002),
+    (5, 2.0, 0.5, -0.6, 0.10782878242620494),
+    (5, 2.0, 0.5, -3.1, 0.019211779950389342),
+    (5, 0.1, 0.005, -0.6, 6.546916666815438e-11),
+    (5, 0.1, 0.005, -3.1, 2.0709640191364412e-08),
+    (5, 0.9, 0.005, -0.6, 1.7522723603626893e-11),
+    (5, 0.9, 0.005, -3.1, 2.2803263859134953e-11),
+    (5, 0.3, 1.0, -0.6, 5.842297850632392),
+    (5, 0.3, 1.0, -3.1, 13.116542949323266),
+    (5, 0.7, 0.7, -0.6, 0.986835894096007),
+    (5, 0.7, 0.7, -3.1, 2.7711199543003207),
+    (5, 0.7, 0.7 + 1e-9, -0.6, 0.9868359008462961),
+    (5, 0.7, 0.7 + 1e-9, -3.1, 2.7711199747758175),
+    (5, 0.7, 0.7 - 1e-9, -0.6, 0.986835887345718),
+    (5, 0.7, 0.7 - 1e-9, -3.1, 2.7711199338248242),
+    (6, 2.0, 0.5, -0.6, 0.05285007868919014),
+    (6, 2.0, 0.5, -3.1, 0.009313727433513585),
+    (6, 0.1, 0.005, -0.6, 3.213512338757802e-13),
+    (6, 0.1, 0.005, -3.1, 1.0160824746225426e-10),
+    (6, 0.9, 0.005, -0.6, 8.601440292950273e-14),
+    (6, 0.9, 0.005, -3.1, 1.1193458078403968e-13),
+    (6, 0.3, 1.0, -0.6, 5.605810227894059),
+    (6, 0.3, 1.0, -3.1, 9.980341944611114),
+    (6, 0.7, 0.7, -0.6, 0.6661855863551268),
+    (6, 0.7, 0.7, -3.1, 1.4447752070262383),
+    (6, 0.7, 0.7 + 1e-9, -0.6, 0.6661855918446689),
+    (6, 0.7, 0.7 + 1e-9, -3.1, 1.4447752178946411),
+    (6, 0.7, 0.7 - 1e-9, -0.6, 0.6661855808655847),
+    (6, 0.7, 0.7 - 1e-9, -3.1, 1.4447751961578357),
 ]
 
 
 @pytest.mark.parametrize("d,rho,w,value", FROZEN_BALLS)
-def test_offcenter_quadrature_frozen_values(quad_rtol, d, rho, w, value):
-    quad_rtol(1e-10)
+def test_offcenter_quadrature_frozen_values(d, rho, w, value):
     res = ball_weight_integral(3, w, BallSpec((d, 0.0, 0.0), rho))
-    assert res == pytest.approx(value, rel=1e-13, abs=0)
+    assert abs(res - value) <= 1e-11 * value
 
 
-def test_batch_matches_one_ball_at_a_time(quad_rtol):
-    quad_rtol(1e-9)
+@pytest.mark.parametrize("N,d,rho,w,value", FROZEN_BALLS_HIGH_N)
+def test_offcenter_quadrature_frozen_values_high_n(N, d, rho, w, value):
+    res = ball_weight_integral(N, w, BallSpec((d,) + (0.0,) * (N - 1), rho))
+    assert abs(res - value) <= 1e-11 * value
+
+
+def test_frozen_values_are_the_mpmath_integral():
+    """A sample of both tables (all of them take about 3 s)."""
+    mp = pytest.importorskip("mpmath")
+    for N, d, rho, w, value in ([(3,) + row for row in FROZEN_BALLS[::4]]
+                                + FROZEN_BALLS_HIGH_N[::10]):
+        assert float(_mp_ball_integral(mp, N, w, d, rho)) == value
+
+
+def test_batch_matches_one_ball_at_a_time():
     rng = np.random.default_rng(5)
-    d = np.concatenate([[d for d, _, _, _ in FROZEN_BALLS[:7]],
-                        rng.uniform(0.0, 2.5, 40)])
-    rho = np.concatenate([[r for _, r, _, _ in FROZEN_BALLS[:7]],
-                          rng.uniform(0.01, 1.5, 40)])
-    for w in (-0.6, -15 / 7):
+    rows = FROZEN_BALLS[:7] + FROZEN_BALLS[9:14]
+    d = np.concatenate([[d for d, _, _, _ in rows], rng.uniform(0.0, 2.5, 40)])
+    rho = np.concatenate([[r for _, r, _, _ in rows], rng.uniform(0.01, 1.5, 40)])
+    for w in (-0.6, -2.2, -15 / 7):
         values = ball_weight_integrals(3, w, d, rho)
         for di, ri, v in zip(d, rho, values.tolist()):
             assert v == ball_weight_integral(3, w, BallSpec((di, 0.0, 0.0), ri))
@@ -251,41 +332,6 @@ def test_batch_matches_one_ball_at_a_time(quad_rtol):
 def test_centered_ball_in_a_batch_gets_the_closed_form():
     values = ball_weight_integrals(3, -0.6, [0.0, 0.4], [0.8, 0.8])
     assert values[0] == centered_weight_integral(3, -0.6, 0.8)
-
-
-def test_one_unconverged_row_fails_the_batch(monkeypatch, quad_rtol):
-    # d = rho at w = -15/7: the integrand ~ t^{-1/7} at the left end t = 0
-    # keeps Simpson from converging (it fails alone at the default cap too)
-    monkeypatch.setattr(measure, "_MAX_PANELS", 1 << 10)
-    quad_rtol(1e-10)
-    with pytest.raises(QuadratureError) as exc:
-        ball_weight_integrals(3, -15 / 7, [0.3, 0.7, 2.0], [1.0, 0.7, 0.5])
-    assert exc.value.code == "quadrature_nonconvergence"
-    assert "1024 panels on [0.0, 1.4]" in str(exc.value)
-    good = ball_weight_integrals(3, -15 / 7, [0.3, 2.0], [1.0, 0.5])
-    assert good.tolist() == pytest.approx([14.247864864333557,
-                                           0.12042838078159653], rel=1e-13)
-
-
-def test_level_chunks_stay_under_the_node_cap(monkeypatch, quad_rtol):
-    quad_rtol(1e-12)
-    d = np.linspace(0.1, 2.0, 30)
-    rho = np.linspace(0.05, 1.2, 30)
-    want = ball_weight_integrals(3, -0.6, d, rho)
-    shapes = []
-    integrand = measure._shell_integrand
-
-    def recording(N, w_exp, d, rho, t):
-        shapes.append(t.shape)
-        return integrand(N, w_exp, d, rho, t)
-
-    cap = 300
-    monkeypatch.setattr(measure, "_shell_integrand", recording)
-    monkeypatch.setattr(measure, "_LEVEL_POINTS", cap)
-    got = ball_weight_integrals(3, -0.6, d, rho)
-    assert max(cols for _, cols in shapes) > cap  # a level past the cap
-    assert all(rows * cols <= cap or rows == 1 for rows, cols in shapes)
-    assert np.array_equal(got, want)
 
 
 def test_lemma_a1_ratios_match_the_one_ball_form():
