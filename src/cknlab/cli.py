@@ -141,8 +141,8 @@ def exp_inequality_suite(cfg):
     ball = BallSpec((0.0,), 0.9 * grid.width)
     ok = True
     for desc, f in suite:
-        c = ckn_ratio(params, f, desc)
-        p = poincare_ratio(params, f, ball, desc)
+        c = ckn_ratio(params, f)
+        p = poincare_ratio(params, f, ball)
         ckn_max = max(ckn_max, c.ratio)
         poin_max = max(poin_max, p.ratio)
         ok &= math.isfinite(c.ratio) and math.isfinite(p.ratio)
@@ -229,7 +229,7 @@ def exp_lemma_a1_envelope(cfg):
     ok = True
     for ball, out in zip(balls, lemma_a1_ratios(params, balls, eps)):
         ok &= out["ratio"] <= out["envelope"] * (1 + 1e-6)
-        rows.append([float(np.linalg.norm(ball.center)), ball.radius,
+        rows.append([ball.center_norm, ball.radius,
                      out["ratio"], out["envelope"]])
     return ok, {"lemma_a1_report.csv": rows}
 
@@ -250,7 +250,7 @@ def exp_lemma_a2_property(cfg):
         out = lemma_a2_property_check(params, alpha, beta, gamma, center,
                                       0.02, 1.0, cfg["n_trials"], seed + i)
         total_viol += out["violations"]
-        rows.append([i, alpha, beta, gamma, float(np.linalg.norm(center)),
+        rows.append([i, alpha, beta, gamma, BallSpec(center, 1.0).center_norm,
                      out["violations"], out["worst_relative_margin"]])
         trial_rows += [[i, t["trial"], t["A1"], t["A2"], t["tau"],
                         t["constant"], t["violations"],

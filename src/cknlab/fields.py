@@ -71,10 +71,6 @@ class Tridiagonal:
     cap_lo: float = 0.0
     cap_hi: float = 0.0
 
-    @property
-    def off(self) -> np.ndarray:
-        return -self.T
-
     @cached_property
     def diag(self) -> np.ndarray:
         diag = np.concatenate((self.T, [self.cap_hi]))  # the face above
@@ -247,11 +243,6 @@ class RadialGrid:
         layer[[0, -1]] = True
         return layer
 
-    def edge_rows(self) -> list[int]:
-        """The end cells, whose stencil is one-sided, and their neighbours,
-        which read the end faces' edge-extended dual weights."""
-        return [0, 1, -2, -1]
-
     def room(self, center) -> tuple[float, float]:
         """The distance from |x| = |center| to the nearer end (to r_max
         alone when r_min = 0, which is no edge), and the mean cell size."""
@@ -387,8 +378,6 @@ class BoxGrid:
         layer[1:-1, 1:-1, 1:-1] = False
         return layer.ravel()
 
-    edge_rows = boundary_layer  # the rows whose stencil is one-sided
-
     def room(self, center) -> tuple[float, float]:
         """The distance from `center` to the nearest face, and the longest side."""
         c = np.array(center)
@@ -476,7 +465,6 @@ class BoxGrid:
 class DiscreteField:
     grid: RadialGrid | BoxGrid
     values: np.ndarray
-    name: str = ""
 
     def __post_init__(self):
         # C order, so that a BLAS reduction sums it in index order
@@ -490,14 +478,13 @@ class DiscreteField:
         self.values = v
 
     @classmethod
-    def from_function(cls, grid, fn, name: str = "") -> "DiscreteField":
+    def from_function(cls, grid, fn) -> "DiscreteField":
         vals = fn(grid.centers)
         return cls(grid=grid, values=np.broadcast_to(np.asarray(vals, float),
-                                                    (grid.n_nodes,)).copy(), name=name)
+                                                    (grid.n_nodes,)).copy())
 
-    def with_values(self, values, name: str | None = None) -> "DiscreteField":
-        return DiscreteField(grid=self.grid, values=np.array(values, dtype=float),
-                             name=self.name if name is None else name)
+    def with_values(self, values) -> "DiscreteField":
+        return DiscreteField(grid=self.grid, values=np.array(values, dtype=float))
 
 
 # ---------------------------------------------------------------------------

@@ -16,9 +16,7 @@ from .fields import (DiscreteField, RadialGrid, ball_cell_weights,
                      dirichlet_energy, lq_norm, oscillation)
 from .measure import BallSpec, _line_fit, weighted_mean
 from .params import WeightParams
-from .solver import raw_stiffness
 
-_HARNACK_S = 1.0  # the exponent s of the weak Harnack mean
 _SUPPORT = 0.8  # the test-field suite vanishes for r >= this
 
 
@@ -26,7 +24,6 @@ class RatioSample(NamedTuple):
     lhs: float
     rhs_core: float
     ratio: float
-    descriptor: str = ""
 
 
 class AlphaHEstimate(NamedTuple):
@@ -38,31 +35,28 @@ class AlphaHEstimate(NamedTuple):
 # ---------------------------------------------------------------------------
 # CKN ratio
 
-def ckn_ratio(params: WeightParams, field: DiscreteField,
-              descriptor: str = "") -> RatioSample:
+def ckn_ratio(params: WeightParams, field: DiscreteField) -> RatioSample:
     """||u||_{L^p, |x|^{-bp}} / energy^{1/2} for a compactly supported field."""
     if not np.any(field.values):
         raise ParameterError("zero_field", "CKN ratio needs a nonzero field")
     lhs = lq_norm(params, field, params.p)
     rhs = math.sqrt(dirichlet_energy(params, field))
     return RatioSample(lhs=lhs, rhs_core=rhs,
-                       ratio=lhs / rhs if rhs > 0 else math.inf,
-                       descriptor=descriptor)
+                       ratio=lhs / rhs if rhs > 0 else math.inf)
 
 
 # ---------------------------------------------------------------------------
 # Poincare ratio on balls
 
 def poincare_ratio(params: WeightParams, field: DiscreteField,
-                   ball: BallSpec, descriptor: str = "") -> RatioSample:
+                   ball: BallSpec) -> RatioSample:
     """int_B |u - mean|^2 dmu_a over r^2 * int_B |grad u|^2 dmu_a."""
     w = ball_cell_weights(field.grid, params.N, -2.0 * params.a, ball)
     m = weighted_mean(field.values, w)
     lhs = float((field.values - m) ** 2 @ w)
     rhs = ball.radius ** 2 * dirichlet_energy(params, field, ball)
     return RatioSample(lhs=lhs, rhs_core=rhs,
-                       ratio=(lhs / rhs if rhs > 0 else 0.0),
-                       descriptor=descriptor)
+                       ratio=(lhs / rhs if rhs > 0 else 0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -88,59 +82,6 @@ def estimate_alpha_h(params: WeightParams, field: DiscreteField, center,
     alpha = min(max(slope, 1e-12), 1.0)
     return AlphaHEstimate(alpha_h=alpha, fit_residual=resid,
                           n_samples=len(radii))
-
-
-# ---------------------------------------------------------------------------
-# weak Harnack
-
-def weak_harnack_check(params: WeightParams, field: DiscreteField,
-                       ball: BallSpec, superharmonic_tol: float = 1e-10,
-                       descriptor: str = "") -> RatioSample:
-    """(mean of u^s over B_r wrt mu_a)^{1/s} against inf over B_{r/2}.
-
-    The field must be nonnegative and discretely weakly superharmonic on
-    B_{2r} (stiffness residual >= -tol against the nodal hat basis).
-    """
-    u = field.values
-    if u.min() < -1e-14:
-        raise ParameterError("negative_field",
-                             f"min value {u.min()} < 0")
-    grid = field.grid
-    dist = grid.distance_to(ball.center)
-    A = raw_stiffness(params, grid)
-    res = A @ u
-    scale = max(float(np.abs(u).max()), 1.0) * np.maximum(A.diag, 1e-300)
-    check = dist <= 2.0 * ball.radius
-    check[grid.edge_rows()] = False  # their stencil reaches the domain edge
-    if np.any(res[check] < -superharmonic_tol * scale[check]):
-        worst = float(np.min(res[check] / scale[check]))
-        raise ParameterError("not_superharmonic",
-                             f"weak residual {worst} below -{superharmonic_tol}")
-    w = ball_cell_weights(grid, params.N, -2.0 * params.a, ball)
-    lhs = weighted_mean(u ** _HARNACK_S, w) ** (1.0 / _HARNACK_S)
-    half = BallSpec(ball.center, 0.5 * ball.radius)
-    in_half = dist <= half.radius
-    rhs = float(u[in_half].min()) if np.any(in_half) else 0.0
-    ratio = lhs / rhs if rhs > 0 else math.inf
-    return RatioSample(lhs=lhs, rhs_core=rhs, ratio=ratio,
-                       descriptor=descriptor)
-
-
-# ---------------------------------------------------------------------------
-# sup bound for harmonic fields
-
-def sup_bound_ratio(params: WeightParams, field: DiscreteField,
-                    ball: BallSpec, descriptor: str = "") -> RatioSample:
-    """max_{B_{r/2}} |u| over the mu_a root-mean-square of u on B_r."""
-    in_half = field.grid.distance_to(ball.center) <= 0.5 * ball.radius
-    if not np.any(in_half):
-        raise GridError("empty_ball", "no nodes in the half ball")
-    lhs = float(np.abs(field.values[in_half]).max())
-    w = ball_cell_weights(field.grid, params.N, -2.0 * params.a, ball)
-    rhs = math.sqrt(weighted_mean(field.values ** 2, w))
-    return RatioSample(lhs=lhs, rhs_core=rhs,
-                       ratio=lhs / rhs if rhs > 0 else math.inf,
-                       descriptor=descriptor)
 
 
 # ---------------------------------------------------------------------------
@@ -187,5 +128,5 @@ def build_test_suite(grid: RadialGrid, seed: int, n_fields: int = 50):
         if not np.any(vals):
             vals = np.clip(1.0 - (r / _SUPPORT) ** 2, 0.0, None)
             desc += "_fallback"
-        out.append((desc, DiscreteField(grid=grid, values=vals, name=desc)))
+        out.append((desc, DiscreteField(grid=grid, values=vals)))
     return out

@@ -45,8 +45,9 @@ class BallSpec:
         return math.sqrt(sum(c * c for c in self.center))
 
 
-def cap_fraction(N: int, cos_theta: np.ndarray) -> np.ndarray:
-    """Fraction of the unit sphere S^{N-1} within polar angle theta of a pole.
+def cap_fraction(N: int, vers: np.ndarray) -> np.ndarray:
+    """Fraction of the unit sphere S^{N-1} within polar angle theta of a
+    pole, from the versine vers = 1 - cos theta.
 
     With k = N - 2, s = sin theta, c = cos theta and W_k the integral of
     sin^k over [0, pi], the fraction G_k = (int_0^theta sin^k) / W_k obeys
@@ -56,10 +57,12 @@ def cap_fraction(N: int, cos_theta: np.ndarray) -> np.ndarray:
     F(c) = 1 - F(-c), exact to round-off in absolute terms.  A small cap
     (theta <= pi/4, where 1 - F(-c) would cancel) takes the positive series
     int_0^theta sin^k = x^a / 2 sum_j (1/2)_j / j! x^j / (a + j), with
-    x = s^2 <= 1/2 and a = (k + 1)/2, the binomial series of (1 - y)^{-1/2}
-    integrated in y = sin^2: relative accuracy, a term per bit.
+    x = s^2 = vers (2 - vers) <= 1/2 and a = (k + 1)/2, the binomial series
+    of (1 - y)^{-1/2} integrated in y = sin^2: relative accuracy, a term
+    per bit, down to caps whose c rounds to 1.
     """
-    c = np.clip(cos_theta, -1.0, 1.0)
+    vers = np.clip(vers, 0.0, 2.0)
+    c = 1.0 - vers
     m = -np.abs(c)
     s2 = (1.0 - m) * (1.0 + m)
     k = N - 2
@@ -72,7 +75,7 @@ def cap_fraction(N: int, cos_theta: np.ndarray) -> np.ndarray:
         g = g - pw * m / (j * w)
         pw = pw * s2
     small = c >= math.sqrt(0.5)
-    x, a = np.where(small, s2, 0.5), 0.5 * (k + 1)
+    x, a = np.where(small, vers * (2.0 - vers), 0.5), 0.5 * (k + 1)
     series, term = 0.0, 1.0
     for j in range(54):  # term = (1/2)_j / j! x^j <= 2^-j
         series = series + term / (a + j)
@@ -188,10 +191,10 @@ def _shell_integrand(N: int, w_exp: float, d, rho, t: np.ndarray) -> np.ndarray:
     `t` holds one row of nodes per ball, all > 0; `d` and `rho` broadcast
     against it (a column per ball).  The versine 1 - cos theta is formed
     as (rho - t + d)(rho + t - d)/(2td), without cancellation; at N = 3
-    the fraction is exactly half of it.
+    the fraction is exactly half of it, and `cap_fraction` takes it whole.
     """
     vers = (rho - t + d) * (rho + t - d) / (2.0 * t * d)
-    frac = 0.5 * vers if N == 3 else cap_fraction(N, 1.0 - vers)
+    frac = 0.5 * vers if N == 3 else cap_fraction(N, vers)
     return sphere_area(N) * t ** (N - 1 + w_exp) * frac
 
 

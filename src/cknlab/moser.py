@@ -1,6 +1,6 @@
-"""Integrability bootstrap machinery: the potential smallness condition,
-the L^q ladder with tracked weighted norms, and the abstract iteration
-lemma with its proof constants as a property-checked engine.
+"""Integrability bootstrap machinery: the L^q ladder with tracked weighted
+norms, and the abstract iteration lemma with its proof constants as a
+property-checked engine.
 """
 from __future__ import annotations
 
@@ -17,13 +17,7 @@ from .solver import residual as solver_residual
 
 _RESIDUAL_TOL = 1e-3  # dual-residual gate of `run_ladder`, times max(1, sup|u|)
 _TABLE_SIZE = 120  # geometric radii of a `MeasureTable`
-
-
-class PotentialSplit(NamedTuple):
-    ell: float
-    tail_mass: float
-    bound_required: float
-    satisfied: bool
+_N_PAIRS = 64  # (rho, r) pairs per trial of `lemma_a2_property_check`
 
 
 class LadderState(NamedTuple):
@@ -31,43 +25,6 @@ class LadderState(NamedTuple):
     q_k: float
     norm_q: float
     subdomain_margin: float
-
-
-# ---------------------------------------------------------------------------
-# smallness condition for the potential
-
-def smallness_check(params: WeightParams, V: DiscreteField, ell: float,
-                    ckn_constant: float) -> PotentialSplit:
-    """Tail mass of |V|^{p/(p-2)} against the smallness threshold.
-
-    tail_mass integrates |x|^{-bp}|V|^{p/(p-2)} over {|V| >= ell} and over
-    the domain outside B_ell(0); the required bound uses the empirical
-    CKN constant in place of the two unknown constants of the estimate.
-    """
-    if ell <= 0:
-        raise ParameterError("nonpositive_ell", f"ell={ell}")
-    p = params.p
-    expo = p / (p - 2.0)
-    w = np.asarray(cell_weights(V.grid, params.N, -params.bp))
-    dens = np.abs(V.values) ** expo
-    mask_big = np.abs(V.values) >= ell
-    mask_far = V.grid.distance_to((0.0, 0.0, 0.0)) > ell
-    tail = float(w[mask_big] @ dens[mask_big] + w[mask_far] @ dens[mask_far])
-    bound = min(1.0 / (8.0 * ckn_constant),
-                2.0 / ((p + 4.0) * ckn_constant)) ** expo
-    return PotentialSplit(ell=ell, tail_mass=tail, bound_required=bound,
-                          satisfied=tail <= bound)
-
-
-def find_ell(params: WeightParams, V: DiscreteField,
-             ckn_constant: float) -> float | None:
-    """Smallest ell = 1e-3 * 2^k, k < 40, making the check pass."""
-    ell = 1e-3
-    for _ in range(40):
-        if smallness_check(params, V, ell, ckn_constant).satisfied:
-            return ell
-        ell *= 2.0
-    return None
 
 
 # ---------------------------------------------------------------------------
@@ -91,7 +48,7 @@ def run_ladder(params: WeightParams, u: DiscreteField, K: float, k_stop: int,
     walks q_k = p^{k+1}/2^k with the linearly growing margin schedule.
     """
     rhs_vals = float(K) * np.abs(u.values) ** (params.p - 2.0) * u.values
-    rhs = u.with_values(rhs_vals, name="ladder_rhs")
+    rhs = u.with_values(rhs_vals)
     rep = solver_residual(params, u, rhs)
     scale = max(1.0, float(np.abs(u.values).max()))
     if rep.dual_norm > _RESIDUAL_TOL * scale:
@@ -320,22 +277,21 @@ def _interp_rows(x: np.ndarray, xp: np.ndarray, fp: np.ndarray) -> np.ndarray:
 
 def lemma_a2_property_check(params: WeightParams, alpha: float, beta: float,
                             gamma: float, center, r_lo: float, r_hi: float,
-                            n_trials: int, seed: int,
-                            n_pairs: int = 64) -> dict:
+                            n_trials: int, seed: int) -> dict:
     """Random nondecreasing profiles calibrated to the two-term hypothesis;
     the decay conclusion is then verified with the proof constant.
 
     For each trial, A1 and A2 are chosen as the smallest constants (split
     by a random weight, inflated 2%) making the hypothesis hold on all
     grid pairs, so the hypothesis holds by construction; the conclusion
-    is checked at `n_pairs` random (rho, r) pairs.  Returns counts of
+    is checked at `_N_PAIRS` random (rho, r) pairs.  Returns counts of
     violations (must be zero) and the worst conclusion margin.
 
     The trials' random numbers are drawn first (`_draw_trials`).  The
     trials are then done together: A1 and A2 from running maxima
     (`_hypothesis_needs`), every doubling constant from one table
     evaluation, the proof constants in trial order (the first overflow
-    raises), and the conclusion on (trials x n_pairs) arrays, every
+    raises), and the conclusion on (trials x _N_PAIRS) arrays, every
     profile interpolated at its pairs in one `_interp_rows` call.  The
     profile and table radii and the centred table are memoised on `params`
     (`_per_run`), so the envelopes of one run build them once.
@@ -350,7 +306,7 @@ def lemma_a2_property_check(params: WeightParams, alpha: float, beta: float,
         table = MeasureTable(params, center, r_lo * 0.25, r_hi)
     radii = _geometric_radii(params, r_lo, r_hi, 80)
     kept, phi, w, r_chk, rho_chk = _draw_trials(rng, radii, r_lo, r_hi,
-                                                n_trials, n_pairs)
+                                                n_trials, _N_PAIRS)
 
     mu = table(radii)
     a1_need, a2_need = _hypothesis_needs(phi, w, mu * radii ** -alpha,

@@ -19,6 +19,8 @@ from .params import HolderBound, WeightParams, holder_bound, validate
 # Node pairs `holder_quotient` evaluates at once: its working memory is
 # O(n + _PAIR_BLOCK) for n nodes, not one array entry per pair.
 _PAIR_BLOCK = 1 << 14
+_MAX_EXACT = 3600  # `holder_quotient` takes every pair up to this many nodes
+_N_PAIRS = 2_000_000  # and a sample of this many pairs beyond
 _ALPHA_SLACK = 0.1  # how far below the predicted sup a measured alpha passes
 
 
@@ -163,14 +165,13 @@ def _max_quotient(pts: np.ndarray, vals: np.ndarray, i: np.ndarray,
 
 
 def holder_quotient(field: DiscreteField, subdomain_margin: float,
-                    alpha: float, seed: int = 0, max_exact: int = 3600,
-                    n_pairs: int = 2_000_000):
+                    alpha: float, seed: int = 0):
     """Max of |u(x)-u(y)| / |x-y|^alpha over node pairs in the margin-shrunk
     subdomain, plus the sup norm there.
 
-    All pairs are used up to `max_exact` nodes, where their n(n-1)/2 cost
-    no more than 2,000,000 sampled ones (about 9.5 ns a pair against 30
-    ns); beyond that a seeded random sample of `n_pairs` pairs (i and j
+    All pairs are used up to `_MAX_EXACT` nodes, where their n(n-1)/2 cost
+    no more than the `_N_PAIRS` sampled ones (about 9.5 ns a pair against
+    30 ns); beyond that a seeded random sample of `_N_PAIRS` pairs (i and j
     drawn whole, in that order, pairs with i == j dropped).  Either way the pairs are taken
     `_PAIR_BLOCK` at a time under a running max, which is exact, so the
     seminorm does not depend on the block size.
@@ -184,15 +185,15 @@ def holder_quotient(field: DiscreteField, subdomain_margin: float,
     pts = field.grid.node_coords()[keep]
     vals = field.values[keep]
     n = len(pts)
-    if n <= max_exact:
+    if n <= _MAX_EXACT:
         blocks = _row_blocks(n)
     else:
         rng = np.random.default_rng(seed)
         # the same values as int64 draws, at half the memory
-        i = rng.integers(0, n, size=n_pairs, dtype=np.int32)
-        j = rng.integers(0, n, size=n_pairs, dtype=np.int32)
+        i = rng.integers(0, n, size=_N_PAIRS, dtype=np.int32)
+        j = rng.integers(0, n, size=_N_PAIRS, dtype=np.int32)
         blocks = ((i[s:s + _PAIR_BLOCK], j[s:s + _PAIR_BLOCK])
-                  for s in range(0, n_pairs, _PAIR_BLOCK))
+                  for s in range(0, _N_PAIRS, _PAIR_BLOCK))
     seminorm = 0.0
     for bi, bj in blocks:  # np.maximum, as np.max, keeps a nan
         seminorm = np.maximum(seminorm, _max_quotient(pts, vals, bi, bj, alpha))

@@ -292,7 +292,7 @@ def solve(system: LinearSystem) -> tuple[DiscreteField, SolveReport]:
     bnorm = float(np.linalg.norm(b))
     rel = float(np.linalg.norm(b - A @ x)) / (bnorm if bnorm > 0 else 1.0)
     report = SolveReport(iterations=iterations, relative_residual=rel)
-    field = DiscreteField(grid=system.grid, values=x, name="solution")
+    field = DiscreteField(grid=system.grid, values=x)
     return field, report
 
 
@@ -376,7 +376,7 @@ def residual(params: WeightParams, u: DiscreteField,
     r[trace_rows] = 0.0
     z, _ = _spd_solve(system.matrix, r)
     dual = math.sqrt(max(float(r @ z), 0.0))
-    nodal = DiscreteField(grid=grid, values=r, name="residual")
+    nodal = DiscreteField(grid=grid, values=r)
     return ResidualReport(nodal=nodal, dual_norm=dual)
 
 
@@ -406,4 +406,4 @@ def harmonic_replacement(params: WeightParams, u: DiscreteField,
     x, _ = _spd_solve(A.principal(interior), b)
     w = u.values.copy()
     w[interior] = x
-    return u.with_values(w, name="harmonic_replacement")
+    return u.with_values(w)

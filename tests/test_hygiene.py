@@ -568,3 +568,225 @@ def test_memoised_tables_are_read_only():
         arrays = [getattr(grid, name) for name in props]
         assert len(arrays) == n_props, props
         assert not any(a.flags.writeable for a in arrays), props
+
+
+TESTS = Path(__file__).resolve().parent
+WORKER = TESTS.parent / "perfbench" / "worker.py"
+# the code outside the package that counts as a run: the benchmark's
+# worker and the acceptance criteria (a name that only other tests read is
+# machinery no run reaches)
+READERS = [WORKER, TESTS / "test_acceptance.py"]
+
+
+def _reads(nodes) -> set[str]:
+    """Every name and attribute that `nodes` load."""
+    return {n.id if isinstance(n, ast.Name) else n.attr
+            for node in nodes for n in ast.walk(node)
+            if isinstance(n, (ast.Name, ast.Attribute))
+            and isinstance(n.ctx, ast.Load)}
+
+
+def _is_alias(node) -> bool:
+    """`name = other` or `name = property(...)`: a method or property."""
+    if not (isinstance(node, ast.Assign) and len(node.targets) == 1
+            and isinstance(node.targets[0], ast.Name)):
+        return False
+    value = node.value
+    return isinstance(value, ast.Name) or (
+        isinstance(value, ast.Call) and isinstance(value.func, ast.Name)
+        and value.func.id == "property")
+
+
+def unreached_public_names(package: dict[str, str],
+                           readers: list[str]) -> list[str]:
+    """`module.name` of each public top-level function or class of
+    `package` (module name -> source), and `module.Class.name` of each
+    public method or property of a top-level class (a `def`, or a
+    class-level `name = other` or `name = property(...)`), that no reader
+    reaches.
+
+    The `readers` and each module's top-level statements are reached.  A
+    definition is reached when reached code loads its name, as a name or
+    as an attribute of any object (a method also needs its class reached),
+    and then the code it runs is reached: a function's decorators,
+    defaults and body; a class's bases, decorators and other statements,
+    and its dunder methods.  So a name read only inside its own definition,
+    or only by code that is not reached, is not reached."""
+    defs = []  # (qualified name, name, class, the nodes it runs)
+    roots = [ast.parse(source) for source in readers]
+    for mod, source in package.items():
+        for node in ast.parse(source).body:
+            if isinstance(node, ast.FunctionDef):
+                defs.append((f"{mod}.{node.name}", node.name, None, [node]))
+            elif isinstance(node, ast.ClassDef):
+                cls = f"{mod}.{node.name}"
+                runs = [*node.bases, *node.keywords, *node.decorator_list]
+                for item in node.body:
+                    if isinstance(item, ast.FunctionDef):
+                        defs.append((f"{cls}.{item.name}", item.name, cls,
+                                     [item]))
+                    elif _is_alias(item):
+                        name = item.targets[0].id
+                        defs.append((f"{cls}.{name}", name, cls, [item.value]))
+                    else:
+                        runs.append(item)
+                defs.append((cls, node.name, None, runs))
+            else:
+                roots.append(node)
+    read, reached, grew = _reads(roots), set(), True
+    while grew:
+        grew = False
+        for qual, name, cls, nodes in defs:
+            if qual in reached or cls is not None and cls not in reached:
+                continue
+            if name in read or name.startswith("__") and name.endswith("__"):
+                reached.add(qual)
+                read |= _reads(nodes)
+                grew = True
+    return sorted(qual for qual, name, _, _ in defs
+                  if qual not in reached and not name.startswith("_"))
+
+
+def test_unreached_public_names_detected():
+    package = {"m": ("def used(): return helper()\n"
+                     "def helper(): pass\n"
+                     "def dead(): return lonely()\n"
+                     "def lonely(): pass\n"
+                     "def selfish(n): return selfish(n - 1)\n"
+                     "class C:\n"
+                     "    def __init__(self): self.meth = 1\n"
+                     "    def meth(self): pass\n"
+                     "    @property\n"
+                     "    def prop(self): return self._hidden()\n"
+                     "    def _hidden(self): return Hint\n"
+                     "    alias = meth\n"
+                     "class Hint: pass\n"
+                     "class Dead:\n"
+                     "    def __call__(self): return lonely()\n"
+                     "    def prop(self): pass\n"
+                     "TABLE = {'k': C}\n"),
+               "n": "from .m import used\nused()\n"}
+    readers = ["import m\nm.TABLE['k']().prop\n"]
+    assert unreached_public_names(package, readers) == [
+        "m.C.alias", "m.C.meth", "m.Dead", "m.Dead.prop", "m.dead",
+        "m.lonely", "m.selfish"]
+
+
+def test_every_public_name_is_reached():
+    """Each public function, class, method and property of the package is
+    reached from a `ckn-lab run` (the modules' top-level code, `cli.main`
+    and the experiment table), from the benchmark's worker or from an
+    acceptance criterion.  A lemma probe comes back with the experiment
+    that runs it, not as machinery that only its own tests reach."""
+    package = {path.stem: path.read_text() for path in SRC}
+    readers = [path.read_text() for path in READERS]
+    assert unreached_public_names(package, readers) == []
+
+
+_MISSING = object()
+
+
+def _package_object(dotted: str):
+    """The module, or attribute of a module, that `dotted` names, or
+    `_MISSING`."""
+    try:
+        return importlib.import_module(dotted)
+    except ModuleNotFoundError:
+        parent, _, name = dotted.rpartition(".")
+        if not parent:
+            return _MISSING
+        return getattr(_package_object(parent), name, _MISSING)
+
+
+def _takes(fn, n_args: int, keywords: list[str]) -> bool:
+    """Whether `fn`'s signature binds `n_args` positional arguments and
+    `keywords` (True where it has none that `inspect` can read)."""
+    try:
+        inspect.signature(fn).bind(*[None] * n_args, **dict.fromkeys(keywords))
+    except ValueError:
+        return True
+    except TypeError:
+        return False
+    return True
+
+
+def unresolved_package_reads(source: str) -> list[str]:
+    """What `source` takes from `cknlab` that the package does not have,
+    found without running `source`: each module it imports, each name it
+    imports from one, each attribute it loads from an imported module or
+    name (`module.attr`, `Class.attr`), and each call of one of these with
+    arguments that its signature does not take (counted, and keywords by
+    name; a call with `*args` or `**kwargs` is not checked)."""
+    tree = ast.parse(source)
+    imports = []  # (line, dotted name imported, local name, dotted name bound)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imports += [(node.lineno, a.name, a.asname or a.name.split(".")[0],
+                         a.name if a.asname else a.name.split(".")[0])
+                        for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            imports += [(node.lineno, f"{node.module}.{a.name}",
+                         a.asname or a.name, f"{node.module}.{a.name}")
+                        for a in node.names]
+    bound, found = {}, []  # local name -> (dotted name, object)
+    for line, dotted, local, target in imports:
+        if dotted.split(".")[0] != "cknlab":
+            continue
+        if _package_object(dotted) is _MISSING:
+            found.append((line, dotted))
+        else:
+            bound[local] = target, _package_object(target)
+
+    def resolve(node):
+        """(dotted name, object) of a bound name or an attribute of one."""
+        if isinstance(node, ast.Name):
+            return bound.get(node.id)
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in bound):
+            dotted, obj = bound[node.value.id]
+            return f"{dotted}.{node.attr}", getattr(obj, node.attr, _MISSING)
+        return None
+
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            got = resolve(node)
+            if got and got[1] is _MISSING:
+                found.append((node.lineno, got[0]))
+        elif (isinstance(node, ast.Call) and all(k.arg for k in node.keywords)
+              and not any(isinstance(a, ast.Starred) for a in node.args)):
+            got = resolve(node.func)
+            keywords = [k.arg for k in node.keywords]
+            if got and got[1] is not _MISSING and not _takes(
+                    got[1], len(node.args), keywords):
+                shown = ["_"] * len(node.args) + [f"{k}=_" for k in keywords]
+                found.append((node.lineno, f"{got[0]}({', '.join(shown)})"))
+    return [f"line {line}: {what}" for line, what in sorted(found)]
+
+
+def test_unresolved_package_reads_detected():
+    src = ("from cknlab import fields, nosuchmodule\n"
+           "from cknlab.fields import RadialGrid, NoSuchGrid\n"
+           "from cknlab.nowhere import x\n"
+           "import cknlab.solver as S\n"
+           "import numpy as np\n"
+           "fields.cell_weights(RadialGrid(0.0, 1.0, 8), 3, 0.0)\n"
+           "fields.no_such_table(np.zeros(3))\n"
+           "S.solve(system)\n"
+           "S.solve(system, tol=1e-8)\n"
+           "RadialGrid.from_nothing\n"
+           "RadialGrid(0.0, 1.0, 8).centers\n"
+           "S.assemble(*args)\n"
+           "np.no_such_numpy_name\n")
+    assert unresolved_package_reads(src) == [
+        "line 1: cknlab.nosuchmodule", "line 2: cknlab.fields.NoSuchGrid",
+        "line 3: cknlab.nowhere.x", "line 7: cknlab.fields.no_such_table",
+        "line 9: cknlab.solver.solve(_, tol=_)",
+        "line 10: cknlab.fields.RadialGrid.from_nothing"]
+
+
+def test_benchmark_worker_reads_only_what_the_package_has():
+    """The benchmark runs each tree's `perfbench/worker.py` on that tree's
+    package, so a name the worker reads that a change deleted or renamed
+    fails each operation that reads it: a share of failed operations
+    that no other test sees."""
+    assert unresolved_package_reads(WORKER.read_text()) == []

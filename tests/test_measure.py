@@ -37,33 +37,37 @@ def test_centered_weighted_ball_against_radial_quadrature():
     assert res == pytest.approx(oracle, rel=1e-8)
 
 
-def _cap_samples():
+def _versine_samples():
     rng = np.random.default_rng(7)
     near_pole = rng.uniform(0.0, 1e-4, 40)
-    return np.concatenate([rng.uniform(-1.0, 1.0, 100),
-                           rng.uniform(-1e-4, 1e-4, 40),  # near the equator
-                           [0.0, 1e-9, -1e-12, 1e-300],
-                           1.0 - near_pole, near_pole - 1.0,  # near the poles
-                           [1.0, -1.0, 1.5, -1.5]])  # clipped
+    return np.concatenate([rng.uniform(0.0, 2.0, 100),
+                           1.0 + rng.uniform(-1e-4, 1e-4, 40),  # near the equator
+                           [1.0, 1.0 - 1e-9, 1.0 + 1e-12],
+                           near_pole, 2.0 - near_pole,  # near the poles
+                           [1e-9, 1e-12, 1e-17, 1e-100],  # caps where c rounds to 1
+                           [0.0, 2.0, -0.5, 2.5]])  # clipped
 
 
 @pytest.mark.parametrize("N", [3, 4, 5, 6, 7])
 def test_cap_fraction_exact_to_round_off(N):
-    """Against 0.5 I_{1-c^2}((N-1)/2, 1/2) (c >= 0) in 40-digit arithmetic,
-    where 1 - c^2 is exact, also relative to the small caps near the poles,
-    and symmetric about the equator."""
+    """Against 0.5 I_{v(2-v)}((N-1)/2, 1/2) (v <= 1) in 40-digit
+    arithmetic, for the versine v = 1 - c, also relative to the small caps
+    near the poles, down to caps whose c rounds to 1, and symmetric about
+    the equator where 2 - v is exact."""
     mp = pytest.importorskip("mpmath")
-    c = _cap_samples()
-    got = cap_fraction(N, c)
+    v = _versine_samples()
+    got = cap_fraction(N, v)
     with mp.workdps(40):
-        for ci, fi in zip(np.clip(c, -1.0, 1.0).tolist(), got.tolist()):
-            x = mp.mpf(ci)
-            half = mp.betainc(mp.mpf(N - 1) / 2, mp.mpf(1) / 2, 0, 1 - x * x,
+        for vi, fi in zip(np.clip(v, 0.0, 2.0).tolist(), got.tolist()):
+            x = mp.mpf(vi)
+            half = mp.betainc(mp.mpf(N - 1) / 2, mp.mpf(1) / 2, 0, x * (2 - x),
                               regularized=True) / 2
-            exact = half if ci >= 0 else 1 - half
-            assert abs(fi - exact) <= 1e-15, ci
-            assert abs(fi - exact) <= 1e-14 * exact, ci
-    assert np.max(np.abs(got + cap_fraction(N, -c) - 1.0)) <= 2.0 ** -52
+            exact = half if vi <= 1.0 else 1 - half
+            assert abs(fi - exact) <= 1e-15, vi
+            assert abs(fi - exact) <= 1e-14 * exact, vi
+    far = v[(v >= 1.0) & (v <= 2.0)]
+    assert np.max(np.abs(cap_fraction(N, far) + cap_fraction(N, 2.0 - far)
+                         - 1.0)) <= 2.0 ** -52
 
 
 def test_shell_quadrature_matches_the_closed_form():
@@ -250,8 +254,8 @@ FROZEN_BALLS = [
 
 
 # (N, |x0|, rho, w, value) from `_mp_ball_integral`: far, small (rho =
-# 0.05 |x0| and rho = 0.005), containing, through-origin and near-touching
-# balls, at a weight with N - 1 + w < 0 for N = 4
+# 0.05 |x0|, rho = 0.005 and rho = 1e-4), containing, through-origin and
+# near-touching balls, at a weight with N - 1 + w < 0 for N = 4
 FROZEN_BALLS_HIGH_N = [
     (4, 2.0, 0.5, -0.6, 0.20259171190161182),
     (4, 2.0, 0.5, -3.1, 0.036630724188005136),
@@ -259,6 +263,8 @@ FROZEN_BALLS_HIGH_N = [
     (4, 0.1, 0.005, -3.1, 3.885604281004021e-06),
     (4, 0.9, 0.005, -0.6, 3.2855140075377265e-09),
     (4, 0.9, 0.005, -3.1, 4.275646551644281e-09),
+    (4, 0.9, 1e-4, -0.6, 5.256833764891419e-16),  # tiny caps
+    (4, 0.9, 1e-4, -3.1, 6.840974506428116e-16),
     (4, 0.3, 1.0, -0.6, 5.674238308817542),
     (4, 0.3, 1.0, -3.1, 21.228936156547483),
     (4, 0.7, 0.7, -0.6, 1.358254122756627),
@@ -273,6 +279,8 @@ FROZEN_BALLS_HIGH_N = [
     (5, 0.1, 0.005, -3.1, 2.0709640191364412e-08),
     (5, 0.9, 0.005, -0.6, 1.7522723603626893e-11),
     (5, 0.9, 0.005, -3.1, 2.2803263859134953e-11),
+    (5, 0.9, 1e-4, -0.6, 5.607289346942952e-20),  # tiny caps
+    (5, 0.9, 1e-4, -3.1, 7.297039449918409e-20),
     (5, 0.3, 1.0, -0.6, 5.842297850632392),
     (5, 0.3, 1.0, -3.1, 13.116542949323266),
     (5, 0.7, 0.7, -0.6, 0.986835894096007),
@@ -287,6 +295,8 @@ FROZEN_BALLS_HIGH_N = [
     (6, 0.1, 0.005, -3.1, 1.0160824746225426e-10),
     (6, 0.9, 0.005, -0.6, 8.601440292950273e-14),
     (6, 0.9, 0.005, -3.1, 1.1193458078403968e-13),
+    (6, 0.9, 1e-4, -0.6, 5.504943441734055e-24),  # tiny caps
+    (6, 0.9, 1e-4, -3.1, 7.163851710375253e-24),
     (6, 0.3, 1.0, -0.6, 5.605810227894059),
     (6, 0.3, 1.0, -3.1, 9.980341944611114),
     (6, 0.7, 0.7, -0.6, 0.6661855863551268),

@@ -6,73 +6,16 @@ import pytest
 
 from cknlab.errors import ParameterError, SolverError
 from cknlab.fields import DiscreteField, RadialGrid
-from cknlab.measure import centered_weight_integral, sphere_area
+from cknlab.measure import centered_weight_integral
 from cknlab import moser
-from cknlab.moser import (MeasureTable, find_ell, interpolation_gap,
-                          lemma_a2_property_check, run_ladder, smallness_check,
+from cknlab.moser import (MeasureTable, interpolation_gap,
+                          lemma_a2_property_check, run_ladder,
                           subdomain_lq_norm)
 from cknlab.params import INF, k0_threshold, moser_ladder, validate
-from cknlab.solver import ckn_bubble, exact_radial_mms
+from cknlab.solver import ckn_bubble
 
 P300 = validate(3, 0.0, 0.0, INF)
 P335 = validate(3, 0.3, 0.5, INF)
-
-
-def test_smallness_zero_potential():
-    grid = RadialGrid(0.0, 1.0, 128)
-    V = DiscreteField(grid=grid, values=np.zeros(128))
-    for ell in (1e-3, 1.0, 100.0):
-        out = smallness_check(P300, V, ell, ckn_constant=1.0)
-        assert out.tail_mass == 0.0 and out.satisfied
-
-
-def test_smallness_compact_small_potential():
-    grid = RadialGrid(0.0, 1.0, 256)
-    vals = np.where(grid.centers < 0.3, 0.5, 0.0)
-    V = DiscreteField(grid=grid, values=vals)
-    out = smallness_check(P300, V, ell=2.0, ckn_constant=1.0)
-    assert out.tail_mass == 0.0  # sup|V| < ell and support inside B_ell
-
-
-def test_smallness_nonpositive_ell():
-    grid = RadialGrid(0.0, 1.0, 16)
-    V = DiscreteField(grid=grid, values=np.zeros(16))
-    with pytest.raises(ParameterError) as exc:
-        smallness_check(P300, V, 0.0, 1.0)
-    assert exc.value.code == "nonpositive_ell"
-
-
-def test_smallness_tail_mass_oracle_and_monotone():
-    params = P335
-    p = params.p
-    grid = RadialGrid(0.0, 1.0, 4000)
-    u_exact, _ = exact_radial_mms(params, 0.0, 1.0)
-    V = DiscreteField.from_function(
-        grid, lambda r: 2.0 * np.abs(u_exact(r)) ** (p - 2))
-    ell = 0.25
-    out = smallness_check(params, V, ell, ckn_constant=1.0)
-    # 1D oracle on a fine grid
-    r = np.linspace(1e-7, 1.0, 400001)
-    vv = 2.0 * np.abs(u_exact(r)) ** (p - 2)
-    dens = sphere_area(3) * r ** (2 - params.bp) * vv ** (p / (p - 2))
-    oracle = (np.trapezoid(np.where(vv >= ell, dens, 0.0), r)
-              + np.trapezoid(np.where(r > ell, dens, 0.0), r))
-    assert out.tail_mass == pytest.approx(oracle, rel=0.01)
-    masses = [smallness_check(params, V, e, 1.0).tail_mass
-              for e in (0.1, 0.2, 0.4, 0.8)]
-    assert all(b <= a for a, b in zip(masses, masses[1:]))
-
-
-def test_find_ell_zero_and_heavy_tail_and_monotone():
-    grid = RadialGrid(0.0, 1.0, 256)
-    zero = DiscreteField(grid=grid, values=np.zeros(256))
-    assert find_ell(P300, zero, 1.0) == pytest.approx(1e-3)
-    huge = DiscreteField(grid=grid, values=np.full(256, 1e12))
-    assert find_ell(P300, huge, 1.0) is None
-    mid = DiscreteField.from_function(grid, lambda r: 0.4 * np.exp(-r))
-    e1 = find_ell(P300, mid, 1.0)
-    e2 = find_ell(P300, mid.with_values(2.0 * mid.values), 1.0)
-    assert e1 is not None and e2 is not None and e2 >= e1
 
 
 def test_ladder_q_sequence_fraction_oracle():

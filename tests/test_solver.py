@@ -44,7 +44,7 @@ def test_radial_assemble_is_linear_in_n():
     grid = RadialGrid(0.1, 1.0, n)
     f = DiscreteField.from_function(grid, lambda r: np.ones_like(r))
     sys_ = assemble(P335, grid, f, dirichlet=0.0, inner=1.0)
-    assert sys_.matrix.diag.size == n and sys_.matrix.off.size == n - 1
+    assert sys_.matrix.diag.size == n and sys_.matrix.T.size == n - 1
     assert sys_.rhs.size == n
     uh, rep = solve(sys_)
     assert rep.converged and np.all(np.isfinite(uh.values))
@@ -67,14 +67,14 @@ def test_radial_solve_matches_sparse_direct():
     sys_ = assemble(P335, grid, DiscreteField.from_function(grid, f_exact))
     uh, _ = solve(sys_)
     A = sys_.matrix
-    csc = sp.diags([A.off, A.diag, A.off], [-1, 0, 1], format="csc")
+    csc = sp.diags([-A.T, A.diag, -A.T], [-1, 0, 1], format="csc")
     ref = spsolve(csc, sys_.rhs)
     assert np.max(np.abs(uh.values - ref)) <= 5e-11 * np.max(np.abs(ref))
 
 
 def thomas_long_double(A: Tridiagonal, b: np.ndarray) -> np.ndarray:
     """Tridiagonal elimination without pivoting, in long double."""
-    d, o = A.diag.astype(np.longdouble), A.off.astype(np.longdouble)
+    d, o = A.diag.astype(np.longdouble), (-A.T).astype(np.longdouble)
     y = np.array(b, np.longdouble)
     c = np.zeros(len(d), np.longdouble)
     piv = d[0]
@@ -123,7 +123,7 @@ def test_principal_chain_has_the_diagonal_of_the_slice():
     for lo, hi in [(0, 40), (0, 7), (5, 40), (5, 17), (3, 5)]:
         sub = A.principal(cell_run(40, lo, hi))
         assert np.array_equal(sub.diag, A.diag[lo:hi])
-        assert np.array_equal(sub.off, A.off[lo:hi - 1])
+        assert np.array_equal(sub.T, A.T[lo:hi - 1])
 
 
 def test_principal_chain_rejects_cells_of_two_runs():
@@ -138,7 +138,7 @@ def test_principal_chain_rejects_cells_of_two_runs():
                                   RadialGrid(0.05, 2.0, 50, "geometric")])
 def test_tridiagonal_matvec_is_bit_equal_to_csr(grid):
     A = raw_stiffness(P335, grid)
-    csr = sp.diags([A.off, A.diag, A.off], [-1, 0, 1], format="csr")
+    csr = sp.diags([-A.T, A.diag, -A.T], [-1, 0, 1], format="csr")
     x = np.random.default_rng(4).standard_normal(grid.n_cells)
     x[::7] = 0.0
     for v in (x, -x, np.ones_like(x)):
