@@ -2,8 +2,8 @@
 
 Two grid kinds, a 1D radial grid (any dimension N via the surface-area
 factor) with a `Tridiagonal` chain operator and a 3D tensor box grid with
-a 7-point `Stencil`, hold what differs between them as members, so that
-generic code never asks which kind it has.  Values live at cell centers.
+a 7-point `Stencil` (both in `operators`), hold what differs between them
+as members, so that generic code never asks which kind it has.  Values live at cell centers.
 Radial cell and face weights use the exact antiderivative of t^{N-1+w};
 box weights use the cell-centroid value, except on the cells near the
 origin, where the weight may be singular, which are refined as one octree
@@ -24,6 +24,7 @@ import numpy as np
 
 from .errors import GridError
 from .measure import BallSpec, sphere_area
+from .operators import Stencil, Tridiagonal
 from .params import WeightParams
 
 _ORIGIN_REFINE_FACTOR = 2.0  # refine cells closer to 0 than this many diagonals
@@ -56,112 +57,7 @@ _per_grid = _memoised_in("_weight_tables")
 
 
 # ---------------------------------------------------------------------------
-# grids and their operators
-
-@dataclass(eq=False)
-class Tridiagonal:
-    """Stiffness of a chain of cells: face conductances T and end caps.
-
-    A cell's diagonal adds its face above, its face below, then its cap;
-    `A @ x` sums each row in the column order of a CSR matvec, from 0, so
-    products are bit-identical to those of the equivalent sparse matrix.
-    The chain solve reads T and the caps alone; `diag` is lazy.
-    """
-    T: np.ndarray
-    cap_lo: float = 0.0
-    cap_hi: float = 0.0
-
-    @cached_property
-    def diag(self) -> np.ndarray:
-        diag = np.concatenate((self.T, [self.cap_hi]))  # the face above
-        diag[1:] += self.T  # the face below
-        diag[0] += self.cap_lo
-        diag.setflags(write=False)
-        return diag
-
-    def __matmul__(self, x) -> np.ndarray:
-        x = np.asarray(x, float)
-        y = np.zeros(len(self.diag))
-        y[1:] -= self.T * x[:-1]
-        y += self.diag * x
-        y[:-1] -= self.T * x[1:]
-        return y
-
-    def principal(self, mask: np.ndarray) -> "Tridiagonal":
-        """The principal submatrix on the cells of `mask`, one run lo..hi-1:
-        the sub-chain capped by the faces that cut it out (or the old caps)."""
-        cells = np.flatnonzero(mask)
-        lo, hi = int(cells[0]), int(cells[-1]) + 1
-        if hi - lo != len(cells):
-            raise GridError("not_one_run", "a chain's principal cells must be one run")
-        T = self.T
-        return Tridiagonal(T[lo:hi - 1], T[lo - 1] if lo > 0 else self.cap_lo,
-                           T[hi - 1] if hi <= len(T) else self.cap_hi)
-
-
-@dataclass(eq=False)
-class Stencil:
-    """Symmetric 7-point operator on a box of cells, flat in C order over
-    `shape`: the diagonal `D` and, per axis k, the conductance `T[k]` of
-    the face above each cell, 0 on the last layer (Saad, Iterative Methods
-    for Sparse Linear Systems, 2003, 3.4).  A cell's coupling to its
-    neighbour below along k is that neighbour's `T[k]`; a flat shift past
-    a row's end meets a 0 conductance, or a cell outside `nodes`.  `A @ x`
-    sums each row in CSR column order, so it equals the CSR matvec bit for
-    bit.  With `nodes`, A acts on vectors over those cells alone: a
-    principal submatrix.
-    """
-    D: np.ndarray  # (cells,)
-    T: np.ndarray  # (3, cells)
-    shape: tuple[int, int, int]
-    nodes: object = ...  # flat indices of the unknowns; `...`: every cell
-
-    @property
-    def diag(self) -> np.ndarray:
-        return self.D[self.nodes]
-
-    def __matmul__(self, x) -> np.ndarray:
-        n = len(self.D)
-        xs, y, tmp = np.zeros(n), np.empty(n), np.empty(n)
-        xs[self.nodes] = x  # a cell outside `nodes` reads 0
-        o = [math.prod(self.shape[k + 1:]) for k in range(3)]
-        # CSR sums 0 - p0 - p1 - p2 below the diagonal: -(p0 + p1 + p2)
-        y[:o[0]] = 0.0
-        np.multiply(self.T[0, :n - o[0]], xs[:n - o[0]], out=y[o[0]:])
-        for k in (1, 2):
-            y[o[k]:] += np.multiply(self.T[k, :n - o[k]], xs[:n - o[k]],
-                                    out=tmp[o[k]:])
-        np.subtract(np.multiply(self.D, xs, out=tmp), y, out=y)
-        for k in (2, 1, 0):
-            y[:n - o[k]] -= np.multiply(self.T[k, :n - o[k]], xs[o[k]:],
-                                        out=tmp[o[k]:])
-        return y[self.nodes]
-
-    def principal(self, mask: np.ndarray) -> "Stencil":
-        """The principal submatrix on the cells of `mask`: the stencil on
-        their bounding box grown by one cell, which holds every neighbour
-        of a `mask` cell, acting on the `mask` cells alone."""
-        cells = mask.reshape(self.shape)
-        box = tuple(slice(max(int(i.min()) - 1, 0), int(i.max()) + 2)
-                    for i in np.nonzero(cells))
-        D = self.D.reshape(self.shape)[box]
-        T = self.T.reshape((3,) + self.shape)[(slice(None),) + box]
-        return Stencil(D.reshape(-1), T.reshape(3, -1), D.shape,
-                       np.flatnonzero(cells[box]))
-
-    def isolated(self, mask: np.ndarray) -> "Stencil":
-        """This stencil over its whole box with every cell of `mask` an
-        identity cell with no faces, on copies of the four arrays."""
-        cells = mask.reshape(self.shape)
-        T = self.T.reshape((3,) + self.shape).copy()
-        for axis, face in enumerate(T):  # zero every face of a `mask` cell
-            lead = (slice(None),) * axis
-            face[cells] = 0.0  # the face above it
-            face[lead + (slice(-1),)][cells[lead + (slice(1, None),)]] = 0.0  # below
-        D = self.D.copy()
-        D[mask] = 1.0
-        return Stencil(D, T.reshape(3, -1), self.shape)
-
+# grids
 
 def _eliminate_dirichlet(A: Stencil, rhs: np.ndarray, mask: np.ndarray,
                          gvals: np.ndarray):
@@ -723,12 +619,28 @@ def ball_cell_weights(grid, N: int, w_exp: float, ball: BallSpec) -> np.ndarray:
 
 
 def lq_norm(params: WeightParams, field: DiscreteField, q: float,
-            w_exp: float | None = None) -> float:
-    """(integral of |field|^q |x|^{-bp})^{1/q}; override w_exp to reweight."""
+            margin: float = 0.0) -> float:
+    """(integral of |field|^q |x|^{-bp})^{1/q} over the nodes at least
+    `margin` inside the domain (`grid.interior_mask`)."""
     if q < 1:
         raise GridError("invalid_exponent", f"need q >= 1, got {q}")
-    w = cell_weights(field.grid, params.N, -params.bp if w_exp is None else w_exp)
-    return float(np.abs(field.values) ** q @ w) ** (1.0 / q)
+    keep = field.grid.interior_mask(margin)
+    w = cell_weights(field.grid, params.N, -params.bp)
+    return float(w[keep] @ np.abs(field.values[keep]) ** q) ** (1.0 / q)
+
+
+def campanato_integral(params: WeightParams, field: DiscreteField,
+                       ball: BallSpec) -> float:
+    """int_B |u - mean_B u|^2 dmu_a over the ball's cell weights
+    (`ball_cell_weights`, w_exp = -2a); the mean shares that quadrature,
+    so a constant field has mean itself exactly."""
+    w = ball_cell_weights(field.grid, params.N, -2.0 * params.a, ball)
+    den = float(np.ones(len(w)) @ w)
+    if den == 0.0:
+        raise GridError("ball_outside_domain",
+                        "ball does not intersect the field's grid")
+    m = float(field.values @ w) / den
+    return float((field.values - m) ** 2 @ w)
 
 
 def oscillation(field: DiscreteField, ball: BallSpec) -> float:

@@ -12,9 +12,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import GridError, ParameterError
-from .fields import (DiscreteField, RadialGrid, ball_cell_weights,
+from .fields import (DiscreteField, RadialGrid, campanato_integral,
                      dirichlet_energy, lq_norm, oscillation)
-from .measure import BallSpec, _line_fit, weighted_mean
+from .measure import BallSpec, _line_fit
 from .params import WeightParams
 
 _SUPPORT = 0.8  # the test-field suite vanishes for r >= this
@@ -51,9 +51,7 @@ def ckn_ratio(params: WeightParams, field: DiscreteField) -> RatioSample:
 def poincare_ratio(params: WeightParams, field: DiscreteField,
                    ball: BallSpec) -> RatioSample:
     """int_B |u - mean|^2 dmu_a over r^2 * int_B |grad u|^2 dmu_a."""
-    w = ball_cell_weights(field.grid, params.N, -2.0 * params.a, ball)
-    m = weighted_mean(field.values, w)
-    lhs = float((field.values - m) ** 2 @ w)
+    lhs = campanato_integral(params, field, ball)
     rhs = ball.radius ** 2 * dirichlet_energy(params, field, ball)
     return RatioSample(lhs=lhs, rhs_core=rhs,
                        ratio=(lhs / rhs if rhs > 0 else 0.0))
@@ -77,8 +75,7 @@ def estimate_alpha_h(params: WeightParams, field: DiscreteField, center,
         oscs.append(o)
     x = np.log(np.asarray(radii, float))
     y = np.log(np.asarray(oscs))
-    slope, intercept = _line_fit(x, y)
-    resid = float(np.sqrt(np.mean((y - (slope * x + intercept)) ** 2)))
+    slope, _, resid = _line_fit(x, y)
     alpha = min(max(slope, 1e-12), 1.0)
     return AlphaHEstimate(alpha_h=alpha, fit_residual=resid,
                           n_samples=len(radii))

@@ -1,14 +1,15 @@
 """Weighted measure mu_a = |x|^{-2a} dx over balls.
 
-Centered balls use the closed form; off-center balls reduce to a 1D
-integral over spherical shells (the weight is radial, so the only
-geometric input is the area fraction of each shell inside the ball).
+A ball reduces to a 1D integral over spherical shells (the weight is
+radial, so the only geometric input is the area fraction of each shell
+inside the ball); the shells wholly inside it, all of a centred ball's,
+take the closed form.
 
-`ball_weight_integrals` integrates many balls at once: every shell
-segment takes the same fixed 64-node Gauss-Legendre rule after an
-endpoint substitution that smooths its square-root edges, so a ball's
-value does not depend on the batch it is in; `ball_weight_integral` is
-the one-ball call into it.
+`ball_weight_integrals` integrates many balls at once, and is the one path
+to a ball's measure: every shell segment takes the same fixed 64-node
+Gauss-Legendre rule after an endpoint substitution that smooths its
+square-root edges, so a ball's value does not depend on the batch it is
+in; `ball_weight_integral` is the one-ball call into it.
 
 The module also holds the closed-form least-squares line (`_line_fit`)
 behind the growth and oscillation-decay exponents.
@@ -258,11 +259,9 @@ def ball_weight_integrals(N: int, w_exp: float, d, rho) -> np.ndarray:
 
 
 def ball_weight_integral(N: int, w_exp: float, ball: BallSpec) -> float:
-    """Integral of |x|^{w_exp} over the ball, closed form when centered."""
-    d = ball.center_norm
-    if d == 0.0:
-        return centered_weight_integral(N, w_exp, ball.radius)
-    return float(ball_weight_integrals(N, w_exp, [d], [ball.radius])[0])
+    """Integral of |x|^{w_exp} over the ball (`ball_weight_integrals`)."""
+    return float(ball_weight_integrals(N, w_exp, [ball.center_norm],
+                                       [ball.radius])[0])
 
 
 def ball_measure(params: WeightParams, ball: BallSpec) -> float:
@@ -278,29 +277,15 @@ def doubling_ratio(params: WeightParams, center, r: float, tau: float) -> float:
             / ball_measure(params, BallSpec(tuple(center), tau * r)))
 
 
-def weighted_mean(values: np.ndarray, w: np.ndarray) -> float:
-    """Mean of nodal values over a ball against its cell weights `w`.
-
-    `w` is the ball's `fields.ball_cell_weights` (with w_exp = -2a for
-    mu_a); numerator and denominator share that quadrature, so constants
-    average to themselves exactly.
-    """
-    num = float(values @ w)
-    den = float(np.ones(len(w)) @ w)
-    if den == 0.0:
-        raise GridError("ball_outside_domain",
-                        "ball does not intersect the field's grid")
-    return num / den
-
-
-def _line_fit(x, y) -> tuple[float, float]:
+def _line_fit(x, y) -> tuple[float, float, float]:
     """Least-squares line y ~ slope x + intercept, in closed form about the
     means: slope = sum (x - xm)(y - ym) / sum (x - xm)^2 and intercept =
     ym - slope xm (Higham, Accuracy and Stability of Numerical Algorithms,
-    ch. 20).  Every sum is exactly rounded (`math.fsum`), so the fit needs
-    no LAPACK and does not depend on the CPU's BLAS kernels.  It serves
-    `regularity.fit_growth` and `inequalities.estimate_alpha_h`, which
-    both import this module already."""
+    ch. 20), and the rms residual of the fit.  Every sum of the line is
+    exactly rounded (`math.fsum`), so the fit needs no LAPACK and does not
+    depend on the CPU's BLAS kernels.  It serves `regularity.fit_growth`
+    and `inequalities.estimate_alpha_h`, which both import this module
+    already."""
     x, y = np.asarray(x, float), np.asarray(y, float)
     xm, ym = math.fsum(x) / len(x), math.fsum(y) / len(y)
     dx = x - xm
@@ -309,7 +294,9 @@ def _line_fit(x, y) -> tuple[float, float]:
         raise ParameterError("degenerate_fit",
                              "a line fit needs at least two distinct abscissae")
     slope = math.fsum(dx * (y - ym)) / sxx
-    return slope, ym - slope * xm
+    intercept = ym - slope * xm
+    rms = float(np.sqrt(np.mean((y - (slope * x + intercept)) ** 2)))
+    return slope, intercept, rms
 
 
 def lemma_a1_ratio(params: WeightParams, ball: BallSpec, eps: float) -> dict:

@@ -10,8 +10,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ParameterError, SolverError
-from .fields import DiscreteField, _memoised_in, cell_weights
-from .measure import BallSpec, ball_weight_integrals, centered_weight_integrals
+from .fields import DiscreteField, _memoised_in, lq_norm
+from .measure import BallSpec, ball_weight_integrals
 from .params import WeightParams, moser_ladder
 from .solver import residual as solver_residual
 
@@ -29,14 +29,6 @@ class LadderState(NamedTuple):
 
 # ---------------------------------------------------------------------------
 # the L^q ladder
-
-def subdomain_lq_norm(params: WeightParams, field: DiscreteField, q: float,
-                      margin: float) -> float:
-    """Weighted L^q norm (weight |x|^{-bp}) over the margin-shrunk domain."""
-    keep = field.grid.interior_mask(margin)
-    w = np.asarray(cell_weights(field.grid, params.N, -params.bp))
-    return float((w[keep] @ np.abs(field.values[keep]) ** q) ** (1.0 / q))
-
 
 def run_ladder(params: WeightParams, u: DiscreteField, K: float, k_stop: int,
                margin0: float = 0.1) -> list[LadderState]:
@@ -58,7 +50,7 @@ def run_ladder(params: WeightParams, u: DiscreteField, K: float, k_stop: int,
     states = []
     for k, q in enumerate(qs):
         margin = margin0 * (1.0 + k) / (k_stop + 1.0)
-        norm = subdomain_lq_norm(params, u, q, margin)
+        norm = lq_norm(params, u, q, margin)
         if not math.isfinite(norm) or norm > 1e12:
             raise SolverError("norm_overflow",
                               f"ladder norm {norm} at step k={k}, q={q}")
@@ -76,9 +68,9 @@ def interpolation_gap(params: WeightParams, field: DiscreteField, q1: float,
     subdomain; returns (rhs - lhs)/rhs, which must be >= -tolerance.
     """
     q = 1.0 / (theta / q1 + (1.0 - theta) / q2)
-    lhs = subdomain_lq_norm(params, field, q, margin)
-    rhs = (subdomain_lq_norm(params, field, q1, margin) ** theta *
-           subdomain_lq_norm(params, field, q2, margin) ** (1.0 - theta))
+    lhs = lq_norm(params, field, q, margin)
+    rhs = (lq_norm(params, field, q1, margin) ** theta *
+           lq_norm(params, field, q2, margin) ** (1.0 - theta))
     return (rhs - lhs) / rhs if rhs > 0 else 0.0
 
 
@@ -123,22 +115,17 @@ def _geometric_radii(params: WeightParams, lo: float, hi: float, n: int):
 
 class MeasureTable:
     """mu_a(B_r(x0)) sampled on `_TABLE_SIZE` geometric radii with log-log
-    interpolation in between; closed form when centered, else one batched
-    shell quadrature over all the radii.  The interpolant at the table
-    radii, the numerator of every doubling ratio, is evaluated once.  A
-    lookup ranks log r by `_rank`, then sums as `np.interp` does."""
+    interpolation in between, from one batched `ball_weight_integrals`
+    call over all the radii (the closed form when centred).  The
+    interpolant at the table radii, the numerator of every doubling ratio,
+    is evaluated once.  A lookup ranks log r by `_rank`, then sums as
+    `np.interp` does."""
 
     def __init__(self, params: WeightParams, center, r_lo: float, r_hi: float):
-        self.params = params
-        self.center = tuple(center)
         self.radii = _geometric_radii(params, r_lo, r_hi, _TABLE_SIZE)
-        d = BallSpec(self.center, r_hi).center_norm
-        if d == 0.0:
-            self.values = np.array(centered_weight_integrals(
-                params.N, -2.0 * params.a, self.radii.tolist()))
-        else:
-            self.values = ball_weight_integrals(
-                params.N, -2.0 * params.a, np.full(_TABLE_SIZE, d), self.radii)
+        d = BallSpec(tuple(center), r_hi).center_norm
+        self.values = ball_weight_integrals(
+            params.N, -2.0 * params.a, np.full(_TABLE_SIZE, d), self.radii)
         self._lx = np.log(self.radii)
         self._ly = np.log(self.values)
         s = np.diff(self._ly) / np.diff(self._lx)
@@ -167,8 +154,9 @@ class MeasureTable:
 
 
 @_per_run
-def _centred_table(params: WeightParams, r_lo: float, r_hi: float):
-    return MeasureTable(params, (0.0,) * params.N, r_lo, r_hi)
+def _measure_table(params: WeightParams, center: tuple, r_lo: float,
+                   r_hi: float) -> MeasureTable:
+    return MeasureTable(params, center, r_lo, r_hi)
 
 
 def _draw_trials(rng: np.random.Generator, radii: np.ndarray, r_lo: float,
@@ -293,17 +281,14 @@ def lemma_a2_property_check(params: WeightParams, alpha: float, beta: float,
     evaluation, the proof constants in trial order (the first overflow
     raises), and the conclusion on (trials x _N_PAIRS) arrays, every
     profile interpolated at its pairs in one `_interp_rows` call.  The
-    profile and table radii and the centred table are memoised on `params`
-    (`_per_run`), so the envelopes of one run build them once.
+    profile and table radii and each centre's table are memoised on
+    `params` (`_per_run`), so the envelopes of one run build them once.
     """
     if not (0.0 < alpha < gamma < beta):
         raise ParameterError("exponent_order_violation",
                              f"({alpha}, {gamma}, {beta})")
     rng = np.random.default_rng(seed)
-    if BallSpec(center, r_hi).center_norm == 0.0:
-        table = _centred_table(params, r_lo * 0.25, r_hi)
-    else:
-        table = MeasureTable(params, center, r_lo * 0.25, r_hi)
+    table = _measure_table(params, tuple(center), r_lo * 0.25, r_hi)
     radii = _geometric_radii(params, r_lo, r_hi, 80)
     kept, phi, w, r_chk, rho_chk = _draw_trials(rng, radii, r_lo, r_hi,
                                                 n_trials, _N_PAIRS)

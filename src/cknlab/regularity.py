@@ -12,9 +12,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import GridError, ParameterError
-from .fields import DiscreteField, ball_cell_weights, dirichlet_energy
-from .measure import BallSpec, _line_fit, ball_measure, weighted_mean
-from .params import HolderBound, WeightParams, holder_bound, validate
+from .fields import DiscreteField, campanato_integral, dirichlet_energy
+from .measure import BallSpec, _line_fit, ball_measure
+from .params import HolderBound, WeightParams, holder_bound
 
 # Node pairs `holder_quotient` evaluates at once: its working memory is
 # O(n + _PAIR_BLOCK) for n nodes, not one array entry per pair.
@@ -71,11 +71,8 @@ def _ball_family(center, radii):
 def campanato_profile(params: WeightParams, field: DiscreteField, center,
                       radii) -> GrowthProfile:
     """values[i] = int_{B_ri} |u - mean_{B_ri} u|^2 dmu_a."""
-    vals = []
-    for ball in _ball_family(center, radii):
-        w = ball_cell_weights(field.grid, params.N, -2.0 * params.a, ball)
-        m = weighted_mean(field.values, w)
-        vals.append(float((field.values - m) ** 2 @ w))
+    vals = [campanato_integral(params, field, ball)
+            for ball in _ball_family(center, radii)]
     return GrowthProfile(center=tuple(center),
                          radii=tuple(float(r) for r in radii),
                          values=tuple(vals), kind=ProfileKind.campanato)
@@ -121,19 +118,16 @@ def fit_growth(profile: GrowthProfile, params: WeightParams | None = None,
         raise ParameterError("insufficient_points",
                              f"{len(radii)} positive profile points; need 3")
     x, y = np.log(radii), np.log(vals)
-    slope, intercept = _line_fit(x, y)
-    rms = float(np.sqrt(np.mean((y - (slope * x + intercept)) ** 2)))
+    slope, intercept, rms = _line_fit(x, y)
     if normalization == "raw":
         expo = slope
-        clamped = False
     elif profile.kind is ProfileKind.campanato:
         expo = slope / 2.0
-        clamped = expo > 1.0
-        expo = min(expo, 1.0) if clamped else expo
     else:
         expo = (slope + 2.0) / 2.0
-        clamped = expo > 1.0
-        expo = min(expo, 1.0) if clamped else expo
+    clamped = normalization != "raw" and expo > 1.0
+    if clamped:
+        expo = 1.0
     return FitResult(exponent=expo, log_constant=intercept,
                      rms_residual=rms, clamped=clamped)
 
@@ -219,15 +213,14 @@ def default_radii(grid, center):
     return out
 
 
-def regularity_report(params: WeightParams, u: DiscreteField,
-                      f: DiscreteField | None, s_used: float, center, radii,
+def regularity_report(params: WeightParams, u: DiscreteField, center, radii,
                       alpha_h_est: float, seed: int = 0) -> RegularityReport:
-    """Measured Campanato growth of u vs the predicted Hölder exponent sup."""
+    """Measured Campanato growth of u vs the predicted Hölder exponent sup;
+    `holder_bound` needs s > p/(p-2) of `params`."""
     prof = gradient_profile(params, u, center, radii)
     fit = fit_growth(prof, params, "measure_normalized")
     alpha_measured = fit.exponent
-    p_reg = validate(params.N, params.a, params.b, s_used, for_regularity=True)
-    hb: HolderBound = holder_bound(p_reg, alpha_h_est)
+    hb: HolderBound = holder_bound(params, alpha_h_est)
     alpha_q = max(min(alpha_measured, hb.alpha_sup) * 0.95, 1e-6)
     hq = holder_quotient(u, 0.1 * u.grid.width, alpha_q, seed=seed)
     passed = alpha_measured >= hb.alpha_sup - _ALPHA_SLACK

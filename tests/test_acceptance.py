@@ -272,7 +272,7 @@ def test_criterion_09_regularity_pipeline():
         u, rep = solve(assemble(params, grid, f, dirichlet=0.0))
         assert rep.converged
         radii = default_radii(grid, (0.0,))
-        report = regularity_report(params, u, f, s, (0.0,), radii,
+        report = regularity_report(params, u, (0.0,), radii,
                                    alpha_h_est=1.0)
         ok &= report.passed
         assert report.passed, (a, b, s, report)

@@ -370,12 +370,12 @@ def test_lemma_experiments_batch_their_quadrature(tmp_path, quadrature_calls):
     cfg = write_cfg(tmp_path, "lemma_a1_envelope", A335 + "seed=1\n", "a1.cfg")
     assert main(["run", cfg]) == 0
     assert quadrature_calls == {"batched": 2, "one_ball": 0}
-    # envelopes 1 and 3 are off-centre, 0 and 2 centred
+    # envelopes 1 and 3 are off-centre, 0 and 2 share the centred table
     cfg = write_cfg(tmp_path, "lemma_a2_property",
                     A335 + "seed=1\nn_envelopes=4\n", "a2.cfg")
     assert main(["run", cfg]) == 0
-    assert quadrature_calls == {"batched": 4, "one_ball": 0}
+    assert quadrature_calls == {"batched": 5, "one_ball": 0}
     params = validate(3, 0.3, 0.5)
     moser.MeasureTable(params, (0.5, 0.0, 0.0), 0.01, 1.0)
     moser.MeasureTable(params, (0.0, 0.0, 0.0), 0.01, 1.0)
-    assert quadrature_calls == {"batched": 5, "one_ball": 0}
+    assert quadrature_calls == {"batched": 7, "one_ball": 0}

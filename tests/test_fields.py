@@ -13,9 +13,10 @@ from cknlab.errors import GridError
 from cknlab.fields import (BoxGrid, DiscreteField, RadialGrid,
                            _ball_coverage_fractions, _refined_weights,
                            ball_cell_weights, box_face_area_weights,
-                           box_face_dual_weights, cell_weights, dirichlet_energy,
-                           lq_norm, oscillation, radial_face_dual_weights)
-from cknlab.measure import BallSpec, ball_measure, centered_weight_integral, weighted_mean
+                           box_face_dual_weights, campanato_integral,
+                           cell_weights, dirichlet_energy, lq_norm,
+                           oscillation, radial_face_dual_weights)
+from cknlab.measure import BallSpec, ball_measure, centered_weight_integral
 from cknlab.params import INF, validate
 from cknlab.solver import raw_stiffness
 
@@ -139,6 +140,24 @@ def test_lq_norm_cross_checked_and_homogeneous():
     assert lq_norm(P300, u, 2.0) == pytest.approx(exact, rel=1e-4)
 
 
+@pytest.mark.parametrize("grid", [RadialGrid(0.0, 1.0, 256),
+                                  RadialGrid(0.2, 2.0, 300, "geometric"),
+                                  BoxGrid((-1.0, -0.5, 0.0), (1.0, 1.5, 1.0),
+                                          (9, 8, 7))],
+                         ids=["ball", "annulus", "box"])
+def test_lq_norm_with_a_margin_is_the_masked_sum(grid):
+    """Over the nodes `margin` inside the domain: the weighted sum of
+    |u|^q on those nodes alone, to round-off; margin 0 keeps every node."""
+    u = DiscreteField(grid=grid, values=np.random.default_rng(3).standard_normal(
+        grid.n_nodes))
+    w = cell_weights(grid, 3, -P304.bp)
+    for q, margin in ((P304.p, 0.0), (2.0, 0.1), (7.5, 0.3)):
+        keep = grid.interior_mask(margin)
+        assert 0 < keep.sum() <= grid.n_nodes and (margin > 0 or keep.all())
+        want = math.fsum(w[keep] * np.abs(u.values[keep]) ** q) ** (1 / q)
+        assert lq_norm(P304, u, q, margin) == pytest.approx(want, rel=1e-13)
+
+
 def test_oscillation_examples():
     grid = BoxGrid((-1, -1, -1), (1, 1, 1), (32, 32, 32))
     const = DiscreteField.from_function(grid, lambda p: np.full(len(p), 2.0))
@@ -162,23 +181,30 @@ def test_oscillation_empty_ball():
     assert exc.value.code == "empty_ball"
 
 
-def test_weighted_mean_examples():
+def test_campanato_integral_examples():
     grid = RadialGrid(0.0, 1.0, 512)
     const = DiscreteField.from_function(grid, lambda r: np.full_like(r, 4.2))
-    w = ball_cell_weights(grid, 3, -0.6, BallSpec((0.0,), 0.7))
-    assert weighted_mean(const.values, w) == pytest.approx(4.2, rel=1e-13)
+    ball = BallSpec((0.0,), 0.7)
+    # the mean shares the integral's quadrature: a constant is its own mean
+    assert campanato_integral(P303, const, ball) <= 1e-24 * ball_measure(P303, ball)
+    # r^2 over the unit ball has mean 3/5: 4 pi int (t^2 - 3/5)^2 t^2 dt
     sq = DiscreteField.from_function(grid, lambda r: r ** 2)
-    w = ball_cell_weights(grid, 3, 0.0, BallSpec((0.0,), 1.0))
-    assert weighted_mean(sq.values, w) == pytest.approx(0.6, rel=1e-4)
-    # odd function against the radial weight on a centered box ball
+    want = 4 * math.pi * (1 / 7 - 1.2 / 5 + 0.36 / 3)
+    assert campanato_integral(P300, sq, BallSpec((0.0,), 1.0)) == pytest.approx(
+        want, rel=1e-4)
+    # an odd function against the radial weight on a centred box ball has
+    # mean 0, and a shift moves the mean alone
     bg = BoxGrid((-1, -1, -1), (1, 1, 1), (32, 32, 32))
     lin = DiscreteField.from_function(bg, lambda p: p[:, 0])
-    w = ball_cell_weights(bg, 3, -0.6, BallSpec((0, 0, 0), 0.8))
-    assert abs(weighted_mean(lin.values, w)) <= 1e-10
+    ball = BallSpec((0, 0, 0), 0.8)
+    w = ball_cell_weights(bg, 3, -0.6, ball)
+    got = campanato_integral(P303, lin, ball)
+    assert got == pytest.approx(float(lin.values ** 2 @ w), rel=1e-12)
+    assert campanato_integral(P303, lin.with_values(lin.values + 3.0),
+                              ball) == pytest.approx(got, rel=1e-9)
     # a ball that misses the grid has no mean
-    w = ball_cell_weights(bg, 3, -0.6, BallSpec((5.0, 0.0, 0.0), 0.5))
     with pytest.raises(GridError) as exc:
-        weighted_mean(lin.values, w)
+        campanato_integral(P303, lin, BallSpec((5.0, 0.0, 0.0), 0.5))
     assert exc.value.code == "ball_outside_domain"
 
 
@@ -191,12 +217,14 @@ def test_field_values_from_a_reversed_view_are_contiguous():
     a reversed view in the same order as one built from a copy."""
     grid = RadialGrid(0.0, 1.0, 512)
     rng = np.random.default_rng(1)
+    ball = BallSpec((0.0,), 0.7)
     for _ in range(20):
-        v, w = rng.standard_normal(512), rng.random(512)
+        v = rng.standard_normal(512)
         view = DiscreteField(grid=grid, values=v[::-1])
         copy = DiscreteField(grid=grid, values=v[::-1].copy())
         assert view.values.flags.c_contiguous
-        assert weighted_mean(view.values, w) == weighted_mean(copy.values, w)
+        assert (campanato_integral(P303, view, ball)
+                == campanato_integral(P303, copy, ball))
 
 
 @pytest.mark.parametrize("grid", GRIDS, ids=["radial", "box"])

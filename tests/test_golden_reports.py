@@ -4,9 +4,9 @@
 `--dump-trials`, the sha256 of each report body (the lines after the
 manifest line, which echoes the output directory), the exit code, the last
 line printed to stderr and the number of RuntimeWarnings (recorded, not
-printed).  It also holds the
-determinism class it was recorded in: reruns are byte-identical only on the
-same numpy build and SIMD dispatch, BLAS core type and C library.
+printed).  It also holds the determinism class it was recorded in: reruns
+are byte-identical only on the same numpy build and SIMD dispatch, BLAS
+core type and C library.
 
 A change that moves report bytes rewrites the manifest in the same diff:
 

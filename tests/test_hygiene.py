@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from cknlab import solver
+from cknlab.operators import Stencil, Tridiagonal
 from cknlab.fields import BoxGrid, RadialGrid
 from cknlab.measure import BallSpec
 
@@ -151,10 +152,10 @@ def test_cg_call_sites_detected():
     assert cg_call_sites(src) == ["f", "g", "<module>"]
 
 
-def test_cg_is_called_only_in_spd_solve():
+def test_cg_is_called_only_in_stencil_solve():
     sites = {(path.name, where) for path in SRC
              for where in cg_call_sites(path.read_text())}
-    assert sites == {("solver.py", "_spd_solve")}
+    assert sites == {("operators.py", "solve")}
 
 
 KINDS = {"RadialGrid", "BoxGrid", "Tridiagonal", "Stencil"}
@@ -204,22 +205,26 @@ def test_kind_branches_detected():
     assert kind_branches(src) == ["f", "g", "g", "g", "<module>"]
 
 
-def test_one_kind_branch_in_the_package():
+def test_no_kind_branch_in_the_package():
     """What differs between a radial and a box grid, or a chain and a
-    stencil, is a member of those classes; the generic code calls it.
-    The one branch left is `_spd_solve`'s choice of solve."""
+    stencil, is a member of those classes, their solves too; the generic
+    code calls it."""
     sites = [(path.name, where) for path in SRC
              for where in kind_branches(path.read_text())]
-    assert sites == [("solver.py", "_spd_solve")]
+    assert sites == []
 
 
 ACCURACY_OPTIONS = {"tol", "rtol", "max_iter", "maxiter", "x0"}
 
 
-@pytest.mark.parametrize("name", ["_spd_solve", "solve", "residual",
-                                  "harmonic_replacement"])
+SOLVES = {"Tridiagonal.solve": Tridiagonal.solve, "Stencil.solve": Stencil.solve,
+          **{name: getattr(solver, name)
+             for name in ("solve", "residual", "harmonic_replacement")}}
+
+
+@pytest.mark.parametrize("name", SOLVES)
 def test_solves_take_no_per_call_cg_options(name):
-    params = inspect.signature(getattr(solver, name)).parameters
+    params = inspect.signature(SOLVES[name]).parameters
     assert not ACCURACY_OPTIONS & set(params)
 
 

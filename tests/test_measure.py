@@ -3,11 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from cknlab import measure
+from cknlab import measure, moser
 from cknlab.errors import GridError
 from cknlab.measure import (BallSpec, ball_measure,
                             ball_weight_integral, ball_weight_integrals,
                             cap_fraction, centered_weight_integral,
+                            centered_weight_integrals,
                             centered_weight_quadrature, doubling_ratio,
                             lemma_a1_ratio, lemma_a1_ratios, sphere_area)
 from cknlab.params import INF, epsilon_choice, validate
@@ -342,6 +343,20 @@ def test_batch_matches_one_ball_at_a_time():
 def test_centered_ball_in_a_batch_gets_the_closed_form():
     values = ball_weight_integrals(3, -0.6, [0.0, 0.4], [0.8, 0.8])
     assert values[0] == centered_weight_integral(3, -0.6, 0.8)
+
+
+@pytest.mark.parametrize("N", [3, 4, 5, 6])
+@pytest.mark.parametrize("w", [-0.6, 0.4, -1.0, -15 / 7])
+def test_centred_balls_take_the_closed_form_bit_for_bit(N, w):
+    """At d = 0 the one ball-measure path is the closed form, bit for bit,
+    on the geometric radii of a Lemma A2 run's `MeasureTable` and through
+    the one-ball call."""
+    radii = np.geomspace(0.02 * 0.25, 1.0, moser._TABLE_SIZE)
+    want = centered_weight_integrals(N, w, radii.tolist())
+    got = ball_weight_integrals(N, w, np.zeros(len(radii)), radii)
+    assert got.tolist() == want
+    assert [ball_weight_integral(N, w, BallSpec((0.0,) * N, r))
+            for r in radii.tolist()] == want
 
 
 def test_lemma_a1_ratios_match_the_one_ball_form():

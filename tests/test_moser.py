@@ -5,12 +5,11 @@ import numpy as np
 import pytest
 
 from cknlab.errors import ParameterError, SolverError
-from cknlab.fields import DiscreteField, RadialGrid
+from cknlab.fields import DiscreteField, RadialGrid, lq_norm
 from cknlab.measure import centered_weight_integral
 from cknlab import moser
 from cknlab.moser import (MeasureTable, interpolation_gap,
-                          lemma_a2_property_check, run_ladder,
-                          subdomain_lq_norm)
+                          lemma_a2_property_check, run_ladder)
 from cknlab.params import INF, k0_threshold, moser_ladder, validate
 from cknlab.solver import ckn_bubble
 
@@ -49,7 +48,7 @@ def test_run_ladder_bubble_solution():
     states = run_ladder(params, u, K, k_stop, margin0=0.3)
     assert all(s.norm_q < 1e3 for s in states)
     # cross-check the first ladder norm by 1D quadrature (full-domain margin 0)
-    got = subdomain_lq_norm(params, u, params.p, 0.0)
+    got = lq_norm(params, u, params.p, 0.0)
     r = np.linspace(0, 3.0, 200001)
     oracle = (np.trapezoid(4 * math.pi * r * r * u_fn(r) ** 6, r)) ** (1 / 6)
     assert got == pytest.approx(oracle, rel=1e-3)
@@ -356,7 +355,7 @@ def test_lemma_a2_check_is_unchanged_by_the_lookups(monkeypatch, alpha, beta,
 
 def test_lemma_a2_run_constants_built_once(monkeypatch):
     """All envelopes checked with one `WeightParams` share its profile
-    radii and one centred table, read-only; the results are those of
+    radii and one table per centre, read-only; the results are those of
     fresh parameters."""
     params = validate(3, 0.3, 0.5, INF)
     built = []
@@ -373,11 +372,12 @@ def test_lemma_a2_run_constants_built_once(monkeypatch):
     monkeypatch.setattr(MeasureTable, "__init__", counting_init)
     outs = [check(params, center, seed) for seed in (1, 2)
             for center in ((0.0, 0.0, 0.0), (0.5, 0.0, 0.0))]
-    assert built == [(0.0, 0.0, 0.0), (0.5, 0.0, 0.0), (0.5, 0.0, 0.0)]
+    assert built == [(0.0, 0.0, 0.0), (0.5, 0.0, 0.0)]
     assert outs == [check(validate(3, 0.3, 0.5, INF), center, seed)
                     for seed in (1, 2)
                     for center in ((0.0, 0.0, 0.0), (0.5, 0.0, 0.0))]
-    table = moser._centred_table(params, 0.005, 1.0)
+    table = moser._measure_table(params, (0.0, 0.0, 0.0), 0.005, 1.0)
+    assert table is moser._measure_table(params, (0.0, 0.0, 0.0), 0.005, 1.0)
     radii = moser._geometric_radii(params, 0.02, 1.0, 80)
     assert radii is moser._geometric_radii(params, 0.02, 1.0, 80)
     arrays = [radii] + [a for a in vars(table).values()

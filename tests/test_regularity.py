@@ -77,20 +77,22 @@ def test_fit_growth_insufficient_points():
 
 def test_line_fit_matches_polyfit():
     """The closed-form least-squares line of `fit_growth` and
-    `estimate_alpha_h` is `np.polyfit(x, y, 1)` to round-off on random
-    data, exact on exact lines, and refuses a constant abscissa, where
-    `polyfit` only warns."""
+    `estimate_alpha_h`, and its rms residual, are `np.polyfit(x, y, 1)`'s
+    to round-off on random data, exact on exact lines, and it refuses a
+    constant abscissa, where `polyfit` only warns."""
     rng = np.random.default_rng(3)
     for n in (2, 3, 7, 12, 40):
         x = np.log(rng.uniform(0.01, 1.0, n))
         y = rng.normal(size=n)
-        slope, intercept = _line_fit(x, y)
+        slope, intercept, rms = _line_fit(x, y)
         ref = np.polyfit(x, y, 1)
         assert abs(slope - ref[0]) <= 1e-12 * max(1.0, abs(ref[0]))
         assert abs(intercept - ref[1]) <= 1e-12 * max(1.0, abs(ref[1]))
+        ref_rms = math.sqrt(np.mean((y - np.polyval(ref, x)) ** 2))
+        assert abs(rms - ref_rms) <= 1e-12 * max(1.0, ref_rms)
     x = np.array([-1.5, 0.0, 1.0, 2.0, 6.0])  # every step exact in floats
     for slope, intercept in ((0.5, -2.0), (-1.25, 0.75), (0.0, 3.0)):
-        assert _line_fit(x, slope * x + intercept) == (slope, intercept)
+        assert _line_fit(x, slope * x + intercept) == (slope, intercept, 0.0)
     with pytest.raises(ParameterError) as exc:
         _line_fit(np.full(4, 0.3), [1.0, 2.0, 3.0, 4.0])
     assert exc.value.code == "degenerate_fit"
@@ -237,8 +239,7 @@ def test_regularity_report_classical_mms():
     u, rep = solve(assemble(P300, grid, f, dirichlet=0.0))
     assert rep.converged
     radii = default_radii(grid, (0.0,))
-    report = regularity_report(P300, u, f, INF, (0.0,), radii,
-                               alpha_h_est=1.0)
+    report = regularity_report(P300, u, (0.0,), radii, alpha_h_est=1.0)
     assert report.alpha_measured == pytest.approx(1.0, abs=0.05)
     assert report.alpha_predicted_sup == 1.0
     assert report.limiting_branch == "unit"

@@ -6,15 +6,15 @@ import pytest
 import scipy.sparse as sp
 from scipy.sparse.linalg import cg, spsolve
 
-from cknlab import solver
+from cknlab import operators, solver
 from cknlab.errors import GridError, ParameterError, SolverError
 from cknlab.fields import (BoxGrid, DiscreteField, RadialGrid,
                            _eliminate_dirichlet, box_face_dual_weights)
 from cknlab.measure import BallSpec
 from cknlab.params import INF, validate
-from cknlab.solver import (Stencil, Tridiagonal, _pcg,
-                           _spd_solve, assemble, ckn_bubble,
-                           dilate_radial, exact_radial_mms, harmonic_replacement,
+from cknlab.operators import Stencil, Tridiagonal, _pcg
+from cknlab.solver import (assemble, ckn_bubble, dilate_radial,
+                           exact_radial_mms, harmonic_replacement,
                            raw_stiffness, residual, solve,
                            stiffness_quadratic_form)
 
@@ -113,7 +113,7 @@ def test_chain_solve_matches_long_double_elimination(r_min, n):
               np.random.default_rng(n).standard_normal(hi - lo))]
     for A, b in cases:
         ref = thomas_long_double(A, b)
-        x, iterations = _spd_solve(A, b)
+        x, iterations = A.solve(b)
         assert iterations == 0
         assert np.max(np.abs(x - ref)) <= CHAIN_TOL * np.max(np.abs(ref))
 
@@ -149,9 +149,9 @@ def test_spd_solve_failures_raise(monkeypatch):
     grid = BoxGrid((-1, -1, -1), (1, 1, 1), (16, 16, 16))
     sys_ = assemble(P335, grid, DiscreteField.from_function(
         grid, lambda p: np.ones(len(p))), dirichlet=0.0)
-    monkeypatch.setattr(solver, "_CG_MAX_ITER", 3)
+    monkeypatch.setattr(operators, "_CG_MAX_ITER", 3)
     with pytest.raises(SolverError) as exc:
-        _spd_solve(sys_.matrix, sys_.rhs)
+        sys_.matrix.solve(sys_.rhs)
     assert exc.value.code == "no_convergence"
     indefinite = Tridiagonal(np.array([1.0]), 1.0, -2.0)  # [[2, -1], [-1, -1]]
     assert np.array_equal(indefinite.diag, [2.0, -1.0])
@@ -162,7 +162,7 @@ def test_spd_solve_failures_raise(monkeypatch):
                   Tridiagonal(np.array([1.0, 2.0])),  # two zero caps: singular
                   Tridiagonal(np.array([1.0, np.nan]), 1.0, 1.0)):
         with pytest.raises(SolverError) as exc:
-            _spd_solve(chain, np.ones(len(chain.T) + 1))
+            chain.solve(np.ones(len(chain.T) + 1))
         assert exc.value.code == "not_spd"
 
 
@@ -332,7 +332,7 @@ def test_box_residual_takes_boundary_data_from_the_field():
         assert np.all(rep.nodal.values[layer] == 0.0)
         # the true residual may trail CG's recurrence residual slightly
         assert (np.linalg.norm(rep.nodal.values)
-                <= 2 * solver._CG_RTOL * np.linalg.norm(sys_.rhs))
+                <= 2 * operators._CG_RTOL * np.linalg.norm(sys_.rhs))
         assert rep.dual_norm < 1e-8
 
 
@@ -561,8 +561,8 @@ def test_pcg_matches_scipy_cg():
         count += 1
 
     K = stencil_csr(sys_.matrix)
-    ref, info = cg(K, sys_.rhs, rtol=solver._CG_RTOL, atol=0.0,
-                   maxiter=solver._CG_MAX_ITER,
+    ref, info = cg(K, sys_.rhs, rtol=operators._CG_RTOL, atol=0.0,
+                   maxiter=operators._CG_MAX_ITER,
                    M=sp.diags(1.0 / K.diagonal()), callback=cb)
     assert info == 0 and iterations == count > 0
     assert np.array_equal(x, ref)
@@ -575,7 +575,7 @@ def test_read_only_box_stiffness_serves_every_solve_path():
     mask = grid.boundary_layer()
     K, rhs = _eliminate_dirichlet(A, np.ones(grid.n_nodes), mask,
                                   np.zeros(int(mask.sum())))
-    x, iterations = _spd_solve(K, rhs)
+    x, iterations = K.solve(rhs)
     assert iterations > 0 and np.linalg.norm(K @ x - rhs) <= 1e-10 * np.linalg.norm(rhs)
     I = np.nonzero(~mask)[0]
     A_II = A.principal(~mask)
@@ -698,7 +698,7 @@ def test_red_black_operator_is_the_schur_complement(grid):
             assert np.array_equal(cells[op.nodes], np.flatnonzero(keep))
             ops.append((op, raw_csr, cells))
     for op, csr, cells in ops:
-        S, ref = solver.RedBlack(op), schur_reference(op, csr, cells)
+        S, ref = operators.RedBlack(op), schur_reference(op, csr, cells)
         tol = 1e-13 * float(np.max(op.D))
         assert np.max(np.abs(S.diag - ref.diagonal())) <= tol
         e = np.zeros(ref.shape[0])
@@ -723,21 +723,21 @@ def test_reduced_box_solves_meet_the_full_tolerance(monkeypatch, m, iterations):
     solve leaves a full-system residual within `_CG_RTOL` |b|, agrees with
     `_pcg` on the unreduced stencil, and takes the pinned iterations
     (the unreduced Jacobi-PCG takes 40 and 88)."""
-    real, calls = solver._spd_solve, []
+    real, calls = Stencil.solve, []
 
     def spy(A, b):
         out = real(A, b)
         calls.append((A, b, out))
         return out
 
-    monkeypatch.setattr(solver, "_spd_solve", spy)
+    monkeypatch.setattr(Stencil, "solve", spy)
     u, rep = solve(box_study_system(m))
     harmonic_replacement(P335, u, BallSpec((0.2, 0.1, 0.0), 0.5))
     assert rep.iterations == iterations == calls[0][2][1]
     assert len(calls) == 2 and calls[1][0].nodes is not ...
     for A, b, (x, its) in calls:
         bnorm = np.linalg.norm(b)
-        assert np.linalg.norm(b - A @ x) <= solver._CG_RTOL * bnorm
+        assert np.linalg.norm(b - A @ x) <= operators._CG_RTOL * bnorm
         x_full, its_full = _pcg(A, b)
         assert np.linalg.norm(x - x_full) <= 1e-9 * np.linalg.norm(x_full)
         assert its <= 0.6 * its_full
@@ -761,5 +761,5 @@ def test_stencil_spd_failures_raise_through_the_reduction():
     bad.append(Stencil(np.ones(grid.n_nodes), (A.T > 0).astype(float), A.shape))
     for op in bad:
         with pytest.raises(SolverError) as exc:
-            _spd_solve(op, rhs)
+            op.solve(rhs)
         assert exc.value.code == "not_spd"
