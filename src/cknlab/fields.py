@@ -1,17 +1,17 @@
-"""Grids and their operators, discrete fields, weighted integrals and energy.
+"""Grids, discrete fields, weighted integrals and energy.
 
 Two grid kinds, a 1D radial grid (any dimension N via the surface-area
 factor) with a `Tridiagonal` chain operator and a 3D tensor box grid with
 a 7-point `Stencil` (both in `operators`), hold what differs between them
-as members, so that generic code never asks which kind it has.  Values live at cell centers.
-Radial cell and face weights use the exact antiderivative of t^{N-1+w};
-box weights use the cell-centroid value, except on the cells near the
-origin, where the weight may be singular, which are refined as one octree
-with a closed-form self-similar tail (`_refined_weights`).  Distances over
-a box grid are formed per axis.  Weight tables, the stiffness, a radial
-ball's clipped cell and dual weights and a box ball's rim coverage are
-memoised on their grid (`_per_grid`), read-only, as are a grid's edges
-and centres.
+as members, so that generic code never asks which kind it has.  Values
+live at cell centers.  Radial cell and face weights use the exact
+antiderivative of t^{N-1+w}; box weights use the cell-centroid value,
+except on the cells near the origin, where the weight may be singular,
+which are refined as one octree with a closed-form self-similar tail
+(`_refined_weights`).  Distances over a box grid are formed per axis.
+Weight tables, the stiffness, a radial ball's clipped cell and dual
+weights and a box ball's rim coverage are memoised on their grid
+(`_per_grid`), read-only, as are a grid's edges and centres.
 """
 from __future__ import annotations
 

@@ -148,8 +148,8 @@ def test_lq_norm_cross_checked_and_homogeneous():
 def test_lq_norm_with_a_margin_is_the_masked_sum(grid):
     """Over the nodes `margin` inside the domain: the weighted sum of
     |u|^q on those nodes alone, to round-off; margin 0 keeps every node."""
-    u = DiscreteField(grid=grid, values=np.random.default_rng(3).standard_normal(
-        grid.n_nodes))
+    values = np.random.default_rng(3).standard_normal(grid.n_nodes)
+    u = DiscreteField(grid=grid, values=values)
     w = cell_weights(grid, 3, -P304.bp)
     for q, margin in ((P304.p, 0.0), (2.0, 0.1), (7.5, 0.3)):
         keep = grid.interior_mask(margin)
@@ -186,12 +186,13 @@ def test_campanato_integral_examples():
     const = DiscreteField.from_function(grid, lambda r: np.full_like(r, 4.2))
     ball = BallSpec((0.0,), 0.7)
     # the mean shares the integral's quadrature: a constant is its own mean
-    assert campanato_integral(P303, const, ball) <= 1e-24 * ball_measure(P303, ball)
+    assert (campanato_integral(P303, const, ball)
+            <= 1e-24 * ball_measure(P303, ball))
     # r^2 over the unit ball has mean 3/5: 4 pi int (t^2 - 3/5)^2 t^2 dt
     sq = DiscreteField.from_function(grid, lambda r: r ** 2)
     want = 4 * math.pi * (1 / 7 - 1.2 / 5 + 0.36 / 3)
-    assert campanato_integral(P300, sq, BallSpec((0.0,), 1.0)) == pytest.approx(
-        want, rel=1e-4)
+    got = campanato_integral(P300, sq, BallSpec((0.0,), 1.0))
+    assert got == pytest.approx(want, rel=1e-4)
     # an odd function against the radial weight on a centred box ball has
     # mean 0, and a shift moves the mean alone
     bg = BoxGrid((-1, -1, -1), (1, 1, 1), (32, 32, 32))

@@ -45,7 +45,7 @@ def blas_core() -> str:
                      "scipy_openblas_get_corename"):
             fn = getattr(ctypes.CDLL(str(lib)), name, None)
             if fn is not None:
-                fn.restype = ctypes.c_char_p
+                fn.argtypes, fn.restype = [], ctypes.c_char_p
                 return fn().decode()
     return "unknown"
 
@@ -89,7 +89,8 @@ def run_all(out_dir: Path) -> dict:
 def test_reports_match_the_golden_digests(tmp_path):
     golden = json.loads(MANIFEST.read_text())
     here = determinism_class()
-    differs = [key for key in golden["class"] if golden["class"][key] != here[key]]
+    differs = [key for key, value in golden["class"].items()
+               if value != here[key]]
     if differs:
         pytest.skip("recorded in another determinism class: "
                     + ", ".join(f"{k} {golden['class'][k]!r} here {here[k]!r}"

@@ -217,7 +217,8 @@ def test_no_kind_branch_in_the_package():
 ACCURACY_OPTIONS = {"tol", "rtol", "max_iter", "maxiter", "x0"}
 
 
-SOLVES = {"Tridiagonal.solve": Tridiagonal.solve, "Stencil.solve": Stencil.solve,
+SOLVES = {"Tridiagonal.solve": Tridiagonal.solve,
+          "Stencil.solve": Stencil.solve,
           **{name: getattr(solver, name)
              for name in ("solve", "residual", "harmonic_replacement")}}
 
