@@ -2,9 +2,9 @@
 
 `golden_reports.json` holds, for each experiment and seed run with
 `--dump-trials`, the sha256 of each report body (the lines after the
-manifest line, which echoes the output directory), the exit code, the last
-line printed to stderr and the number of RuntimeWarnings (recorded, not
-printed).  It also holds the determinism class it was recorded in: reruns
+manifest line, which echoes the output directory), the exit code, stdout,
+the last line printed to stderr and the number of RuntimeWarnings
+(recorded, not printed).  It also holds the determinism class it was recorded in: reruns
 are byte-identical only on the same numpy build and SIMD dispatch, BLAS
 core type and C library.
 
@@ -68,9 +68,9 @@ def run_all(out_dir: Path) -> dict:
             cfg = out_dir / f"{name}-{seed}.cfg"
             cfg.write_text(f"experiment={name}\noutput_dir={out}\nparams.N=3\n"
                            f"params.a=0.3\nparams.b=0.5\nseed={seed}\n")
-            err = io.StringIO()
+            out_text, err = io.StringIO(), io.StringIO()
             with warnings.catch_warnings(record=True) as caught, \
-                    contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stdout(out_text), \
                     contextlib.redirect_stderr(err):
                 warnings.simplefilter("always")
                 code = cli.run(str(cfg), dump_trials=True)
@@ -79,6 +79,7 @@ def run_all(out_dir: Path) -> dict:
                 for path in sorted(out.glob("*"))}
             runs[f"{name}/{seed}"] = {
                 "exit": code,
+                "stdout": out_text.getvalue(),
                 "stderr": (err.getvalue().splitlines() or [""])[-1],
                 "runtime_warnings": sum(issubclass(w.category, RuntimeWarning)
                                         for w in caught),
