@@ -6,7 +6,7 @@ import pytest
 import scipy.sparse as sp
 from scipy.sparse.linalg import cg, spsolve
 
-from cknlab import operators, solver
+from cknlab import operators
 from cknlab.errors import GridError, ParameterError, SolverError
 from cknlab.fields import (BoxGrid, DiscreteField, RadialGrid,
                            _eliminate_dirichlet, box_face_dual_weights)
